@@ -20,10 +20,10 @@ from .data_io import load_multistudy, write_csv_atomic, write_json_atomic
 from .errors import InputError, MultiscreenError, NumericalError
 from .group_select import ols_refit, tsa_sis_group_lasso
 from .multi_pc import DEFAULT_BUDGET, multi_pc_run
-from .screening import (ScreeningConfig, default_top_d, min_sis_rank,
-                        one_step_sis, top_d_selection, tsa_sis)
-from .simulate import (MethodSpec, SimSetting, roc_min_sis, run_replications,
-                       sensitivity_grid)
+from .screening import (ScreeningConfig, _top_d, min_sis_rank, one_step_sis,
+                        top_d_selection, tsa_sis)
+from .simulate import (MethodSpec, SimSetting, _roc_and_method,
+                       run_replications, sensitivity_grid)
 
 _DEF_ALPHA1 = 1e-4
 _DEF_ALPHA2 = 0.05
@@ -59,21 +59,18 @@ def _write_result(out_dir: str, command: str, config: dict, seed,
 
 
 def _records_payload(data, screening):
-    study_ids = [s.id for s in data.studies]
-    features = []
-    for rec in screening.records:
-        features.append({
-            "index": rec.feature,
-            "name": data.feature_names[rec.feature],
-            "t_stats": [float(t) for t in rec.t_stats],
-            "l_hat": list(rec.l_hat),
-            "kappa_hat": rec.kappa_hat,
-            "l_stat": _jf(rec.l_stat),
-            "chi2_threshold": _jf(rec.chi2_threshold),
-            "kept": rec.kept,
-        })
+    features = [{
+        "index": rec.feature,
+        "name": data.feature_names[rec.feature],
+        "t_stats": [float(t) for t in rec.t_stats],
+        "l_hat": list(rec.l_hat),
+        "kappa_hat": rec.kappa_hat,
+        "l_stat": _jf(rec.l_stat),
+        "chi2_threshold": _jf(rec.chi2_threshold),
+        "kept": rec.kept,
+    } for rec in screening.records]
     return {
-        "study_ids": study_ids,
+        "study_ids": [s.id for s in data.studies],
         "method": screening.method,
         "features": features,
         "kept": [data.feature_names[j] for j in screening.kept],
@@ -93,42 +90,36 @@ def _cmd_screen(args) -> int:
         "d": args.d,
     }
     if args.method == "minsis":
-        d = args.d if args.d is not None else default_top_d(
-            min(s.n for s in data.studies))
+        d = _top_d(data, args.d)
         ranking = min_sis_rank(data)
         kept, dropped = top_d_selection(ranking, min(d, data.p), data.p)
-        rank_of = {j: r for r, (j, _) in enumerate(ranking, start=1)}
-        score_of = dict(ranking)
+        kept_set = set(kept)
+        ranked = [(j, rank, score)
+                  for rank, (j, score) in enumerate(ranking, start=1)]
         result = {
             "study_ids": [s.id for s in data.studies],
             "method": "minsis",
             "d": d,
             "ranking": [{"index": j, "name": data.feature_names[j],
                          "score": _jf(score), "rank": rank,
-                         "kept": j in set(kept)}
-                        for rank, (j, score) in enumerate(ranking, start=1)],
+                         "kept": j in kept_set} for j, rank, score in ranked],
             "kept": [data.feature_names[j] for j in kept],
             "dropped": [data.feature_names[j] for j in dropped],
         }
-        rows = [[data.feature_names[j], j, rank_of[j],
-                 repr(float(score_of[j])), j in set(kept)]
-                for j in range(data.p)]
+        rows = [[data.feature_names[j], j, rank, repr(float(score)),
+                 j in kept_set] for j, rank, score in sorted(ranked)]
         write_csv_atomic(os.path.join(args.out, "records.csv"),
                          ["feature", "index", "rank", "score", "kept"], rows)
     else:
-        if args.method == "tsa":
-            screening = tsa_sis(data, ScreeningConfig(args.alpha1, args.alpha2))
-        else:
-            screening = one_step_sis(data, args.alpha1)
+        screening = tsa_sis(data, ScreeningConfig(args.alpha1, args.alpha2)) \
+            if args.method == "tsa" else one_step_sis(data, args.alpha1)
         result = _records_payload(data, screening)
-        rows = []
-        for rec in screening.records:
-            rows.append([data.feature_names[rec.feature], rec.feature,
-                         ";".join(repr(float(t)) for t in rec.t_stats),
-                         ";".join(str(k) for k in rec.l_hat), rec.kappa_hat,
-                         "" if rec.l_stat is None else repr(rec.l_stat),
-                         "" if rec.chi2_threshold is None else repr(rec.chi2_threshold),
-                         rec.kept])
+        rows = [[data.feature_names[rec.feature], rec.feature,
+                 ";".join(repr(float(t)) for t in rec.t_stats),
+                 ";".join(str(k) for k in rec.l_hat), rec.kappa_hat,
+                 "" if rec.l_stat is None else repr(rec.l_stat),
+                 "" if rec.chi2_threshold is None else repr(rec.chi2_threshold),
+                 rec.kept] for rec in screening.records]
         write_csv_atomic(os.path.join(args.out, "records.csv"),
                          ["feature", "index", "t_stats", "l_hat", "kappa_hat",
                           "l_stat", "chi2_threshold", "kept"], rows)
@@ -281,11 +272,9 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_roc(args) -> int:
     setting = _setting_from_args(args)
-    curve = roc_min_sis(setting, threads=args.threads)
-    tsa = run_replications(setting,
-                           MethodSpec(name="tsa", alpha1=_DEF_ALPHA1,
-                                      alpha2=_DEF_ALPHA2),
-                           threads=args.threads)
+    curve, tsa = _roc_and_method(
+        setting, MethodSpec(name="tsa", alpha1=_DEF_ALPHA1, alpha2=_DEF_ALPHA2),
+        threads=args.threads)
     config = {
         "setting": args.setting, "n": setting.n, "p": setting.p,
         "k": setting.K, "s0": setting.s0, "b": setting.B,
@@ -359,13 +348,10 @@ def _cmd_sensitivity(args) -> int:
     return 0
 
 
-def _add_sim_args(sub, include_dims=True):
+def _add_sim_args(sub):
     sub.add_argument("--setting", type=int, required=True, choices=[1, 2, 3, 4])
-    if include_dims:
-        sub.add_argument("--n", type=int, default=None)
-        sub.add_argument("--p", type=int, default=None)
-        sub.add_argument("--k", type=int, default=None)
-        sub.add_argument("--s0", type=int, default=None)
+    for dim in ("--n", "--p", "--k", "--s0"):
+        sub.add_argument(dim, type=int, default=None)
     sub.add_argument("--b", type=int, default=None, help="replication count")
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--threads", type=int, default=None,

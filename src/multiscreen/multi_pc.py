@@ -18,8 +18,9 @@ import numpy as np
 
 from .errors import (BudgetExceededError, DegenerateColumnError, InputError,
                      SingularDesignError)
-from .screening import MultiStudy, ScreeningConfig, Study, tsa_sis
-from .stats_core import TStat, chi2_quantile, normal_quantile, self_normalized_t
+from .screening import (MultiStudy, ScreeningConfig, Study, _chi2_thresholds,
+                        _step1_threshold, _two_step, tsa_sis)
+from .stats_core import TStat, self_normalized_t
 
 __all__ = [
     "StopReason",
@@ -123,7 +124,7 @@ def _variance(v: np.ndarray) -> float:
 
 
 def _keeps_feature(data: MultiStudy, j: int, cond: tuple[int, ...],
-                   threshold: float, chi2_thresholds: list[float],
+                   threshold: float, chi2_thresholds: np.ndarray,
                    adjust_n: bool, y_resid: dict) -> bool:
     """Two-step rule for one feature given one conditioning set."""
     t_vals = []
@@ -133,11 +134,7 @@ def _keeps_feature(data: MultiStudy, j: int, cond: tuple[int, ...],
             y_resid[key] = residualize(study.x, cond, study.y)
         t_vals.append(partial_t(study, j, cond, adjust_n=adjust_n,
                                 _resid_y=y_resid[key]).value)
-    in_l = [t for t in t_vals if abs(t) <= threshold]
-    if not in_l:
-        return True
-    l_stat = math.fsum(t * t for t in in_l)
-    return l_stat > chi2_thresholds[len(in_l)]
+    return bool(_two_step(np.array([t_vals]), threshold, chi2_thresholds)[2][0])
 
 
 def multi_pc_run(data: MultiStudy, config: ScreeningConfig, max_order: int,
@@ -167,10 +164,8 @@ def multi_pc_run(data: MultiStudy, config: ScreeningConfig, max_order: int,
         return MultiPcState(stage=1, active_sets=tuple(active_sets),
                             stopped_reason=StopReason.MAX_ORDER)
 
-    threshold = normal_quantile(1.0 - config.alpha1 / 2.0)
-    max_k = data.k
-    chi2_thresholds = [math.inf] + [chi2_quantile(1.0 - config.alpha2, df)
-                                    for df in range(1, max_k + 1)]
+    threshold = _step1_threshold(config.alpha1)
+    chi2_thresholds = np.array(_chi2_thresholds(config.alpha2, data.k))
 
     min_n = min(s.n for s in data.studies)
     stage = 1

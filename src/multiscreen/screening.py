@@ -177,47 +177,43 @@ class Step1Output:
         return self.entries[i]
 
 
+def _centered_pairs(data: MultiStudy):
+    """(j, k, study, cx, var_x, cy, var_y) per (feature, study): centered
+    columns and their 1/n variances; a constant response raises."""
+    for ki, study in enumerate(data.studies):
+        cy, var_y = center_column(study.y)
+        if var_y <= 0.0:
+            raise DegenerateColumnError(
+                f"response in study {study.id!r} has zero variance")
+        for j in range(data.p):
+            cx, var_x = center_column(study.x[:, j])
+            yield j, ki, study, cx, var_x, cy, var_y
+
+
 def compute_t_matrix(data: MultiStudy) -> np.ndarray:
     """Self-normalized statistics for every (feature, study) pair, shape (p, K).
 
     Degenerate columns raise :class:`DegenerateColumnError` naming the
     feature and study.
     """
-    p, k = data.p, data.k
-    out = np.empty((p, k))
-    for ki, study in enumerate(data.studies):
-        cy, var_y = center_column(study.y)
-        if var_y <= 0.0:
-            raise DegenerateColumnError(
-                f"response in study {study.id!r} has zero variance")
-        n = study.n
-        x = study.x
-        for j in range(p):
-            cx, var_x = center_column(x[:, j])
-            label = f"{data.feature_names[j]} (study {study.id!r})"
-            out[j, ki] = _t_from_centered(cx, cy, n, var_x, var_y, label=label).value
+    out = np.empty((data.p, data.k))
+    for j, ki, study, cx, var_x, cy, var_y in _centered_pairs(data):
+        label = f"{data.feature_names[j]} (study {study.id!r})"
+        out[j, ki] = _t_from_centered(cx, cy, study.n, var_x, var_y,
+                                      label=label).value
     return out
 
 
 def compute_correlation_matrix(data: MultiStudy) -> np.ndarray:
     """Pearson sample correlations for every (feature, study) pair, shape (p, K)."""
-    p, k = data.p, data.k
-    out = np.empty((p, k))
-    for ki, study in enumerate(data.studies):
-        cy, var_y = center_column(study.y)
-        if var_y <= 0.0:
+    out = np.empty((data.p, data.k))
+    for j, ki, study, cx, var_x, cy, var_y in _centered_pairs(data):
+        if var_x <= 0.0:
             raise DegenerateColumnError(
-                f"response in study {study.id!r} has zero variance")
-        n = study.n
-        x = study.x
-        for j in range(p):
-            cx, var_x = center_column(x[:, j])
-            if var_x <= 0.0:
-                raise DegenerateColumnError(
-                    f"feature {data.feature_names[j]!r} has zero variance "
-                    f"in study {study.id!r}")
-            cov = _exact_sum(cx * cy) / n
-            out[j, ki] = cov / math.sqrt(var_x * var_y)
+                f"feature {data.feature_names[j]!r} has zero variance "
+                f"in study {study.id!r}")
+        cov = _exact_sum(cx * cy) / study.n
+        out[j, ki] = cov / math.sqrt(var_x * var_y)
     return out
 
 
@@ -236,7 +232,17 @@ def _resolve_threshold(alpha1: float | None, threshold: float | None) -> tuple[f
         raise InputError("either alpha1 or an explicit threshold is required")
     if not 0.0 < float(alpha1) < 1.0:
         raise InputError(f"alpha1 must lie strictly inside (0, 1), got {alpha1!r}")
-    return float(alpha1), normal_quantile(1.0 - float(alpha1) / 2.0)
+    return float(alpha1), _step1_threshold(float(alpha1))
+
+
+def _step1_threshold(alpha1: float) -> float:
+    """Two-sided step-1 threshold Phi^-1(1 - alpha1 / 2)."""
+    return normal_quantile(1.0 - alpha1 / 2.0)
+
+
+def _step1_mask(t_mat: np.ndarray, threshold: float) -> np.ndarray:
+    """True where |T| <= threshold: the study is in l_hat (ties go in)."""
+    return np.abs(t_mat) <= threshold
 
 
 def step1_from_stats(t_mat: np.ndarray, alpha1: float | None = None,
@@ -250,9 +256,8 @@ def step1_from_stats(t_mat: np.ndarray, alpha1: float | None = None,
         raise InputError("statistic matrix must be 2-d (features x studies)")
     alpha1, thr = _resolve_threshold(alpha1, threshold)
     entries = []
-    for j in range(t_mat.shape[0]):
-        row = t_mat[j]
-        l_hat = tuple(int(k) for k in np.nonzero(np.abs(row) <= thr)[0])
+    for row, in_l in zip(t_mat, _step1_mask(t_mat, thr)):
+        l_hat = tuple(int(k) for k in np.nonzero(in_l)[0])
         entries.append((l_hat, len(l_hat), row))
     return Step1Output(entries=tuple(entries), alpha1=alpha1, threshold=thr)
 
@@ -274,33 +279,49 @@ def _chi2_thresholds(alpha2: float, max_df: int) -> list[float]:
                          for df in range(1, max_df + 1)]
 
 
+def _two_step(t_mat: np.ndarray, threshold: float, chi2_table):
+    """The two-step keep rule on a (p, K) matrix at one step-1 threshold.
+
+    Returns (kappa_hat, l_stat, keep); l_stat is the correctly rounded sum
+    over l_hat. ``chi2_table`` (from :func:`_chi2_thresholds`) may be a
+    stack of tables, one keep row each.
+    """
+    in_l = _step1_mask(t_mat, threshold)
+    kappa = in_l.sum(axis=1)
+    l_stat = np.array([math.fsum(r) for r in
+                       np.where(in_l, t_mat * t_mat, 0.0).tolist()])
+    keep = (kappa == 0) | (l_stat > np.asarray(chi2_table)[..., kappa])
+    return kappa, l_stat, keep
+
+
 def step2_aggregate(step1_output: Step1Output, alpha2: float) -> ScreeningResult:
     """Second screening step: chi-square test on the aggregate of the
     potential-zero studies. A feature with an empty l_hat is kept outright;
     an aggregate statistic exactly at the threshold is dropped."""
     if not 0.0 < float(alpha2) < 1.0:
         raise InputError(f"alpha2 must lie strictly inside (0, 1), got {alpha2!r}")
-    alpha2 = float(alpha2)
-    max_df = max((kappa for _, kappa, _ in step1_output), default=0)
-    thresholds = _chi2_thresholds(alpha2, max_df)
-    records = []
-    kept, dropped = [], []
-    for j, (l_hat, kappa, t_row) in enumerate(step1_output):
-        if kappa == 0:
-            rec = FeatureScreenRecord(feature=j, t_stats=t_row, l_hat=l_hat,
-                                      kappa_hat=0, l_stat=None,
-                                      chi2_threshold=None, kept=True)
-        else:
-            l_stat = math.fsum(float(t_row[k]) ** 2 for k in l_hat)
-            thr = thresholds[kappa]
-            rec = FeatureScreenRecord(feature=j, t_stats=t_row, l_hat=l_hat,
-                                      kappa_hat=kappa, l_stat=l_stat,
-                                      chi2_threshold=thr, kept=l_stat > thr)
-        records.append(rec)
-        (kept if rec.kept else dropped).append(j)
-    config = ScreeningConfig(alpha1=step1_output.alpha1, alpha2=alpha2)
-    return ScreeningResult(kept=tuple(kept), dropped=tuple(dropped),
-                           records=tuple(records), config=config, method="tsa")
+    rows = [t_row for _, _, t_row in step1_output]
+    t_mat = np.array(rows, dtype=float) if rows else np.empty((0, 0))
+    thresholds = _chi2_thresholds(float(alpha2), max(
+        (kappa for _, kappa, _ in step1_output), default=0))
+    _, l_stat, keep = _two_step(t_mat, step1_output.threshold, thresholds)
+    config = ScreeningConfig(alpha1=step1_output.alpha1, alpha2=float(alpha2))
+    return _result(step1_output, keep, config, "tsa", l_stat, thresholds)
+
+
+def _result(step1: Step1Output, keep: np.ndarray, config: ScreeningConfig,
+            method: str, l_stat=None, chi2_table=None) -> ScreeningResult:
+    """Records and kept/dropped sets from step-1 evidence and a keep mask;
+    the aggregate fields are set where kappa_hat > 0 and l_stat is given."""
+    records = tuple(FeatureScreenRecord(
+        feature=j, t_stats=t_row, l_hat=l_hat, kappa_hat=kappa,
+        l_stat=float(l_stat[j]) if kappa and l_stat is not None else None,
+        chi2_threshold=chi2_table[kappa] if kappa and l_stat is not None
+        else None, kept=bool(keep[j]))
+        for j, (l_hat, kappa, t_row) in enumerate(step1))
+    return ScreeningResult(kept=tuple(int(j) for j in np.nonzero(keep)[0]),
+                           dropped=tuple(int(j) for j in np.nonzero(~keep)[0]),
+                           records=records, config=config, method=method)
 
 
 def tsa_sis(data: MultiStudy, config: ScreeningConfig) -> ScreeningResult:
@@ -321,14 +342,11 @@ def tsa_sis_from_stats(t_mat: np.ndarray, alpha2: float,
 
 
 def tsa_kept_mask(t_mat: np.ndarray, threshold: float, alpha2: float) -> np.ndarray:
-    """Vectorized keep mask of the two-step rule; used by the simulation
-    harness where per-feature records are not needed."""
+    """Keep mask of the two-step rule, for callers that need no per-feature
+    records."""
     t_mat = np.asarray(t_mat, dtype=float)
-    in_l = np.abs(t_mat) <= threshold
-    kappa = in_l.sum(axis=1)
-    l_stat = np.where(in_l, t_mat * t_mat, 0.0).sum(axis=1)
-    thresholds = np.asarray(_chi2_thresholds(float(alpha2), t_mat.shape[1]))
-    return (kappa == 0) | (l_stat > thresholds[kappa])
+    return _two_step(t_mat, threshold,
+                     _chi2_thresholds(float(alpha2), t_mat.shape[1]))[2]
 
 
 def one_step_sis(data: MultiStudy, alpha1: float) -> ScreeningResult:
@@ -336,19 +354,9 @@ def one_step_sis(data: MultiStudy, alpha1: float) -> ScreeningResult:
     correlation. Records carry step-1 evidence only (no aggregate fields);
     the config's alpha2 is a placeholder this rule never consults."""
     step1 = step1_separate(data, alpha1)
-    records = []
-    kept, dropped = [], []
-    for j, (l_hat, kappa, t_row) in enumerate(step1):
-        keep = kappa == 0
-        records.append(FeatureScreenRecord(feature=j, t_stats=t_row,
-                                           l_hat=l_hat, kappa_hat=kappa,
-                                           l_stat=None, chi2_threshold=None,
-                                           kept=keep))
-        (kept if keep else dropped).append(j)
+    keep = np.array([kappa == 0 for _, kappa, _ in step1], dtype=bool)
     config = ScreeningConfig(alpha1=step1.alpha1, alpha2=0.05)
-    return ScreeningResult(kept=tuple(kept), dropped=tuple(dropped),
-                           records=tuple(records), config=config,
-                           method="onestep")
+    return _result(step1, keep, config, "onestep")
 
 
 def min_sis_rank(data: MultiStudy, score: str = "pearson") -> list[tuple[int, float]]:
@@ -364,9 +372,15 @@ def min_sis_rank(data: MultiStudy, score: str = "pearson") -> list[tuple[int, fl
         mat = compute_t_matrix(data)
     else:
         raise InputError(f"unknown score {score!r}; expected 'pearson' or 'tstat'")
+    order, scores = _min_rank(mat)
+    return [(int(j), float(scores[j])) for j in order]
+
+
+def _min_rank(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Scores min_k |mat[j, k]| and the order by score descending, ties
+    toward the lower index: (order, scores)."""
     scores = np.abs(mat).min(axis=1)
-    order = sorted(range(data.p), key=lambda j: (-scores[j], j))
-    return [(j, float(scores[j])) for j in order]
+    return np.lexsort((np.arange(scores.shape[0]), -scores)), scores
 
 
 def top_d_selection(ranking: list[tuple[int, float]], d: int,
@@ -387,3 +401,8 @@ def default_top_d(n: int) -> int:
     if n < 3:
         raise InputError(f"need n >= 3, got {n}")
     return max(1, int(math.floor(n / math.log(n))))
+
+
+def _top_d(data: MultiStudy, d: int | None) -> int:
+    """d as given, else the default of the smallest study."""
+    return default_top_d(min(s.n for s in data.studies)) if d is None else d

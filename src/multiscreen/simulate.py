@@ -18,9 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, MultiscreenError
-from .screening import (MultiStudy, Study, compute_correlation_matrix,
-                        compute_t_matrix, default_top_d, tsa_kept_mask)
-from .stats_core import chi2_quantile, normal_quantile
+from .screening import (MultiStudy, Study, _chi2_thresholds, _min_rank,
+                        _step1_threshold, _top_d, _two_step,
+                        compute_correlation_matrix, compute_t_matrix)
+from .stats_core import normal_quantile
 
 __all__ = [
     "SimSetting",
@@ -293,49 +294,121 @@ def evaluate(kept, truth, p: int) -> RepMetrics:
 
 
 # ---------------------------------------------------------------------------
-# Replication runner.
+# Evaluations: picklable rules the replication worker applies to one
+# instance. ``matrix`` names the statistic matrix a rule reads ("t" or
+# "corr"); calling a rule with (matrix, data, active) returns its payload.
 # ---------------------------------------------------------------------------
+
+def _matrix(name: str, data: MultiStudy) -> np.ndarray:
+    return compute_t_matrix(data) if name == "t" else compute_correlation_matrix(data)
+
+
+class _KeptSets:
+    """A screening rule; its payload scores each of its kept sets."""
+
+    def __call__(self, mat, data, active) -> list[RepMetrics]:
+        return [evaluate(kept, active, data.p)
+                for kept in self.kept_sets(mat, data)]
+
+
+@dataclass(frozen=True)
+class _StepRule(_KeptSets):
+    """The two-step rule at each (step-1 threshold, chi-square table) pair,
+    row-major. An all-infinite table gives the one-step rule, kappa_hat == 0."""
+
+    thresholds: tuple[float, ...]
+    chi2_tables: tuple[tuple[float, ...], ...]
+    matrix = "t"
+
+    def kept_sets(self, t_mat, data) -> list[np.ndarray]:
+        return [np.nonzero(keep)[0] for threshold in self.thresholds
+                for keep in _two_step(t_mat, threshold, self.chi2_tables)[2]]
+
+
+@dataclass(frozen=True)
+class _TopD(_KeptSets):
+    """The ranking screener keeping the top d (default floor(n/log n))."""
+
+    d: int | None
+    matrix = "corr"
+
+    def kept_sets(self, corr, data) -> list[np.ndarray]:
+        order, _ = _min_rank(corr)
+        return [np.sort(order[:min(_top_d(data, self.d), data.p)])]
+
+
+@dataclass(frozen=True)
+class _Roc:
+    """The ranking screener's (sensitivity, 1 - specificity) at each d."""
+
+    d_grid: tuple[int, ...]
+    matrix = "corr"
+
+    def __call__(self, corr, data, active):
+        order, _ = _min_rank(corr)
+        truth = np.zeros(data.p, dtype=bool)
+        truth[list(active)] = True
+        d = np.array(self.d_grid, dtype=int)
+        tp = np.concatenate([[0], np.cumsum(truth[order])])[d]
+        neg = data.p - len(active)
+        return tp / len(active), (d - tp) / neg if neg else np.zeros(len(d))
+
+
+def _method_rule(method: MethodSpec, k: int) -> _KeptSets:
+    if method.name == "minsis":
+        return _TopD(method.d)
+    table = tuple(_chi2_thresholds(method.alpha2, k)) if method.name == "tsa" \
+        else (math.inf,) * (k + 1)
+    return _StepRule((_step1_threshold(method.alpha1),), (table,))
+
 
 def method_kept(data: MultiStudy, method: MethodSpec) -> tuple[int, ...]:
     """Kept feature indices for one dataset under the given method."""
-    if method.name == "minsis":
-        scores = np.abs(compute_correlation_matrix(data)).min(axis=1)
-        d = method.d
-        if d is None:
-            d = default_top_d(min(s.n for s in data.studies))
-        d = min(d, data.p)
-        order = np.lexsort((np.arange(data.p), -scores))
-        return tuple(sorted(int(j) for j in order[:d]))
-    t_mat = compute_t_matrix(data)
-    threshold = normal_quantile(1.0 - method.alpha1 / 2.0)
-    if method.name == "onestep":
-        mask = np.all(np.abs(t_mat) > threshold, axis=1)
-    else:
-        mask = tsa_kept_mask(t_mat, threshold, method.alpha2)
-    return tuple(int(j) for j in np.nonzero(mask)[0])
+    rule = _method_rule(method, data.k)
+    kept = rule.kept_sets(_matrix(rule.matrix, data), data)[0]
+    return tuple(int(j) for j in kept)
 
 
-def _replication_metrics(setting: SimSetting, rep: int,
-                         method: MethodSpec) -> RepMetrics:
-    data, active, _ = gen_instance(setting, rep)
-    kept = method_kept(data, method)
-    return evaluate(kept, active, setting.p)
+# ---------------------------------------------------------------------------
+# Replication engine.
+# ---------------------------------------------------------------------------
 
-
-def _rep_worker(args):
-    setting, rep, method = args
+def _attempt(rep: int, fn, *args):
     try:
-        return ("ok", _replication_metrics(setting, rep, method))
+        return "ok", fn(*args)
     except MultiscreenError as exc:
-        return ("err", f"rep {rep}: {exc}")
+        return "err", f"rep {rep}: {exc}"
 
 
-def _collect(worker, args_list, threads: int):
-    """Run a per-replication worker, in order, optionally across processes."""
+def _replicate(args):
+    """One replication: the instance once, each statistic matrix at most
+    once, then every evaluation. Returns one ("ok", payload) or ("err",
+    message) per evaluation, failed only by what that evaluation uses."""
+    setting, rep, evaluations = args
+    tag, instance = _attempt(rep, gen_instance, setting, rep)
+    if tag == "err":
+        return [(tag, instance)] * len(evaluations)
+    data, active, _ = instance
+    matrices = {}
+    out = []
+    for ev in evaluations:
+        if ev.matrix not in matrices:
+            matrices[ev.matrix] = _attempt(rep, _matrix, ev.matrix, data)
+        tag, mat = matrices[ev.matrix]
+        out.append(_attempt(rep, ev, mat, data, active) if tag == "ok"
+                   else (tag, mat))
+    return out
+
+
+def _replicate_all(setting: SimSetting, evaluations, threads: int):
+    """Per evaluation, its outcomes over replications 0..B-1 in order."""
+    args = [(setting, rep, tuple(evaluations)) for rep in range(setting.B)]
     if threads <= 1:
-        return [worker(a) for a in args_list]
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(worker, args_list, chunksize=1))
+        per_rep = [_replicate(a) for a in args]
+    else:
+        with ProcessPoolExecutor(max_workers=threads) as pool:
+            per_rep = list(pool.map(_replicate, args, chunksize=1))
+    return list(zip(*per_rep))
 
 
 def _mean_se(values) -> tuple[float, float]:
@@ -349,27 +422,28 @@ def _mean_se(values) -> tuple[float, float]:
     return mean, math.sqrt(var / b)
 
 
-def run_replications(setting: SimSetting, method: MethodSpec,
-                     threads: int = 1) -> ReplicationSummary:
-    """Mean and Monte-Carlo standard error of sensitivity/specificity over
-    B replications. Failed replications are counted, not fatal."""
-    args = [(setting, rep, method) for rep in range(setting.B)]
-    results = _collect(_rep_worker, args, threads)
-    metrics = [m for tag, m in results if tag == "ok"]
-    failures = tuple(m for tag, m in results if tag == "err")
-    sens = [m.sensitivity for m in metrics]
-    spec = [m.specificity for m in metrics]
-    mean_sens, se_sens = _mean_se(sens)
-    mean_spec, se_spec = _mean_se(spec)
-    mean_fp = math.fsum(m.fp for m in metrics) / len(metrics) if metrics else math.nan
-    mean_fn = math.fsum(m.fn for m in metrics) / len(metrics) if metrics else math.nan
-    return ReplicationSummary(b=setting.B, n_failed=len(failures),
+def _summary(b: int, outcomes) -> ReplicationSummary:
+    metrics = [payload[0] for tag, payload in outcomes if tag == "ok"]
+    failures = tuple(payload for tag, payload in outcomes if tag == "err")
+    mean_sens, se_sens = _mean_se([m.sensitivity for m in metrics])
+    mean_spec, se_spec = _mean_se([m.specificity for m in metrics])
+    return ReplicationSummary(b=b, n_failed=len(failures),
                               mean_sensitivity=mean_sens,
                               se_sensitivity=se_sens,
                               mean_specificity=mean_spec,
                               se_specificity=se_spec,
-                              mean_fp=mean_fp, mean_fn=mean_fn,
+                              mean_fp=_mean_se([m.fp for m in metrics])[0],
+                              mean_fn=_mean_se([m.fn for m in metrics])[0],
                               per_rep=tuple(metrics), failures=failures)
+
+
+def run_replications(setting: SimSetting, method: MethodSpec,
+                     threads: int = 1) -> ReplicationSummary:
+    """Mean and Monte-Carlo standard error of sensitivity/specificity over
+    B replications. Failed replications are counted, not fatal."""
+    (outcomes,) = _replicate_all(
+        setting, [_method_rule(method, setting.K)], threads)
+    return _summary(setting.B, outcomes)
 
 
 # ---------------------------------------------------------------------------
@@ -382,23 +456,16 @@ def default_d_grid(p: int, max_points: int = 200) -> tuple[int, ...]:
                          np.linspace(0, p, min(p, max_points) + 1).round()}))
 
 
-def _roc_worker(args):
-    setting, rep, d_grid = args
-    try:
-        data, active, _ = gen_instance(setting, rep)
-        scores = np.abs(compute_correlation_matrix(data)).min(axis=1)
-        order = np.lexsort((np.arange(setting.p), -scores))
-        truth = np.zeros(setting.p, dtype=bool)
-        truth[list(active)] = True
-        cum_tp = np.concatenate([[0], np.cumsum(truth[order])])
-        s0 = len(active)
-        neg = setting.p - s0
-        sens = np.array([cum_tp[d] / s0 for d in d_grid], dtype=float)
-        fpr = np.array([(d - cum_tp[d]) / neg if neg else 0.0
-                        for d in d_grid], dtype=float)
-        return ("ok", (sens, fpr))
-    except MultiscreenError as exc:
-        return ("err", f"rep {rep}: {exc}")
+def _curve(b: int, d_grid: tuple[int, ...], outcomes) -> RocCurve:
+    oks = [payload for tag, payload in outcomes if tag == "ok"]
+    n_failed = len(outcomes) - len(oks)
+    points = []
+    for gi, d in enumerate(d_grid):
+        sens = math.fsum(s[gi] for s, _ in oks) / len(oks) if oks else math.nan
+        fpr = math.fsum(f[gi] for _, f in oks) / len(oks) if oks else math.nan
+        points.append(RocPoint(d=d, sensitivity=sens,
+                               one_minus_specificity=fpr))
+    return RocCurve(points=tuple(points), b=b, n_failed=n_failed)
 
 
 def roc_min_sis(setting: SimSetting, d_grid=None,
@@ -410,49 +477,23 @@ def roc_min_sis(setting: SimSetting, d_grid=None,
     d_grid = tuple(int(d) for d in d_grid)
     if any(d < 0 or d > setting.p for d in d_grid):
         raise InputError(f"every d must lie in [0, {setting.p}]")
-    args = [(setting, rep, d_grid) for rep in range(setting.B)]
-    results = _collect(_roc_worker, args, threads)
-    oks = [payload for tag, payload in results if tag == "ok"]
-    n_failed = len(results) - len(oks)
-    points = []
-    for gi, d in enumerate(d_grid):
-        sens = math.fsum(s[gi] for s, _ in oks) / len(oks) if oks else math.nan
-        fpr = math.fsum(f[gi] for _, f in oks) / len(oks) if oks else math.nan
-        points.append(RocPoint(d=d, sensitivity=sens,
-                               one_minus_specificity=fpr))
-    return RocCurve(points=tuple(points), b=setting.B, n_failed=n_failed)
+    (outcomes,) = _replicate_all(setting, [_Roc(d_grid)], threads)
+    return _curve(setting.B, d_grid, outcomes)
+
+
+def _roc_and_method(setting: SimSetting, method: MethodSpec,
+                    threads: int = 1) -> tuple[RocCurve, ReplicationSummary]:
+    """``roc_min_sis`` at the default grid and ``run_replications`` of
+    ``method``, from one pass over the replications."""
+    d_grid = default_d_grid(setting.p)
+    roc, point = _replicate_all(
+        setting, [_Roc(d_grid), _method_rule(method, setting.K)], threads)
+    return _curve(setting.B, d_grid, roc), _summary(setting.B, point)
 
 
 # ---------------------------------------------------------------------------
 # Sensitivity grid over the two significance levels.
 # ---------------------------------------------------------------------------
-
-def _grid_worker(args):
-    setting, rep, alpha1_list, alpha2_list = args
-    try:
-        data, active, _ = gen_instance(setting, rep)
-        t_mat = compute_t_matrix(data)
-        truth = frozenset(active)
-        K = data.k
-        chi2_thr = {a2: np.array([math.inf] + [chi2_quantile(1.0 - a2, df)
-                                               for df in range(1, K + 1)])
-                    for a2 in alpha2_list}
-        out = np.empty((len(alpha1_list), len(alpha2_list), 2))
-        for i, a1 in enumerate(alpha1_list):
-            thr1 = normal_quantile(1.0 - a1 / 2.0)
-            in_l = np.abs(t_mat) <= thr1
-            kappa = in_l.sum(axis=1)
-            l_stat = np.where(in_l, t_mat * t_mat, 0.0).sum(axis=1)
-            for j, a2 in enumerate(alpha2_list):
-                kept_mask = (kappa == 0) | (l_stat > chi2_thr[a2][kappa])
-                kept = np.nonzero(kept_mask)[0]
-                m = evaluate(kept, truth, setting.p)
-                out[i, j, 0] = m.sensitivity
-                out[i, j, 1] = m.specificity
-        return ("ok", out)
-    except MultiscreenError as exc:
-        return ("err", f"rep {rep}: {exc}")
-
 
 def sensitivity_grid(setting: SimSetting, alpha1_list, alpha2_list,
                      threads: int = 1) -> SensitivityGrid:
@@ -469,25 +510,20 @@ def sensitivity_grid(setting: SimSetting, alpha1_list, alpha2_list,
     for a in alpha1_list + alpha2_list:
         if not 0.0 < a < 1.0:
             raise InputError(f"significance levels must lie inside (0, 1), got {a}")
-    args = [(setting, rep, alpha1_list, alpha2_list)
-            for rep in range(setting.B)]
-    results = _collect(_grid_worker, args, threads)
-    oks = [payload for tag, payload in results if tag == "ok"]
-    n_failed = len(results) - len(oks)
-    shape = (len(alpha1_list), len(alpha2_list))
-    mean_sens = np.full(shape, math.nan)
-    mean_spec = np.full(shape, math.nan)
-    se_sens = np.full(shape, math.nan)
-    se_spec = np.full(shape, math.nan)
-    for i in range(shape[0]):
-        for j in range(shape[1]):
-            if oks:
-                s_vals = [o[i, j, 0] for o in oks]
-                p_vals = [o[i, j, 1] for o in oks]
-                mean_sens[i, j], se_sens[i, j] = _mean_se(s_vals)
-                mean_spec[i, j], se_spec[i, j] = _mean_se(p_vals)
+    rule = _StepRule(tuple(_step1_threshold(a) for a in alpha1_list),
+                     tuple(tuple(_chi2_thresholds(a, setting.K))
+                           for a in alpha2_list))
+    (outcomes,) = _replicate_all(setting, [rule], threads)
+    shape = (len(alpha1_list), len(alpha2_list), 2)
+    # Per replication, (sensitivity, specificity) of each cell.
+    oks = [np.array([(m.sensitivity, m.specificity) for m in payload])
+           .reshape(shape) for tag, payload in outcomes if tag == "ok"]
+    cells = np.empty(shape + (2,))   # last axis: mean, standard error
+    for i, j, c in np.ndindex(shape):
+        cells[i, j, c] = _mean_se([o[i, j, c] for o in oks])
     return SensitivityGrid(alpha1_list=alpha1_list, alpha2_list=alpha2_list,
-                           mean_sensitivity=mean_sens,
-                           mean_specificity=mean_spec,
-                           se_sensitivity=se_sens, se_specificity=se_spec,
-                           b=setting.B, n_failed=n_failed)
+                           mean_sensitivity=cells[:, :, 0, 0],
+                           mean_specificity=cells[:, :, 1, 0],
+                           se_sensitivity=cells[:, :, 0, 1],
+                           se_specificity=cells[:, :, 1, 1],
+                           b=setting.B, n_failed=len(outcomes) - len(oks))

@@ -351,7 +351,8 @@ def _chi2_pdf(x: float, df: float) -> float:
 
 def chi2_quantile(p: float, df: int) -> float:
     """Inverse chi-square CDF via a Wilson-Hilferty start and safeguarded
-    Newton iteration; round-trips through :func:`chi2_cdf` within 1e-8."""
+    Newton iteration; round-trips through :func:`chi2_cdf` within 1e-8
+    (relative below p = 0.5)."""
     df = _check_df(df)
     if not (np.ndim(p) == 0 and math.isfinite(float(p))):
         raise InputError("p must be a finite scalar")
@@ -375,7 +376,8 @@ def chi2_quantile(p: float, df: int) -> float:
 
     for _ in range(200):
         f = _gammainc_lower(half, 0.5 * x) - p
-        if abs(f) < 1e-14:
+        # Relative below p = 0.5, so the left tail converges; absolute above.
+        if abs(f) < 1e-14 * min(1.0, 2.0 * p):
             return x
         if f > 0.0:
             hi = x

@@ -7,7 +7,8 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from multiscreen import SimSetting, gen_instance
+from multiscreen import (MethodSpec, SimSetting, gen_instance,
+                         run_replications)
 from multiscreen.cli import main
 from multiscreen.data_io import write_multistudy
 
@@ -174,6 +175,25 @@ class TestRocCommand:
         roc_csv = (tmp_path / "r1" / "roc.csv").read_text().splitlines()
         assert roc_csv[0] == "method,d,sensitivity,one_minus_specificity"
         assert roc_csv[-1].startswith("tsa,")
+
+    def test_one_pass_over_instances(self, tmp_path, monkeypatch):
+        import multiscreen.simulate as simulate
+        calls = []
+
+        def counted(setting, rep):
+            calls.append(rep)
+            return gen_instance(setting, rep)
+
+        monkeypatch.setattr(simulate, "gen_instance", counted)
+        assert run(["roc", "--setting", "1", "--p", "60", "--b", "3",
+                    "--threads", "1", "--out", tmp_path / "r"]) == 0
+        assert sorted(calls) == [0, 1, 2]
+        point = load_result(tmp_path / "r")["result"]["tsa_point"]
+        tsa = run_replications(SimSetting.preset(1, p=60, B=3, seed=0),
+                               MethodSpec())
+        assert point["sensitivity"] == tsa.mean_sensitivity
+        assert point["one_minus_specificity"] == 1.0 - tsa.mean_specificity
+        assert point["n_failed"] == tsa.n_failed
 
 
 class TestSensitivityCommand:

@@ -227,6 +227,15 @@ class TestTsaSis:
             mask = tsa_kept_mask(compute_t_matrix(data),
                                  normal_quantile(1.0 - alpha1 / 2.0), alpha2)
             assert tuple(np.nonzero(mask)[0]) == res.kept
+        # The exact l_stat of this row equals the chi-square(3) threshold
+        # 7.814727903251181, so both paths drop it; a plain floating-point
+        # sum rounds it to ...182 and would keep it.
+        tie = np.array([[0.7104563186629204, 0.589707879099864,
+                         2.6386027249001796]])
+        res = tsa_sis_from_stats(tie, alpha2=0.05, threshold=3.0)
+        assert res.records[0].l_stat == res.records[0].chi2_threshold
+        assert res.kept == ()
+        assert not tsa_kept_mask(tie, 3.0, 0.05)[0]
 
 
 class TestOneStep:

@@ -155,12 +155,25 @@ class TestChi2:
         assert chi2_quantile(0.95, 5) > 1.27
 
     def test_round_trip_over_df_grid(self):
-        ps = np.concatenate([np.geomspace(1e-10, 0.5, 30),
-                             1.0 - np.geomspace(1e-10, 0.5, 30)])
+        # Relative below p = 0.5, where the left tail reaches 1e-30; the
+        # right half keeps an absolute check.
         for df in range(1, 51):
-            for p in ps:
+            for p in np.geomspace(1e-30, 0.5, 40):
+                q = chi2_quantile(float(p), df)
+                assert abs(chi2_cdf(q, df) - p) < 1e-8 * p
+            for p in 1.0 - np.geomspace(1e-10, 0.5, 30):
                 q = chi2_quantile(float(p), df)
                 assert abs(chi2_cdf(q, df) - p) < 1e-8
+
+    def test_left_tail_against_scipy(self):
+        stats = pytest.importorskip("scipy.stats")
+        assert chi2_quantile(1e-15, 1) == pytest.approx(1.5707963267949e-30,
+                                                        rel=1e-12)
+        for df in (1, 2, 3, 5, 10, 50, 200):
+            for p in np.geomspace(1e-30, 0.5, 60):
+                expect = stats.chi2.ppf(p, df)
+                assert chi2_quantile(float(p), df) == pytest.approx(
+                    expect, rel=1e-12)
 
     def test_strictly_increasing_in_p(self):
         for df in (1, 2, 5, 17, 50):
