@@ -4,9 +4,11 @@ One coefficient vector per study is fit jointly under a squared loss summed
 over studies plus a group penalty: each feature's coefficients across
 studies form one group penalized by its Euclidean norm, so a feature is
 selected in all studies or in none. Solved by cyclic block proximal
-gradient steps (group soft-thresholding) with a safeguarded line search.
-Columns are centered and scaled to unit 1/n-variance per study internally;
-reported coefficients and intercepts are on the original scale.
+gradient steps (group soft-thresholding) at the fixed step 1/(2 max n_k),
+which majorizes every block's loss because the standardized columns have
+squared norm n_k, so no line search is needed. Columns are centered and
+scaled to unit 1/n-variance per study internally; reported coefficients
+and intercepts are on the original scale.
 """
 
 from __future__ import annotations
@@ -128,8 +130,14 @@ def lambda_max(data: MultiStudy, active) -> float:
     worst = 0.0
     for j in range(len(active)):
         z = [2.0 * float(xs[k][:, j] @ cys[k]) for k in range(data.k)]
-        worst = max(worst, math.sqrt(math.fsum(v * v for v in z)))
+        worst = max(worst, _group_norm(z))
     return worst
+
+
+def _group_norm(z) -> float:
+    """Euclidean norm from exact squares (v * v; v ** 2 goes through libm
+    pow) and an exact sum, shared by lambda_max and the zero-block test."""
+    return math.sqrt(math.fsum(v * v for v in z))
 
 
 def _objective(resid, beta_std, lam) -> float:
@@ -192,36 +200,24 @@ def group_lasso_fit(data: MultiStudy, active, lambda_: float, *,
             z = np.array([2.0 * float(xs[k][:, j] @ resid[k]) for k in range(K)])
             old = beta[j].copy()
             # Zero is the exact block minimizer iff the gradient at the
-            # block origin fits in the penalty ball; computed with the same
-            # arithmetic as lambda_max so the boundary case lands on zero.
+            # block origin fits in the penalty ball.
             z0 = z + 2.0 * n_k * old
-            if math.sqrt(math.fsum(float(v) ** 2 for v in z0)) <= lam:
+            if _group_norm(z0) <= lam:
                 if old.any():
                     beta[j] = 0.0
                     for k in range(K):
                         if old[k] != 0.0:
                             resid[k] += xs[k][:, j] * old[k]
                 continue
-            lj = lips
-            for _ in range(60):
-                v = old + z / lj
-                norm_v = math.sqrt(float(v @ v))
-                shrink = max(0.0, 1.0 - lam / (lj * norm_v)) if norm_v > 0.0 else 0.0
-                new = shrink * v
-                d = new - old
-                if not d.any():
-                    break
-                # z carries the factor 2, so the loss change is -d.z + d^2 n.
-                delta = (float(-(d @ z)) + float((d * d) @ n_k)
-                         + lam * (math.sqrt(float(new @ new))
-                                  - math.sqrt(float(old @ old))))
-                if delta <= 0.0:
-                    beta[j] = new
-                    for k in range(K):
-                        if d[k] != 0.0:
-                            resid[k] -= xs[k][:, j] * d[k]
-                    break
-                lj *= 2.0
+            v = old + z / lips
+            norm_v = math.sqrt(float(v @ v))
+            shrink = max(0.0, 1.0 - lam / (lips * norm_v)) if norm_v > 0.0 else 0.0
+            new = shrink * v
+            d = new - old
+            beta[j] = new
+            for k in range(K):
+                if d[k] != 0.0:
+                    resid[k] -= xs[k][:, j] * d[k]
         if it % 100 == 0:
             # Guard against drift in the incrementally maintained residuals.
             resid = [cys[k] - xs[k] @ beta[:, k] for k in range(K)]
@@ -260,15 +256,27 @@ def _fit_rss(data: MultiStudy, fit: GroupLassoFit) -> float:
     return total
 
 
-def _fold_of_rows(n: int, folds: int) -> np.ndarray:
-    return np.arange(n) % folds
-
-
 def _subset_rows(data: MultiStudy, keep_masks) -> MultiStudy:
     from .screening import Study
     studies = tuple(Study(id=s.id, x=s.x[mask], y=s.y[mask])
                     for s, mask in zip(data.studies, keep_masks))
     return MultiStudy(studies=studies, feature_names=data.feature_names)
+
+
+def _path(data: MultiStudy, active, grid):
+    """Fits over the penalty grid in order, each warm-started from the last."""
+    warm = None
+    for lam in grid:
+        fit = group_lasso_fit(data, active, float(lam), beta0=warm)
+        warm = fit.beta_std
+        yield fit
+
+
+def _solver_stats(fits) -> dict:
+    """The worst solver outcome among the fits at one penalty."""
+    return {"converged": all(f.converged for f in fits),
+            "iterations": max(f.iterations for f in fits),
+            "kkt_residual": max(f.kkt_residual for f in fits)}
 
 
 def select_lambda(data: MultiStudy, active, method: str = "bic",
@@ -279,7 +287,8 @@ def select_lambda(data: MultiStudy, active, method: str = "bic",
 
     ``bic`` scores N*log(RSS/N) + df*log(N) with df = K * n_selected and
     N the pooled sample count; ``cv`` scores the pooled squared prediction
-    error over folds assigned by row position within each study.
+    error over folds assigned by row position within each study. Rows also
+    report the solver's converged, iterations and kkt_residual (cv: worst fold).
     """
     if method not in ("bic", "cv"):
         raise InputError(f"unknown tuning method {method!r}; expected 'bic' or 'cv'")
@@ -293,57 +302,47 @@ def select_lambda(data: MultiStudy, active, method: str = "bic",
             "penalty grid exists")
     grid = np.geomspace(lam_max, lam_max * 1e-3, grid_size)
 
-    diagnostics: list[dict] = []
     if method == "bic":
         n_total = sum(s.n for s in data.studies)
-        warm = None
-        best_lam, best_score = None, math.inf
-        for lam in grid:
-            fit = group_lasso_fit(data, active, float(lam), beta0=warm)
-            warm = fit.beta_std
+        diagnostics = []
+        for fit in _path(data, active, grid):
             rss = _fit_rss(data, fit)
             df = data.k * len(fit.selected)
             bic = n_total * math.log(max(rss, 1e-300) / n_total) \
                 + df * math.log(n_total)
-            diagnostics.append({"lambda": float(lam), "bic": bic,
+            diagnostics.append({"lambda": fit.lambda_, "bic": bic,
                                 "rss": rss, "n_selected": len(fit.selected),
-                                "converged": fit.converged})
-            if bic <= best_score:
-                best_score, best_lam = bic, float(lam)
-        return best_lam, diagnostics
-
-    folds_count = folds
-    sse = np.zeros(len(grid))
-    count = 0
-    fold_ids = [_fold_of_rows(s.n, folds_count) for s in data.studies]
-    for f in range(folds_count):
-        train_masks = [ids != f for ids in fold_ids]
-        test_masks = [ids == f for ids in fold_ids]
-        if any(mask.sum() < 3 for mask in train_masks):
-            raise InputError(
-                f"fold {f} leaves a study with fewer than 3 training rows")
-        train = _subset_rows(data, train_masks)
-        warm = None
-        for gi, lam in enumerate(grid):
-            fit = group_lasso_fit(train, active, float(lam), beta0=warm)
-            warm = fit.beta_std
-            for k, study in enumerate(data.studies):
-                mask = test_masks[k]
-                if not mask.any():
-                    continue
-                pred = fit.intercepts[k] + study.x[mask][:, fit.features] @ fit.beta[:, k]
-                err = study.y[mask] - pred
-                sse[gi] += float(err @ err)
-        count += sum(int(mask.sum()) for mask in test_masks)
-    mse = sse / count
-    if not np.all(np.isfinite(mse)):
-        raise SelectionError("cross-validation produced non-finite errors")
-    best_lam, best_score = None, math.inf
-    for gi, lam in enumerate(grid):
-        diagnostics.append({"lambda": float(lam), "cv_mse": float(mse[gi])})
-        if mse[gi] <= best_score:
-            best_score, best_lam = float(mse[gi]), float(lam)
-    return best_lam, diagnostics
+                                **_solver_stats([fit])})
+    else:
+        sse = np.zeros(len(grid))
+        count = 0
+        fold_fits = [[] for _ in grid]
+        fold_ids = [np.arange(s.n) % folds for s in data.studies]
+        for f in range(folds):
+            train_masks = [ids != f for ids in fold_ids]
+            test_masks = [ids == f for ids in fold_ids]
+            if any(mask.sum() < 3 for mask in train_masks):
+                raise InputError(
+                    f"fold {f} leaves a study with fewer than 3 training rows")
+            for gi, fit in enumerate(_path(_subset_rows(data, train_masks),
+                                           active, grid)):
+                fold_fits[gi].append(fit)
+                for k, (study, mask) in enumerate(zip(data.studies, test_masks)):
+                    if mask.any():
+                        pred = fit.intercepts[k] \
+                            + study.x[mask][:, fit.features] @ fit.beta[:, k]
+                        err = study.y[mask] - pred
+                        sse[gi] += float(err @ err)
+            count += sum(int(mask.sum()) for mask in test_masks)
+        mse = sse / count
+        if not np.all(np.isfinite(mse)):
+            raise SelectionError("cross-validation produced non-finite errors")
+        diagnostics = [{"lambda": float(lam), "cv_mse": float(mse[gi]),
+                        **_solver_stats(fold_fits[gi])}
+                       for gi, lam in enumerate(grid)]
+    score = "bic" if method == "bic" else "cv_mse"
+    best = min(reversed(diagnostics), key=lambda row: row[score])
+    return best["lambda"], diagnostics
 
 
 def tsa_sis_group_lasso(data: MultiStudy, config: ScreeningConfig,

@@ -418,7 +418,7 @@ def _mean_se(values) -> tuple[float, float]:
     mean = math.fsum(values) / b
     if b < 2:
         return mean, math.nan
-    var = math.fsum((v - mean) ** 2 for v in values) / (b - 1)
+    var = math.fsum((v - mean) * (v - mean) for v in values) / (b - 1)
     return mean, math.sqrt(var / b)
 
 

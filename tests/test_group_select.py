@@ -10,7 +10,7 @@ from conftest import make_multistudy
 from multiscreen import (DegenerateColumnError, InputError, MultiStudy,
                          ScreeningConfig, SelectionError, SingularDesignError,
                          Study, group_lasso_fit, lambda_max, ols_refit,
-                         select_lambda, tsa_sis_group_lasso)
+                         select_lambda, tsa_sis, tsa_sis_group_lasso)
 
 
 def standardize(data, active):
@@ -79,11 +79,18 @@ class TestGroupLassoFit:
         assert set(fit.selected) == set(active)
 
     def test_at_lambda_max_all_zero(self, rng):
-        for _ in range(10):
-            data, _ = make_multistudy(rng, n=30, p=5,
-                                      k=int(rng.integers(1, 4)),
-                                      signal=float(rng.uniform(0, 0.8)))
-            active = tuple(range(5))
+        cases = [make_multistudy(rng, n=30, p=5, k=int(rng.integers(1, 4)),
+                                 signal=float(rng.uniform(0, 0.8)))[0]
+                 for _ in range(10)]
+        # At this instance's lambda_max the group norm rounds differently
+        # when the squares are taken with x ** 2 instead of x * x.
+        boundary = np.random.default_rng(7)
+        for _ in range(249):
+            data, _ = make_multistudy(boundary, n=12, p=1, k=3, signal=0.5,
+                                      s0=1)
+        cases.append(data)
+        for data in cases:
+            active = tuple(range(data.p))
             lmax = lambda_max(data, active)
             for lam in (lmax, 1.3 * lmax):
                 fit = group_lasso_fit(data, active, lam)
@@ -207,6 +214,8 @@ class TestSelectLambda:
             expected = n_total * math.log(cell["rss"] / n_total) \
                 + data.k * cell["n_selected"] * math.log(n_total)
             assert cell["bic"] == pytest.approx(expected, rel=1e-12)
+            assert cell["converged"] and cell["kkt_residual"] <= 1e-6
+            assert 1 <= cell["iterations"] <= 10000
 
     def test_pure_noise_selects_near_lambda_max(self, rng):
         near_max = 0
@@ -234,6 +243,19 @@ class TestSelectLambda:
                 covered += 1
         assert covered >= int(0.9 * reps)
 
+    def test_warm_path_converges_without_stall(self):
+        # This path's fit at 0.42 * lambda_max used to stall at max_iter
+        # with its KKT residual just above tolerance.
+        rng = np.random.default_rng(20240811)
+        for _ in range(4):
+            data, _ = make_multistudy(rng, n=60, p=8, k=3, signal=1.0, s0=3)
+        kept = tsa_sis(data, ScreeningConfig(0.001, 0.05)).kept
+        _, diag = select_lambda(data, kept, method="bic", grid_size=25)
+        assert all(cell["converged"] for cell in diag)
+        assert diag[3]["lambda"] == pytest.approx(
+            0.4217 * lambda_max(data, kept), rel=1e-4)
+        assert diag[3]["iterations"] <= 100
+
     def test_cv_runs_and_is_deterministic(self, rng):
         data, _ = make_multistudy(rng, n=40, p=5, k=2, signal=0.7, s0=2)
         lam1, diag1 = select_lambda(data, (0, 1, 2, 3, 4), method="cv",
@@ -243,6 +265,9 @@ class TestSelectLambda:
         assert lam1 == lam2
         assert diag1 == diag2
         assert all(math.isfinite(c["cv_mse"]) for c in diag1)
+        for cell in diag1:
+            assert cell["converged"] and cell["kkt_residual"] <= 1e-6
+            assert 1 <= cell["iterations"] <= 10000
 
     def test_orthogonal_response_is_selection_error(self, rng):
         x = rng.normal(size=(20, 3))

@@ -2,6 +2,7 @@
 ROC machinery."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import pytest
 from multiscreen import (InputError, MethodSpec, SimSetting,
                          even_spaced_active, evaluate, gen_instance,
                          roc_min_sis, run_replications, sensitivity_grid)
-from multiscreen.simulate import default_d_grid, method_kept
+from multiscreen.simulate import _mean_se, default_d_grid, method_kept
 
 
 def small_setting(**overrides):
@@ -158,6 +159,14 @@ class TestRunReplications:
         a = run_replications(setting, MethodSpec())
         b = run_replications(setting, MethodSpec())
         assert a == b
+
+    def test_standard_error_squares_exactly(self):
+        # x ** 2 goes through libm pow, which (glibc 2.36) misrounds a square
+        # of these deviations; the standard error must square exactly.
+        v = [0.9771884089134876, 0.9909711011774934, 0.4156490514794686]
+        mean = math.fsum(v) / 3
+        exact = math.fsum(float(Fraction(x - mean) ** 2) for x in v)
+        assert _mean_se(v) == (mean, math.sqrt(exact / 2 / 3))
 
     def test_strong_signals_found(self):
         setting = small_setting(B=6)
