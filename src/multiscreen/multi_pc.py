@@ -20,7 +20,8 @@ from .errors import (BudgetExceededError, DegenerateColumnError, InputError,
                      SingularDesignError)
 from .screening import (MultiStudy, ScreeningConfig, Study, _chi2_thresholds,
                         _step1_threshold, _two_step, tsa_sis)
-from .stats_core import TStat, self_normalized_t
+from .stats_core import (TStat, _t_from_centered, center_column,
+                         self_normalized_t)
 
 __all__ = [
     "StopReason",
@@ -56,13 +57,16 @@ def residualize(x: np.ndarray, cond, target) -> np.ndarray:
     """Residual of ``target`` after least-squares projection onto the
     intercept and the columns of ``x`` indexed by ``cond``.
 
-    Raises :class:`SingularDesignError` when the conditioning columns are
-    rank deficient (up to the least-squares tolerance).
+    ``target`` is a length-n vector or an (n, m) matrix; the columns of a
+    matrix are residualized in one least-squares solve. Raises
+    :class:`SingularDesignError` when the conditioning columns are rank
+    deficient (up to the least-squares tolerance).
     """
     x = np.asarray(x, dtype=float)
     t = np.asarray(target, dtype=float)
-    if x.ndim != 2 or t.ndim != 1 or x.shape[0] != t.shape[0]:
-        raise InputError("x must be (n, p) and target a length-n vector")
+    if x.ndim != 2 or t.ndim not in (1, 2) or x.shape[0] != t.shape[0]:
+        raise InputError(
+            "x must be (n, p) and target a length-n vector or (n, m) matrix")
     n = x.shape[0]
     cond = tuple(sorted(int(c) for c in cond))
     if len(set(cond)) != len(cond):
@@ -81,8 +85,7 @@ def residualize(x: np.ndarray, cond, target) -> np.ndarray:
     return t - design @ coef
 
 
-def partial_t(study: Study, j: int, cond, adjust_n: bool = False,
-              _resid_y: np.ndarray | None = None) -> TStat:
+def partial_t(study: Study, j: int, cond, adjust_n: bool = False) -> TStat:
     """Self-normalized statistic of feature ``j`` against the response after
     both are residualized on the conditioning set.
 
@@ -95,59 +98,54 @@ def partial_t(study: Study, j: int, cond, adjust_n: bool = False,
     j = int(j)
     if j in cond:
         raise InputError(f"feature {j} cannot condition on itself")
-    n = study.n
-    if len(cond) > n - 3:
-        raise InputError(
-            f"conditioning set of size {len(cond)} too large for n={n}")
     if not cond:
         return self_normalized_t(study.x[:, j], study.y, label=j)
-    rx = residualize(study.x, cond, study.x[:, j])
-    ry = residualize(study.x, cond, study.y) if _resid_y is None else _resid_y
-    for resid, raw, what in ((rx, study.x[:, j], f"feature {j}"),
-                             (ry, study.y, "response")):
-        if _variance(resid) <= 1e-24 * max(_variance(raw), 1e-300):
-            raise DegenerateColumnError(
-                f"{what} lies in the span of conditioning set {cond} "
-                f"(study {study.id!r})")
-    stat = self_normalized_t(rx, ry, label=j)
+    stat, = _conditional_stats(study, [j], cond)
     if adjust_n:
-        n_eff = n - len(cond) - 1
-        scale = math.sqrt(n_eff / n)
+        n_eff = study.n - len(cond) - 1
+        scale = math.sqrt(n_eff / study.n)
         stat = TStat(value=stat.value * scale, sigma_hat=stat.sigma_hat,
                      theta_hat=stat.theta_hat, n=n_eff)
     return stat
 
 
-def _variance(v: np.ndarray) -> float:
-    c = v - v.mean()
-    return float(c @ c) / v.shape[0]
+def _conditional_stats(study: Study, features: list[int],
+                       cond: tuple[int, ...]) -> list[TStat]:
+    """Statistics of ``features`` given a non-empty sorted ``cond`` in one
+    study: the features and the response share one least-squares solve.
 
-
-def _keeps_feature(data: MultiStudy, j: int, cond: tuple[int, ...],
-                   threshold: float, chi2_thresholds: np.ndarray,
-                   adjust_n: bool, y_resid: dict) -> bool:
-    """Two-step rule for one feature given one conditioning set."""
-    t_vals = []
-    for ki, study in enumerate(data.studies):
-        key = (ki, cond)
-        if key not in y_resid:
-            y_resid[key] = residualize(study.x, cond, study.y)
-        t_vals.append(partial_t(study, j, cond, adjust_n=adjust_n,
-                                _resid_y=y_resid[key]).value)
-    return bool(_two_step(np.array([t_vals]), threshold, chi2_thresholds)[2][0])
+    Raises :class:`DegenerateColumnError` when a feature or the response
+    lies in the span of the conditioning set.
+    """
+    raw = np.column_stack([study.x[:, features], study.y])
+    resid = residualize(study.x, cond, raw)
+    names = [f"feature {j}" for j in features] + ["response"]
+    centered = []
+    for col, raw_var, what in zip(resid.T, raw.var(axis=0), names):
+        c, var = center_column(col)
+        if var <= 1e-24 * max(raw_var, 1e-300):
+            raise DegenerateColumnError(
+                f"{what} lies in the span of conditioning set {cond} "
+                f"(study {study.id!r})")
+        centered.append((c, var))
+    cy, var_y = centered.pop()
+    return [_t_from_centered(cx, cy, study.n, var_x, var_y, label=j)
+            for j, (cx, var_x) in zip(features, centered)]
 
 
 def multi_pc_run(data: MultiStudy, config: ScreeningConfig, max_order: int,
-                 budget: int = DEFAULT_BUDGET,
-                 adjust_n: bool = False) -> MultiPcState:
+                 budget: int = DEFAULT_BUDGET) -> MultiPcState:
     """Run the staged procedure up to ``max_order`` conditioning stages.
 
     The procedure stops at the first stage m with at most m active
     features, at ``max_order``, or when a stage leaves the active set
-    unchanged, whichever comes first. Conditioning sets are enumerated in
-    lexicographic index order with an early exit at the first set that
-    drops a feature; since a feature survives only by passing every set,
-    the result does not depend on that order.
+    unchanged, whichever comes first. A stage walks the conditioning sets
+    in lexicographic index order and tests, in one batch, every feature
+    outside the set that has passed all earlier sets. For a feature j the
+    sets without j come in the order of the sets drawn from the other
+    active features, so j is tested on the same sets as by a per-feature
+    loop that stops at j's first failure; since a feature survives only
+    by passing every set, the result does not depend on the order.
     """
     if max_order < 1:
         raise InputError(f"max_order must be >= 1, got {max_order}")
@@ -181,18 +179,17 @@ def multi_pc_run(data: MultiStudy, config: ScreeningConfig, max_order: int,
             raise BudgetExceededError(
                 f"stage {m} would test {pairs} (feature, set) pairs, "
                 f"exceeding the budget of {budget}")
-        y_resid: dict = {}
-        survivors = []
-        for j in active:
-            others = [q for q in active if q != j]
-            keep = True
-            for cond in combinations(others, order):
-                if not _keeps_feature(data, j, cond, threshold,
-                                      chi2_thresholds, adjust_n, y_resid):
-                    keep = False
-                    break
-            if keep:
-                survivors.append(j)
+        survivors = list(active)
+        for cond in combinations(active, order):
+            tested = [j for j in survivors if j not in cond]
+            if not tested:
+                continue
+            t_mat = np.array([[t.value for t in
+                               _conditional_stats(study, tested, cond)]
+                              for study in data.studies]).T
+            verdict = dict(zip(tested, _two_step(t_mat, threshold,
+                                                 chi2_thresholds)[2]))
+            survivors = [j for j in survivors if verdict.get(j, True)]
         previous = active
         active = survivors
         active_sets.append(tuple(active))

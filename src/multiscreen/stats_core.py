@@ -476,4 +476,4 @@ def theoretical_alpha1(p: int, L: float, b: float = 0.0) -> float:
     gamma = 2.0 * (L + 1.0 + b)
     t = gamma * math.sqrt(math.log(p))
     # 2 * (1 - Phi(t)) = erfc(t / sqrt(2)), computed without cancellation.
-    return float(_erfc(np.array([t / _SQRT2]))[0])
+    return _erfc_scalar(t / _SQRT2)

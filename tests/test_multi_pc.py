@@ -51,6 +51,18 @@ class TestResidualize:
         assert abs(r.sum()) < 1e-8 * scale
         for c in cond:
             assert abs(r @ x[:, c]) < 1e-8 * scale * np.linalg.norm(x[:, c])
+        # A matrix target: each column is residualized as if on its own.
+        targets = rng.normal(size=(40, 3))
+        r = residualize(x, cond, targets)
+        assert r.shape == targets.shape
+        for col, target in zip(r.T, targets.T):
+            scale = np.linalg.norm(target)
+            assert abs(col.sum()) < 1e-8 * scale
+            for c in cond:
+                assert abs(col @ x[:, c]) < (
+                    1e-8 * scale * np.linalg.norm(x[:, c]))
+            single = residualize(x, cond, target)
+            assert np.linalg.norm(col - single) <= 1e-12 * np.linalg.norm(col)
 
     def test_rank_deficient_raises(self, rng):
         x = rng.normal(size=(20, 3))
@@ -62,6 +74,8 @@ class TestResidualize:
         x = rng.normal(size=(6, 5))
         with pytest.raises(InputError):
             residualize(x, (0, 1, 2, 3), rng.normal(size=6))
+        with pytest.raises(InputError):
+            residualize(x, (0,), rng.normal(size=(6, 2, 2)))
 
 
 class TestPartialT:
@@ -206,6 +220,35 @@ class TestMultiPcRun:
         assert len(stage1) >= 4
         with pytest.raises(BudgetExceededError):
             multi_pc_run(data, config, max_order=2, budget=3)
+
+    def test_one_solve_per_set_and_study(self, rng, monkeypatch):
+        # Stage 2 conditions on each stage-1 feature once per study; every
+        # feature tested on that set shares the one least-squares solve.
+        import multiscreen.multi_pc as multi_pc
+        data, _ = make_multistudy(rng, n=40, p=10, k=3, signal=1.0, s0=6)
+        config = ScreeningConfig(0.001, 0.05)
+        m1 = len(tsa_sis(data, config).kept)
+        assert m1 >= 4
+        calls = []
+
+        def counted(x, cond, target):
+            calls.append(cond)
+            return residualize(x, cond, target)
+
+        monkeypatch.setattr(multi_pc, "residualize", counted)
+        state = multi_pc_run(data, config, max_order=2)
+        assert state.stage == 2
+        assert len(calls) <= data.k * m1
+
+    def test_feature_in_span_of_set_raises(self, rng):
+        data, _ = make_multistudy(rng, n=40, p=6, k=3, signal=1.0, s0=2)
+        for study in data.studies:
+            study.x[:, 1] = study.x[:, 0]
+        config = ScreeningConfig(0.001, 0.05)
+        assert tsa_sis(data, config).kept == (0, 1)
+        # Which copy is reported depends on the order the sets are walked.
+        with pytest.raises(DegenerateColumnError, match="lies in the span"):
+            multi_pc_run(data, config, max_order=2)
 
     def test_mreach_stops_at_two(self, rng):
         data, _ = make_multistudy(rng, n=60, p=8, k=3, signal=1.2, s0=2)
