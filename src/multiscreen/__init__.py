@@ -17,10 +17,9 @@ from .screening import (FeatureScreenRecord, MultiStudy, ScreeningConfig,
                         default_top_d, min_sis_rank, one_step_sis,
                         step1_from_stats, step1_separate, step2_aggregate,
                         top_d_selection, tsa_sis, tsa_sis_from_stats)
-from .simulate import (MethodSpec, RepMetrics, ReplicationSummary, RocCurve,
-                       RocPoint, SensitivityGrid, SimSetting,
-                       even_spaced_active, evaluate, gen_instance,
-                       roc_min_sis, run_replications, sensitivity_grid)
+from .simulate import (LevelGrid, MethodSpec, RepMetrics, ReplicationSummary,
+                       RocCurve, RocGrid, RocPoint, SensitivityGrid, SimSetting,
+                       even_spaced_active, evaluate, gen_instance, replicate)
 from .stats_core import (TStat, chi2_cdf, chi2_quantile, normal_cdf,
                          normal_quantile, self_normalized_t,
                          theoretical_alpha1)

@@ -22,8 +22,7 @@ from .group_select import ols_refit, tsa_sis_group_lasso
 from .multi_pc import DEFAULT_BUDGET, multi_pc_run
 from .screening import (ScreeningConfig, _top_d, min_sis_rank, one_step_sis,
                         top_d_selection, tsa_sis)
-from .simulate import (MethodSpec, SimSetting, _roc_and_method,
-                       run_replications, sensitivity_grid)
+from .simulate import LevelGrid, MethodSpec, RocGrid, SimSetting, replicate
 
 _DEF_ALPHA1 = 1e-4
 _DEF_ALPHA2 = 0.05
@@ -224,6 +223,22 @@ def _setting_from_args(args) -> SimSetting:
     return SimSetting.preset(args.setting, **overrides)
 
 
+def _run_specs(args, specs):
+    """The command's setting and its one pass over the replications. Each
+    failed replication's message goes to stderr, not into result.json."""
+    setting = _setting_from_args(args)
+    results = replicate(setting, specs, threads=args.threads)
+    for message in dict.fromkeys(m for r in results for m in r.failures):
+        print(f"warning: {message}", file=sys.stderr)
+    return setting, results
+
+
+def _sim_config(args, setting, **levels) -> dict:
+    return {"setting": args.setting, "n": setting.n, "p": setting.p,
+            "k": setting.K, "s0": setting.s0, "b": setting.B, **levels,
+            "threads": args.threads}
+
+
 def _summary_result(summary) -> dict:
     return {
         "b": summary.b,
@@ -242,15 +257,10 @@ def _summary_result(summary) -> dict:
 
 
 def _cmd_simulate(args) -> int:
-    setting = _setting_from_args(args)
-    method = MethodSpec(name="tsa", alpha1=args.alpha1, alpha2=args.alpha2)
-    summary = run_replications(setting, method, threads=args.threads)
-    config = {
-        "setting": args.setting, "n": setting.n, "p": setting.p,
-        "k": setting.K, "s0": setting.s0, "b": setting.B,
-        "alpha1": args.alpha1, "alpha2": args.alpha2,
-        "threads": args.threads,
-    }
+    setting, (summary,) = _run_specs(
+        args, [MethodSpec("tsa", args.alpha1, args.alpha2)])
+    config = _sim_config(args, setting, alpha1=args.alpha1,
+                         alpha2=args.alpha2)
     result = _summary_result(summary)
     write_csv_atomic(os.path.join(args.out, "metrics.csv"),
                      ["rep", "sensitivity", "specificity", "fp", "fn"],
@@ -271,15 +281,9 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_roc(args) -> int:
-    setting = _setting_from_args(args)
-    curve, tsa = _roc_and_method(
-        setting, MethodSpec(name="tsa", alpha1=_DEF_ALPHA1, alpha2=_DEF_ALPHA2),
-        threads=args.threads)
-    config = {
-        "setting": args.setting, "n": setting.n, "p": setting.p,
-        "k": setting.K, "s0": setting.s0, "b": setting.B,
-        "threads": args.threads,
-    }
+    setting, (curve, tsa) = _run_specs(
+        args, [RocGrid(), MethodSpec("tsa", _DEF_ALPHA1, _DEF_ALPHA2)])
+    config = _sim_config(args, setting)
     result = {
         "b": curve.b,
         "n_failed": curve.n_failed,
@@ -289,9 +293,7 @@ def _cmd_roc(args) -> int:
         "tsa_point": {
             "alpha1": _DEF_ALPHA1, "alpha2": _DEF_ALPHA2,
             "sensitivity": _jf(tsa.mean_sensitivity),
-            "one_minus_specificity": _jf(1.0 - tsa.mean_specificity
-                                         if math.isfinite(tsa.mean_specificity)
-                                         else math.nan),
+            "one_minus_specificity": _jf(1.0 - tsa.mean_specificity),
             "n_failed": tsa.n_failed,
         },
     }
@@ -307,16 +309,10 @@ def _cmd_roc(args) -> int:
 
 
 def _cmd_sensitivity(args) -> int:
-    setting = _setting_from_args(args)
-    grid = sensitivity_grid(setting, args.alpha1_list, args.alpha2_list,
-                            threads=args.threads)
-    config = {
-        "setting": args.setting, "n": setting.n, "p": setting.p,
-        "k": setting.K, "s0": setting.s0, "b": setting.B,
-        "alpha1_list": list(grid.alpha1_list),
-        "alpha2_list": list(grid.alpha2_list),
-        "threads": args.threads,
-    }
+    setting, (grid,) = _run_specs(
+        args, [LevelGrid(args.alpha1_list, args.alpha2_list)])
+    config = _sim_config(args, setting, alpha1_list=list(grid.alpha1_list),
+                         alpha2_list=list(grid.alpha2_list))
     cells = []
     for i, a1 in enumerate(grid.alpha1_list):
         for j, a2 in enumerate(grid.alpha2_list):
@@ -329,13 +325,9 @@ def _cmd_sensitivity(args) -> int:
             })
     result = {"b": grid.b, "n_failed": grid.n_failed, "cells": cells}
     header = ["alpha1"] + [f"alpha2={a2:g}" for a2 in grid.alpha2_list]
-    rows = []
-    for i, a1 in enumerate(grid.alpha1_list):
-        row = [f"{a1:g}"]
-        for j in range(len(grid.alpha2_list)):
-            row.append(f"{grid.mean_sensitivity[i, j]:.3f}"
-                       f"/{grid.mean_specificity[i, j]:.3f}")
-        rows.append(row)
+    rows = [[f"{a1:g}"] + [f"{sens:.3f}/{spec:.3f}" for sens, spec in
+                           zip(grid.mean_sensitivity[i], grid.mean_specificity[i])]
+            for i, a1 in enumerate(grid.alpha1_list)]
     write_csv_atomic(os.path.join(args.out, "sensitivity.csv"), header, rows)
     write_csv_atomic(
         os.path.join(args.out, "cells.csv"),

@@ -343,7 +343,8 @@ def tsa_sis_from_stats(t_mat: np.ndarray, alpha2: float,
 
 def tsa_kept_mask(t_mat: np.ndarray, threshold: float, alpha2: float) -> np.ndarray:
     """Keep mask of the two-step rule, for callers that need no per-feature
-    records."""
+    records. Kept public under this name because the benchmark tracer wraps
+    it."""
     t_mat = np.asarray(t_mat, dtype=float)
     return _two_step(t_mat, threshold,
                      _chi2_thresholds(float(alpha2), t_mat.shape[1]))[2]

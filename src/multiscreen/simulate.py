@@ -1,5 +1,6 @@
-"""Monte-Carlo harness: benchmark data generation, replication runner, and
-sensitivity/ROC evaluation.
+"""Monte-Carlo harness: benchmark data generation and one replication
+entry point, ``replicate``, for screener summaries, level grids and ROC
+curves.
 
 Every random draw is a pure function of (setting, replication index): a
 counter-based generator supplies uniforms on the open unit interval and
@@ -27,6 +28,8 @@ __all__ = [
     "SimSetting",
     "RepMetrics",
     "MethodSpec",
+    "LevelGrid",
+    "RocGrid",
     "ReplicationSummary",
     "RocPoint",
     "RocCurve",
@@ -34,9 +37,7 @@ __all__ = [
     "even_spaced_active",
     "gen_instance",
     "evaluate",
-    "run_replications",
-    "roc_min_sis",
-    "sensitivity_grid",
+    "replicate",
 ]
 
 _SETTING_PRESETS = {
@@ -117,30 +118,6 @@ class RepMetrics:
 
 
 @dataclass(frozen=True)
-class MethodSpec:
-    """Which screener a replication run applies.
-
-    ``name`` is one of tsa, onestep, minsis. ``d`` (minsis only) defaults
-    to floor(n/log n) of the smallest study.
-    """
-
-    name: str = "tsa"
-    alpha1: float = 1e-4
-    alpha2: float = 0.05
-    d: int | None = None
-
-    def __post_init__(self):
-        if self.name not in ("tsa", "onestep", "minsis"):
-            raise InputError(f"unknown method {self.name!r}")
-        for field_name in ("alpha1", "alpha2"):
-            v = getattr(self, field_name)
-            if not 0.0 < v < 1.0:
-                raise InputError(f"{field_name} must lie inside (0, 1), got {v}")
-        if self.d is not None and self.d < 0:
-            raise InputError(f"d must be >= 0, got {self.d}")
-
-
-@dataclass(frozen=True)
 class ReplicationSummary:
     b: int
     n_failed: int
@@ -166,6 +143,7 @@ class RocCurve:
     points: tuple[RocPoint, ...]
     b: int
     n_failed: int
+    failures: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -178,6 +156,7 @@ class SensitivityGrid:
     se_specificity: np.ndarray
     b: int
     n_failed: int
+    failures: tuple[str, ...]
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +273,7 @@ def evaluate(kept, truth, p: int) -> RepMetrics:
 
 
 # ---------------------------------------------------------------------------
-# Evaluations: picklable rules the replication worker applies to one
+# Rules: picklable evaluations the replication worker applies to one
 # instance. ``matrix`` names the statistic matrix a rule reads ("t" or
 # "corr"); calling a rule with (matrix, data, active) returns its payload.
 # ---------------------------------------------------------------------------
@@ -303,38 +282,33 @@ def _matrix(name: str, data: MultiStudy) -> np.ndarray:
     return compute_t_matrix(data) if name == "t" else compute_correlation_matrix(data)
 
 
-class _KeptSets:
-    """A screening rule; its payload scores each of its kept sets."""
-
-    def __call__(self, mat, data, active) -> list[RepMetrics]:
-        return [evaluate(kept, active, data.p)
-                for kept in self.kept_sets(mat, data)]
-
-
 @dataclass(frozen=True)
-class _StepRule(_KeptSets):
+class _StepRule:
     """The two-step rule at each (step-1 threshold, chi-square table) pair,
-    row-major. An all-infinite table gives the one-step rule, kappa_hat == 0."""
+    row-major, scored per kept set. An all-infinite table gives the
+    one-step rule, kappa_hat == 0."""
 
     thresholds: tuple[float, ...]
     chi2_tables: tuple[tuple[float, ...], ...]
     matrix = "t"
 
-    def kept_sets(self, t_mat, data) -> list[np.ndarray]:
-        return [np.nonzero(keep)[0] for threshold in self.thresholds
+    def __call__(self, t_mat, data, active) -> list[RepMetrics]:
+        return [evaluate(np.nonzero(keep)[0], active, data.p)
+                for threshold in self.thresholds
                 for keep in _two_step(t_mat, threshold, self.chi2_tables)[2]]
 
 
 @dataclass(frozen=True)
-class _TopD(_KeptSets):
+class _TopD:
     """The ranking screener keeping the top d (default floor(n/log n))."""
 
     d: int | None
     matrix = "corr"
 
-    def kept_sets(self, corr, data) -> list[np.ndarray]:
+    def __call__(self, corr, data, active) -> list[RepMetrics]:
         order, _ = _min_rank(corr)
-        return [np.sort(order[:min(_top_d(data, self.d), data.p)])]
+        return [evaluate(order[:min(_top_d(data, self.d), data.p)], active,
+                         data.p)]
 
 
 @dataclass(frozen=True)
@@ -352,21 +326,6 @@ class _Roc:
         tp = np.concatenate([[0], np.cumsum(truth[order])])[d]
         neg = data.p - len(active)
         return tp / len(active), (d - tp) / neg if neg else np.zeros(len(d))
-
-
-def _method_rule(method: MethodSpec, k: int) -> _KeptSets:
-    if method.name == "minsis":
-        return _TopD(method.d)
-    table = tuple(_chi2_thresholds(method.alpha2, k)) if method.name == "tsa" \
-        else (math.inf,) * (k + 1)
-    return _StepRule((_step1_threshold(method.alpha1),), (table,))
-
-
-def method_kept(data: MultiStudy, method: MethodSpec) -> tuple[int, ...]:
-    """Kept feature indices for one dataset under the given method."""
-    rule = _method_rule(method, data.k)
-    kept = rule.kept_sets(_matrix(rule.matrix, data), data)[0]
-    return tuple(int(j) for j in kept)
 
 
 # ---------------------------------------------------------------------------
@@ -400,15 +359,10 @@ def _replicate(args):
     return out
 
 
-def _replicate_all(setting: SimSetting, evaluations, threads: int):
-    """Per evaluation, its outcomes over replications 0..B-1 in order."""
-    args = [(setting, rep, tuple(evaluations)) for rep in range(setting.B)]
-    if threads <= 1:
-        per_rep = [_replicate(a) for a in args]
-    else:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            per_rep = list(pool.map(_replicate, args, chunksize=1))
-    return list(zip(*per_rep))
+def _split(outcomes) -> tuple[list, tuple[str, ...]]:
+    """(payloads of the replications that ran, messages of those that failed)."""
+    return ([payload for tag, payload in outcomes if tag == "ok"],
+            tuple(payload for tag, payload in outcomes if tag == "err"))
 
 
 def _mean_se(values) -> tuple[float, float]:
@@ -422,108 +376,158 @@ def _mean_se(values) -> tuple[float, float]:
     return mean, math.sqrt(var / b)
 
 
-def _summary(b: int, outcomes) -> ReplicationSummary:
-    metrics = [payload[0] for tag, payload in outcomes if tag == "ok"]
-    failures = tuple(payload for tag, payload in outcomes if tag == "err")
-    mean_sens, se_sens = _mean_se([m.sensitivity for m in metrics])
-    mean_spec, se_spec = _mean_se([m.specificity for m in metrics])
-    return ReplicationSummary(b=b, n_failed=len(failures),
-                              mean_sensitivity=mean_sens,
-                              se_sensitivity=se_sens,
-                              mean_specificity=mean_spec,
-                              se_specificity=se_spec,
-                              mean_fp=_mean_se([m.fp for m in metrics])[0],
-                              mean_fn=_mean_se([m.fn for m in metrics])[0],
-                              per_rep=tuple(metrics), failures=failures)
-
-
-def run_replications(setting: SimSetting, method: MethodSpec,
-                     threads: int = 1) -> ReplicationSummary:
-    """Mean and Monte-Carlo standard error of sensitivity/specificity over
-    B replications. Failed replications are counted, not fatal."""
-    (outcomes,) = _replicate_all(
-        setting, [_method_rule(method, setting.K)], threads)
-    return _summary(setting.B, outcomes)
-
-
-# ---------------------------------------------------------------------------
-# ROC curve for the ranking screener.
-# ---------------------------------------------------------------------------
-
 def default_d_grid(p: int, max_points: int = 200) -> tuple[int, ...]:
     """0..p subsampled to at most max_points + 1 distinct counts."""
     return tuple(sorted({int(v) for v in
                          np.linspace(0, p, min(p, max_points) + 1).round()}))
 
 
-def _curve(b: int, d_grid: tuple[int, ...], outcomes) -> RocCurve:
-    oks = [payload for tag, payload in outcomes if tag == "ok"]
-    n_failed = len(outcomes) - len(oks)
-    points = []
-    for gi, d in enumerate(d_grid):
-        sens = math.fsum(s[gi] for s, _ in oks) / len(oks) if oks else math.nan
-        fpr = math.fsum(f[gi] for _, f in oks) / len(oks) if oks else math.nan
-        points.append(RocPoint(d=d, sensitivity=sens,
-                               one_minus_specificity=fpr))
-    return RocCurve(points=tuple(points), b=b, n_failed=n_failed)
-
-
-def roc_min_sis(setting: SimSetting, d_grid=None,
-                threads: int = 1) -> RocCurve:
-    """Operating points of the ranking screener over a grid of kept-set
-    sizes, averaged over replications."""
-    if d_grid is None:
-        d_grid = default_d_grid(setting.p)
-    d_grid = tuple(int(d) for d in d_grid)
-    if any(d < 0 or d > setting.p for d in d_grid):
-        raise InputError(f"every d must lie in [0, {setting.p}]")
-    (outcomes,) = _replicate_all(setting, [_Roc(d_grid)], threads)
-    return _curve(setting.B, d_grid, outcomes)
-
-
-def _roc_and_method(setting: SimSetting, method: MethodSpec,
-                    threads: int = 1) -> tuple[RocCurve, ReplicationSummary]:
-    """``roc_min_sis`` at the default grid and ``run_replications`` of
-    ``method``, from one pass over the replications."""
-    d_grid = default_d_grid(setting.p)
-    roc, point = _replicate_all(
-        setting, [_Roc(d_grid), _method_rule(method, setting.K)], threads)
-    return _curve(setting.B, d_grid, roc), _summary(setting.B, point)
-
-
 # ---------------------------------------------------------------------------
-# Sensitivity grid over the two significance levels.
+# Specs: what ``replicate`` evaluates. ``_rule(setting)`` builds the
+# per-replication rule once per run; ``_reduce(setting, outcomes)`` turns
+# its outcomes over replications 0..B-1 into the spec's result.
 # ---------------------------------------------------------------------------
 
-def sensitivity_grid(setting: SimSetting, alpha1_list, alpha2_list,
-                     threads: int = 1) -> SensitivityGrid:
-    """Full factorial sweep of the two significance levels.
+@dataclass(frozen=True)
+class MethodSpec:
+    """One screener, summarized per replication: a ``ReplicationSummary``.
 
-    The statistic matrix of each replication is computed once and shared
-    by every cell, which is exactly equivalent to screening each cell
-    from scratch.
+    ``name`` is one of tsa, onestep, minsis. ``d`` (minsis only) defaults
+    to floor(n/log n) of the smallest study.
     """
-    alpha1_list = tuple(float(a) for a in alpha1_list)
-    alpha2_list = tuple(float(a) for a in alpha2_list)
-    if not alpha1_list or not alpha2_list:
-        raise InputError("alpha lists must not be empty")
-    for a in alpha1_list + alpha2_list:
-        if not 0.0 < a < 1.0:
-            raise InputError(f"significance levels must lie inside (0, 1), got {a}")
-    rule = _StepRule(tuple(_step1_threshold(a) for a in alpha1_list),
-                     tuple(tuple(_chi2_thresholds(a, setting.K))
-                           for a in alpha2_list))
-    (outcomes,) = _replicate_all(setting, [rule], threads)
-    shape = (len(alpha1_list), len(alpha2_list), 2)
-    # Per replication, (sensitivity, specificity) of each cell.
-    oks = [np.array([(m.sensitivity, m.specificity) for m in payload])
-           .reshape(shape) for tag, payload in outcomes if tag == "ok"]
-    cells = np.empty(shape + (2,))   # last axis: mean, standard error
-    for i, j, c in np.ndindex(shape):
-        cells[i, j, c] = _mean_se([o[i, j, c] for o in oks])
-    return SensitivityGrid(alpha1_list=alpha1_list, alpha2_list=alpha2_list,
-                           mean_sensitivity=cells[:, :, 0, 0],
-                           mean_specificity=cells[:, :, 1, 0],
-                           se_sensitivity=cells[:, :, 0, 1],
-                           se_specificity=cells[:, :, 1, 1],
-                           b=setting.B, n_failed=len(outcomes) - len(oks))
+
+    name: str = "tsa"
+    alpha1: float = 1e-4
+    alpha2: float = 0.05
+    d: int | None = None
+
+    def __post_init__(self):
+        if self.name not in ("tsa", "onestep", "minsis"):
+            raise InputError(f"unknown method {self.name!r}")
+        for field_name in ("alpha1", "alpha2"):
+            v = getattr(self, field_name)
+            if not 0.0 < v < 1.0:
+                raise InputError(f"{field_name} must lie inside (0, 1), got {v}")
+        if self.d is not None and self.d < 0:
+            raise InputError(f"d must be >= 0, got {self.d}")
+
+    def _rule(self, setting: SimSetting):
+        if self.name == "minsis":
+            return _TopD(self.d)
+        table = tuple(_chi2_thresholds(self.alpha2, setting.K)) \
+            if self.name == "tsa" else (math.inf,) * (setting.K + 1)
+        return _StepRule((_step1_threshold(self.alpha1),), (table,))
+
+    def _reduce(self, setting: SimSetting, outcomes) -> ReplicationSummary:
+        payloads, failures = _split(outcomes)
+        metrics = [payload[0] for payload in payloads]
+        mean_sens, se_sens = _mean_se([m.sensitivity for m in metrics])
+        mean_spec, se_spec = _mean_se([m.specificity for m in metrics])
+        return ReplicationSummary(b=setting.B, n_failed=len(failures),
+                                  mean_sensitivity=mean_sens,
+                                  se_sensitivity=se_sens,
+                                  mean_specificity=mean_spec,
+                                  se_specificity=se_spec,
+                                  mean_fp=_mean_se([m.fp for m in metrics])[0],
+                                  mean_fn=_mean_se([m.fn for m in metrics])[0],
+                                  per_rep=tuple(metrics), failures=failures)
+
+
+@dataclass(frozen=True)
+class LevelGrid:
+    """Full factorial sweep of the two significance levels: a
+    ``SensitivityGrid``. Each replication's statistic matrix is shared by
+    every cell, which is exactly equivalent to screening each cell from
+    scratch."""
+
+    alpha1_list: tuple[float, ...]
+    alpha2_list: tuple[float, ...]
+
+    def __post_init__(self):
+        alpha1_list = tuple(float(a) for a in self.alpha1_list)
+        alpha2_list = tuple(float(a) for a in self.alpha2_list)
+        if not alpha1_list or not alpha2_list:
+            raise InputError("alpha lists must not be empty")
+        for a in alpha1_list + alpha2_list:
+            if not 0.0 < a < 1.0:
+                raise InputError(
+                    f"significance levels must lie inside (0, 1), got {a}")
+        object.__setattr__(self, "alpha1_list", alpha1_list)
+        object.__setattr__(self, "alpha2_list", alpha2_list)
+
+    def _rule(self, setting: SimSetting):
+        return _StepRule(tuple(_step1_threshold(a) for a in self.alpha1_list),
+                         tuple(tuple(_chi2_thresholds(a, setting.K))
+                               for a in self.alpha2_list))
+
+    def _reduce(self, setting: SimSetting, outcomes) -> SensitivityGrid:
+        payloads, failures = _split(outcomes)
+        shape = (len(self.alpha1_list), len(self.alpha2_list), 2)
+        # Per replication, (sensitivity, specificity) of each cell.
+        oks = [np.array([(m.sensitivity, m.specificity) for m in payload])
+               .reshape(shape) for payload in payloads]
+        cells = np.empty(shape + (2,))   # last axis: mean, standard error
+        for i, j, c in np.ndindex(shape):
+            cells[i, j, c] = _mean_se([o[i, j, c] for o in oks])
+        return SensitivityGrid(alpha1_list=self.alpha1_list,
+                               alpha2_list=self.alpha2_list,
+                               mean_sensitivity=cells[:, :, 0, 0],
+                               mean_specificity=cells[:, :, 1, 0],
+                               se_sensitivity=cells[:, :, 0, 1],
+                               se_specificity=cells[:, :, 1, 1],
+                               b=setting.B, n_failed=len(failures),
+                               failures=failures)
+
+
+@dataclass(frozen=True)
+class RocGrid:
+    """Operating points of the ranking screener over kept-set sizes
+    ``d_grid`` (default ``default_d_grid(p)``), averaged over
+    replications: a ``RocCurve``."""
+
+    d_grid: tuple[int, ...] | None = None
+
+    def __post_init__(self):
+        if self.d_grid is not None:
+            object.__setattr__(self, "d_grid",
+                               tuple(int(d) for d in self.d_grid))
+
+    def _grid(self, setting: SimSetting) -> tuple[int, ...]:
+        d_grid = default_d_grid(setting.p) if self.d_grid is None \
+            else self.d_grid
+        if any(d < 0 or d > setting.p for d in d_grid):
+            raise InputError(f"every d must lie in [0, {setting.p}]")
+        return d_grid
+
+    def _rule(self, setting: SimSetting):
+        return _Roc(self._grid(setting))
+
+    def _reduce(self, setting: SimSetting, outcomes) -> RocCurve:
+        oks, failures = _split(outcomes)
+        points = []
+        for gi, d in enumerate(self._grid(setting)):
+            sens = math.fsum(s[gi] for s, _ in oks) / len(oks) if oks else math.nan
+            fpr = math.fsum(f[gi] for _, f in oks) / len(oks) if oks else math.nan
+            points.append(RocPoint(d=d, sensitivity=sens,
+                                   one_minus_specificity=fpr))
+        return RocCurve(points=tuple(points), b=setting.B,
+                        n_failed=len(failures), failures=failures)
+
+
+def replicate(setting: SimSetting, specs, threads: int = 1) -> list:
+    """Evaluate every spec on replications 0..B-1 in one pass: each
+    instance is generated once and each statistic matrix computed at most
+    once. Returns one result per spec, in order. Failed replications are
+    counted and reported per spec, not fatal."""
+    specs = tuple(specs)
+    if not specs:
+        raise InputError("specs must not be empty")
+    rules = tuple(spec._rule(setting) for spec in specs)
+    args = [(setting, rep, rules) for rep in range(setting.B)]
+    if threads <= 1:
+        per_rep = [_replicate(a) for a in args]
+    else:
+        with ProcessPoolExecutor(max_workers=threads) as pool:
+            per_rep = list(pool.map(_replicate, args, chunksize=1))
+    return [spec._reduce(setting, outcomes)
+            for spec, outcomes in zip(specs, zip(*per_rep))]

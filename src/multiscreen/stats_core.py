@@ -11,11 +11,12 @@ permutation of the observations.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateColumnError, InputError
+from .errors import DegenerateColumnError, InputError, NumericalError
 
 __all__ = [
     "TStat",
@@ -352,7 +353,9 @@ def _chi2_pdf(x: float, df: float) -> float:
 def chi2_quantile(p: float, df: int) -> float:
     """Inverse chi-square CDF via a Wilson-Hilferty start and safeguarded
     Newton iteration; round-trips through :func:`chi2_cdf` within 1e-8
-    (relative below p = 0.5)."""
+    (relative below p = 0.5). Raises NumericalError when the quantile
+    falls below the smallest normal double or the iteration does not
+    converge."""
     df = _check_df(df)
     if not (np.ndim(p) == 0 and math.isfinite(float(p))):
         raise InputError("p must be a finite scalar")
@@ -362,9 +365,7 @@ def chi2_quantile(p: float, df: int) -> float:
 
     z = normal_quantile(p)
     t = 2.0 / (9.0 * df)
-    x = df * (1.0 - t + z * math.sqrt(t)) ** 3
-    if not x > 0.0:
-        x = 0.5 * df * math.exp((z - 1.0))  # crude positive fallback deep in the left tail
+    x = df * (1.0 - t + z * math.sqrt(t)) ** 3   # positive for p >= 0.5
 
     # chi2_cdf without its argument checks: x and hi stay positive floats.
     half = 0.5 * df
@@ -373,9 +374,21 @@ def chi2_quantile(p: float, df: int) -> float:
         hi *= 2.0
         if hi > 1e300:
             raise InputError(f"chi-square quantile bracket failed for p={p}, df={df}")
+    left = p < 0.5
+    if left:
+        # P(a, y) <= y^a / Gamma(a + 1), so the quantile is at least lo (less
+        # a margin for rounding). The left tail is close to that power law:
+        # Newton steps on log F against log x, and bisection is geometric.
+        lo = 2.0 * math.exp((math.log(p) + math.lgamma(half + 1.0)) / half) \
+            * (1.0 - 1e-9)
+        if lo < sys.float_info.min:
+            raise NumericalError(
+                f"chi-square quantile underflows for p={p}, df={df}")
+        x = max(x, lo)   # also replaces a start at or below zero
 
     for _ in range(200):
-        f = _gammainc_lower(half, 0.5 * x) - p
+        cdf = _gammainc_lower(half, 0.5 * x)
+        f = cdf - p
         # Relative below p = 0.5, so the left tail converges; absolute above.
         if abs(f) < 1e-14 * min(1.0, 2.0 * p):
             return x
@@ -386,14 +399,15 @@ def chi2_quantile(p: float, df: int) -> float:
         deriv = _chi2_pdf(x, df)
         step_ok = deriv > 0.0
         if step_ok:
-            x_new = x - f / deriv
+            x_new = x * math.exp(math.log(p / cdf) * cdf / (x * deriv)) \
+                if left else x - f / deriv
             step_ok = lo < x_new < hi
         if not step_ok:
-            x_new = 0.5 * (lo + hi)
+            x_new = math.sqrt(lo) * math.sqrt(hi) if left else 0.5 * (lo + hi)
         if abs(x_new - x) <= 1e-12 * abs(x):
             return x_new
         x = x_new
-    return x
+    raise NumericalError(f"chi-square quantile did not converge for p={p}, df={df}")
 
 
 # ---------------------------------------------------------------------------

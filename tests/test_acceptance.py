@@ -42,12 +42,12 @@ import numpy as np
 from test_group_select import ista_oracle, objective, standardize
 from conftest import make_multistudy
 
-from multiscreen import (MethodSpec, MultiStudy, ScreeningConfig, SimSetting,
-                         Study, chi2_cdf, chi2_quantile, group_lasso_fit,
-                         lambda_max, multi_pc_run, normal_cdf,
-                         normal_quantile, one_step_sis, partial_t, residualize,
-                         roc_min_sis, run_replications, self_normalized_t,
-                         sensitivity_grid, tsa_sis, tsa_sis_from_stats)
+from multiscreen import (LevelGrid, MethodSpec, MultiStudy, RocGrid,
+                         ScreeningConfig, SimSetting, Study, chi2_cdf,
+                         chi2_quantile, group_lasso_fit, lambda_max,
+                         multi_pc_run, normal_cdf, normal_quantile,
+                         one_step_sis, partial_t, replicate, residualize,
+                         self_normalized_t, tsa_sis, tsa_sis_from_stats)
 
 SEED = 20240811
 THREADS = 2
@@ -93,7 +93,8 @@ def test_criterion_1_toy_golden():
 
 def test_criterion_2_benchmark_spot_values():
     setting = SimSetting.preset(1, B=200, seed=SEED)
-    grid = sensitivity_grid(setting, [0.0001, 0.001], [0.05], threads=THREADS)
+    (grid,) = replicate(setting, [LevelGrid([0.0001, 0.001], [0.05])],
+                        threads=THREADS)
     sens_a, spec_a = grid.mean_sensitivity[0, 0], grid.mean_specificity[0, 0]
     sens_b, spec_b = grid.mean_sensitivity[1, 0], grid.mean_specificity[1, 0]
     ok = abs(sens_a - 0.922) <= 0.05 and abs(spec_a - 0.932) <= 0.05
@@ -107,8 +108,8 @@ def test_criterion_2_benchmark_spot_values():
 
 def test_criterion_3_weak_signal_dominance():
     setting = SimSetting.preset(1, B=100, seed=SEED)
-    tsa = run_replications(setting, MethodSpec(), threads=THREADS)
-    curve = roc_min_sis(setting, threads=THREADS)
+    tsa, curve = replicate(setting, [MethodSpec(), RocGrid()],
+                           threads=THREADS)
     fpr = [pt.one_minus_specificity for pt in curve.points]
     sens = [pt.sensitivity for pt in curve.points]
     x = 1.0 - tsa.mean_specificity
@@ -150,12 +151,11 @@ def test_criterion_3_strong_signal_corner():
             for m in (100, 200, 300, 400)] == [False, False, False, True]
     assert expected_weakest_t(SimSetting.preset(2)) < threshold
 
-    grid = sensitivity_grid(setting, alpha1_list, alpha2_list,
-                            threads=THREADS)
+    grid, curve = replicate(setting, [LevelGrid(alpha1_list, alpha2_list),
+                                      RocGrid()], threads=THREADS)
     cells = np.minimum(grid.mean_sensitivity, grid.mean_specificity)
     i, j = np.unravel_index(int(np.argmax(cells)), cells.shape)
     tsa_corner = float(cells[i, j])
-    curve = roc_min_sis(setting, threads=THREADS)
     minsis_corner, best_d = max(
         (min(pt.sensitivity, 1.0 - pt.one_minus_specificity), pt.d)
         for pt in curve.points)
@@ -171,7 +171,7 @@ def test_criterion_3_strong_signal_corner():
 
 def test_criterion_4_sure_screening_coverage():
     setting = SimSetting.preset(2, B=100, seed=SEED)
-    summary = run_replications(setting, MethodSpec(), threads=THREADS)
+    (summary,) = replicate(setting, [MethodSpec()], threads=THREADS)
     covered = sum(1 for m in summary.per_rep if m.fn == 0)
     frac = covered / len(summary.per_rep)
     ok = frac >= 0.95 and summary.n_failed == 0

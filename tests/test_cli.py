@@ -7,8 +7,8 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from multiscreen import (MethodSpec, SimSetting, gen_instance,
-                         run_replications)
+from multiscreen import (DegenerateColumnError, MethodSpec, SimSetting,
+                         gen_instance, replicate)
 from multiscreen.cli import main
 from multiscreen.data_io import write_multistudy
 
@@ -189,8 +189,8 @@ class TestRocCommand:
                     "--threads", "1", "--out", tmp_path / "r"]) == 0
         assert sorted(calls) == [0, 1, 2]
         point = load_result(tmp_path / "r")["result"]["tsa_point"]
-        tsa = run_replications(SimSetting.preset(1, p=60, B=3, seed=0),
-                               MethodSpec())
+        (tsa,) = replicate(SimSetting.preset(1, p=60, B=3, seed=0),
+                           [MethodSpec()])
         assert point["sensitivity"] == tsa.mean_sensitivity
         assert point["one_minus_specificity"] == 1.0 - tsa.mean_specificity
         assert point["n_failed"] == tsa.n_failed
@@ -218,6 +218,26 @@ class TestSensitivityCommand:
                     "--out", out]) == 0
         payload = load_result(out)
         assert len(payload["result"]["cells"]) == 12
+
+
+class TestReplicationFailures:
+    def test_messages_on_stderr(self, tmp_path, monkeypatch, capsys):
+        import multiscreen.simulate as simulate
+
+        def flaky(setting, rep):
+            if rep == 1:
+                raise DegenerateColumnError("column 'x3' is constant")
+            return gen_instance(setting, rep)
+
+        monkeypatch.setattr(simulate, "gen_instance", flaky)
+        base = ["--setting", "1", "--n", "25", "--p", "10", "--s0", "2",
+                "--b", "3", "--threads", "1"]
+        for cmd in ("simulate", "roc", "sensitivity"):
+            out = tmp_path / cmd
+            assert run([cmd] + base + ["--out", out]) == 0
+            err = capsys.readouterr().err
+            assert err.count("rep 1: column 'x3' is constant") == 1, cmd
+            assert load_result(out)["result"]["n_failed"] == 1
 
 
 class TestDeterminismAcrossCommands:

@@ -1,5 +1,5 @@
-"""Seeded generation, metric identities, replication aggregation, and the
-ROC machinery."""
+"""Seeded generation, metric identities, the replication entry point and
+its three specs (screener summary, level grid, ROC curve)."""
 
 import math
 from fractions import Fraction
@@ -7,10 +7,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from multiscreen import (InputError, MethodSpec, SimSetting,
+import multiscreen.simulate as simulate
+from multiscreen import (DegenerateColumnError, InputError, LevelGrid,
+                         MethodSpec, RocGrid, ScreeningConfig, SimSetting,
                          even_spaced_active, evaluate, gen_instance,
-                         roc_min_sis, run_replications, sensitivity_grid)
-from multiscreen.simulate import _mean_se, default_d_grid, method_kept
+                         min_sis_rank, one_step_sis, replicate,
+                         top_d_selection, tsa_sis)
+from multiscreen.simulate import _mean_se, default_d_grid
 
 
 def small_setting(**overrides):
@@ -156,8 +159,8 @@ class TestEvaluate:
 class TestRunReplications:
     def test_deterministic_aggregate(self):
         setting = small_setting()
-        a = run_replications(setting, MethodSpec())
-        b = run_replications(setting, MethodSpec())
+        a = replicate(setting, [MethodSpec()])
+        b = replicate(setting, [MethodSpec()])
         assert a == b
 
     def test_standard_error_squares_exactly(self):
@@ -170,7 +173,7 @@ class TestRunReplications:
 
     def test_strong_signals_found(self):
         setting = small_setting(B=6)
-        summary = run_replications(setting, MethodSpec(alpha1=1e-3))
+        (summary,) = replicate(setting, [MethodSpec(alpha1=1e-3)])
         assert summary.n_failed == 0
         assert summary.mean_sensitivity > 0.8
         assert summary.mean_specificity > 0.7
@@ -178,35 +181,42 @@ class TestRunReplications:
 
     def test_parallel_equals_sequential(self):
         setting = small_setting(B=6)
-        seq = run_replications(setting, MethodSpec(), threads=1)
-        par = run_replications(setting, MethodSpec(), threads=2)
+        seq = replicate(setting, [MethodSpec(), RocGrid()], threads=1)
+        par = replicate(setting, [MethodSpec(), RocGrid()], threads=2)
         assert seq == par
 
     def test_onestep_and_minsis_methods(self):
         setting = small_setting(B=3)
-        one = run_replications(setting, MethodSpec(name="onestep", alpha1=0.01))
+        one, ms = replicate(setting, [MethodSpec(name="onestep", alpha1=0.01),
+                                      MethodSpec(name="minsis", d=3)])
         assert one.n_failed == 0
-        ms = run_replications(setting, MethodSpec(name="minsis", d=3))
         assert ms.n_failed == 0
         # keeping exactly d features bounds the error counts
         for m in ms.per_rep:
             assert m.fp + (setting.s0 - m.fn) == 3
 
-    def test_method_kept_matches_screeners(self):
+    def test_harness_matches_screeners(self):
+        # The harness's rules are private kernels; each must score the kept
+        # set of the library screener it stands for.
         setting = small_setting(B=1)
-        data, _, _ = gen_instance(setting, 0)
-        from multiscreen import ScreeningConfig, one_step_sis, tsa_sis
-        spec = MethodSpec(alpha1=0.01, alpha2=0.05)
-        assert method_kept(data, spec) == tsa_sis(
-            data, ScreeningConfig(0.01, 0.05)).kept
-        assert method_kept(data, MethodSpec(name="onestep", alpha1=0.01)) \
-            == one_step_sis(data, 0.01).kept
+        data, active, _ = gen_instance(setting, 0)
+        tsa, one, ms = replicate(setting, [
+            MethodSpec(alpha1=0.01, alpha2=0.05),
+            MethodSpec(name="onestep", alpha1=0.01),
+            MethodSpec(name="minsis", d=3)])
+        p = setting.p
+        assert tsa.per_rep[0] == evaluate(
+            tsa_sis(data, ScreeningConfig(0.01, 0.05)).kept, active, p)
+        assert one.per_rep[0] == evaluate(one_step_sis(data, 0.01).kept,
+                                          active, p)
+        kept, _ = top_d_selection(min_sis_rank(data), 3, p)
+        assert ms.per_rep[0] == evaluate(kept, active, p)
 
 
 class TestRoc:
     def test_endpoints(self):
         setting = small_setting(B=3)
-        curve = roc_min_sis(setting, d_grid=(0, setting.p))
+        (curve,) = replicate(setting, [RocGrid(d_grid=(0, setting.p))])
         assert curve.points[0].sensitivity == 0.0
         assert curve.points[0].one_minus_specificity == 0.0
         assert curve.points[-1].sensitivity == 1.0
@@ -214,7 +224,7 @@ class TestRoc:
 
     def test_monotone_in_d(self):
         setting = small_setting(B=4)
-        curve = roc_min_sis(setting)
+        (curve,) = replicate(setting, [RocGrid()])
         sens = [pt.sensitivity for pt in curve.points]
         fpr = [pt.one_minus_specificity for pt in curve.points]
         assert all(b >= a - 1e-12 for a, b in zip(sens, sens[1:]))
@@ -228,27 +238,34 @@ class TestRoc:
 
     def test_parallel_equals_sequential(self):
         setting = small_setting(B=4)
-        assert roc_min_sis(setting, threads=2) == roc_min_sis(setting)
+        assert replicate(setting, [RocGrid()], threads=2) \
+            == replicate(setting, [RocGrid()])
+
+    def test_d_outside_range(self):
+        setting = small_setting(B=1)
+        for d_grid in ([0, setting.p + 1], [-1]):
+            with pytest.raises(InputError):
+                replicate(setting, [RocGrid(d_grid)])
 
 
 class TestSensitivityGrid:
     def test_shape_and_determinism(self):
         setting = small_setting(B=3)
-        g1 = sensitivity_grid(setting, [0.01, 0.001], [0.05, 0.01])
-        g2 = sensitivity_grid(setting, [0.01, 0.001], [0.05, 0.01])
+        (g1,) = replicate(setting, [LevelGrid([0.01, 0.001], [0.05, 0.01])])
+        (g2,) = replicate(setting, [LevelGrid([0.01, 0.001], [0.05, 0.01])])
         assert g1.mean_sensitivity.shape == (2, 2)
         assert np.array_equal(g1.mean_sensitivity, g2.mean_sensitivity)
         assert np.array_equal(g1.mean_specificity, g2.mean_specificity)
 
     def test_single_column(self):
         setting = small_setting(B=2)
-        grid = sensitivity_grid(setting, [0.01], [0.05])
+        (grid,) = replicate(setting, [LevelGrid([0.01], [0.05])])
         assert grid.mean_sensitivity.shape == (1, 1)
 
     def test_matches_dedicated_runner(self):
         setting = small_setting(B=3)
-        grid = sensitivity_grid(setting, [0.01], [0.05])
-        summary = run_replications(setting, MethodSpec(alpha1=0.01, alpha2=0.05))
+        grid, summary = replicate(setting, [
+            LevelGrid([0.01], [0.05]), MethodSpec(alpha1=0.01, alpha2=0.05)])
         assert grid.mean_sensitivity[0, 0] == summary.mean_sensitivity
         assert grid.mean_specificity[0, 0] == summary.mean_specificity
 
@@ -256,7 +273,7 @@ class TestSensitivityGrid:
         # Raising alpha2 lowers the aggregate threshold: sensitivity cannot
         # fall and specificity cannot rise (checked as means with slack).
         setting = small_setting(B=6, beta_low=0.2, beta_high=0.5)
-        grid = sensitivity_grid(setting, [0.001], [0.01, 0.05, 0.15])
+        (grid,) = replicate(setting, [LevelGrid([0.001], [0.01, 0.05, 0.15])])
         sens = grid.mean_sensitivity[0]
         spec = grid.mean_specificity[0]
         assert sens[0] <= sens[1] + 1e-12 <= sens[2] + 2e-12
@@ -264,14 +281,50 @@ class TestSensitivityGrid:
 
     def test_parallel_equals_sequential(self):
         setting = small_setting(B=4)
-        g1 = sensitivity_grid(setting, [0.01], [0.05], threads=2)
-        g2 = sensitivity_grid(setting, [0.01], [0.05], threads=1)
+        (g1,) = replicate(setting, [LevelGrid([0.01], [0.05])], threads=2)
+        (g2,) = replicate(setting, [LevelGrid([0.01], [0.05])], threads=1)
         assert np.array_equal(g1.mean_sensitivity, g2.mean_sensitivity)
         assert np.array_equal(g1.se_specificity, g2.se_specificity)
 
     def test_validation(self):
-        setting = small_setting(B=2)
         with pytest.raises(InputError):
-            sensitivity_grid(setting, [], [0.05])
+            LevelGrid([], [0.05])
         with pytest.raises(InputError):
-            sensitivity_grid(setting, [0.01], [1.5])
+            LevelGrid([0.01], [1.5])
+
+
+class TestReplicate:
+    def test_one_pass_over_instances(self, monkeypatch):
+        # Every spec kind in one pass: each replication generates its
+        # instance once and computes each statistic matrix once.
+        calls = dict.fromkeys(("gen_instance", "compute_t_matrix",
+                               "compute_correlation_matrix"), 0)
+        for name in calls:
+            def counted(*args, _name=name, _fn=getattr(simulate, name)):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(simulate, name, counted)
+        setting = small_setting(B=3)
+        replicate(setting, [MethodSpec(), LevelGrid([0.01, 0.001], [0.05]),
+                            RocGrid()])
+        assert calls == dict.fromkeys(calls, setting.B)
+
+    def test_failure_reported_by_every_spec(self, monkeypatch):
+        def flaky(setting, rep):
+            if rep == 1:
+                raise DegenerateColumnError("column 'x3' is constant")
+            return gen_instance(setting, rep)
+
+        monkeypatch.setattr(simulate, "gen_instance", flaky)
+        setting = small_setting(B=3)
+        summary, grid, curve = replicate(
+            setting, [MethodSpec(), LevelGrid([0.01], [0.05]), RocGrid()],
+            threads=1)
+        for result in (summary, grid, curve):
+            assert result.failures == ("rep 1: column 'x3' is constant",)
+            assert result.n_failed == 1
+        assert len(summary.per_rep) == 2
+
+    def test_empty_specs(self):
+        with pytest.raises(InputError):
+            replicate(small_setting(B=1), [])

@@ -10,9 +10,10 @@ import math
 import numpy as np
 import pytest
 
-from multiscreen import (InputError, DegenerateColumnError, TStat, chi2_cdf,
-                         chi2_quantile, normal_cdf, normal_quantile,
-                         self_normalized_t, theoretical_alpha1)
+from multiscreen import (InputError, DegenerateColumnError, NumericalError,
+                         TStat, chi2_cdf, chi2_quantile, normal_cdf,
+                         normal_quantile, self_normalized_t,
+                         theoretical_alpha1)
 
 
 def simpson(f, lo, hi, n=20001):
@@ -202,6 +203,51 @@ def direct_summation_t(x, y):
     sigma = sum(prods) / n
     theta = sum((p - sigma) ** 2 for p in prods) / n
     return math.sqrt(n) * sigma / math.sqrt(theta), sigma, theta
+
+
+ORACLE_DF = tuple(range(1, 11)) + (20, 50, 100, 200)
+# p from 1e-300 to 1 - 1e-16, dense in both tails.
+ORACLE_P = np.concatenate([np.geomspace(1e-300, 0.5, 120),
+                           1.0 - np.geomspace(0.5, 1e-16, 60)[1:]])
+
+
+def _tail_error(got, expect):
+    """Relative below 0.5, absolute above."""
+    return abs(got - expect) / (expect if expect < 0.5 else 1.0)
+
+
+class TestScipyOracle:
+    """Every distribution function against scipy over its whole range."""
+
+    def test_normal_cdf(self):
+        special = pytest.importorskip("scipy.special")
+        z = np.linspace(-38.0, 38.0, 7601)
+        assert np.max(np.abs(normal_cdf(z) - special.ndtr(z))) <= 1e-12
+
+    def test_normal_quantile(self):
+        special = pytest.importorskip("scipy.special")
+        got, expect = normal_quantile(ORACLE_P), special.ndtri(ORACLE_P)
+        assert np.all(np.abs(got - expect) <= 2e-9 * np.abs(expect))
+
+    def test_chi2_cdf(self):
+        stats = pytest.importorskip("scipy.stats")
+        for df in ORACLE_DF:
+            xs = stats.chi2.ppf(ORACLE_P, df)
+            for x in xs[xs >= np.finfo(float).tiny]:
+                expect = stats.chi2.cdf(x, df)
+                assert _tail_error(chi2_cdf(float(x), df), expect) <= 1e-12, \
+                    (x, df)
+
+    def test_chi2_quantile_round_trip(self):
+        stats = pytest.importorskip("scipy.stats")
+        for df in ORACLE_DF:
+            # Below this p the quantile is not a normal double.
+            p_min = stats.chi2.cdf(2.0 * np.finfo(float).tiny, df)
+            for p in ORACLE_P[ORACLE_P > p_min]:
+                q = chi2_quantile(float(p), df)
+                assert _tail_error(stats.chi2.cdf(q, df), p) <= 1e-8, (p, df)
+        with pytest.raises(NumericalError):
+            chi2_quantile(1e-300, 1)
 
 
 class TestSelfNormalizedT:
