@@ -175,8 +175,7 @@ def _cmd_select(args) -> int:
             "converged": model.fit.converged,
             "iterations": model.fit.iterations,
             "kkt_residual": _jf(model.fit.kkt_residual),
-            "objective": _jf(model.fit.objective_trace[-1]
-                             if model.fit.objective_trace else None),
+            "objective": _jf(model.fit.objective_trace[-1]),
             "warning": model.fit.warning,
         }
     coef_rows = []

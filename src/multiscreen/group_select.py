@@ -9,6 +9,15 @@ which majorizes every block's loss because the standardized columns have
 squared norm n_k, so no line search is needed. Columns are centered and
 scaled to unit 1/n-variance per study internally; reported coefficients
 and intercepts are on the original scale.
+
+Covariance form (Friedman, Hastie & Tibshirani 2010): per study k, the
+Gram matrix G_k of the standardized columns and c_k = Xs_k' (y_k - ybar_k)
+give every block gradient 2(c_k[j] - G_k[j] beta_k) at once; lambda_max
+and the KKT check read the same arrays, so no residuals are carried
+between block steps. The objective is still summed from residuals once
+per sweep, since y'y - 2c'beta + beta'G beta cancels badly near a good
+fit. c takes one dot product per column, not a matrix-vector product, so
+lambda_max and the penalty grid keep their exact bits.
 """
 
 from __future__ import annotations
@@ -20,7 +29,8 @@ import numpy as np
 
 from .errors import (DegenerateColumnError, InputError, SelectionError,
                      SingularDesignError)
-from .screening import MultiStudy, ScreeningConfig, ScreeningResult, tsa_sis
+from .screening import (MultiStudy, ScreeningConfig, ScreeningResult, Study,
+                        tsa_sis)
 
 __all__ = [
     "GroupLassoFit",
@@ -32,6 +42,13 @@ __all__ = [
     "tsa_sis_group_lasso",
     "ols_refit",
 ]
+
+# Solver limits: sweeps per fit, relative objective change, KKT residual;
+# and the number of cross-validation folds.
+_MAX_ITER = 10000
+_TOL = 1e-10
+_KKT_TOL = 1e-6
+_FOLDS = 5
 
 
 @dataclass(frozen=True)
@@ -97,14 +114,15 @@ def _check_active(data: MultiStudy, active) -> tuple[int, ...]:
 
 
 def _standardize(data: MultiStudy, active: tuple[int, ...]):
-    """Center y and center/scale the active columns per study."""
+    """Center y and center/scale the active columns per study; also return
+    the per-study Gram matrices ``gram`` (K, m, m) and the inner products
+    ``c`` (m, K) of the standardized columns with the centered response."""
     m, K = len(active), data.k
     xs, cys = [], []
     xbar = np.empty((m, K))
     scale = np.empty((m, K))
     ybar = np.empty(K)
     for k, study in enumerate(data.studies):
-        n = study.n
         sub = study.x[:, active]
         mu = sub.mean(axis=0)
         cx = sub - mu
@@ -119,19 +137,19 @@ def _standardize(data: MultiStudy, active: tuple[int, ...]):
         cys.append(study.y - ybar[k])
         xbar[:, k] = mu
         scale[:, k] = sd
-    return xs, cys, xbar, scale, ybar
+    gram = np.stack([x.T @ x for x in xs])
+    # One dot product per column, not x.T @ cy: the penalty grid is built
+    # from lambda_max and must keep its exact bits.
+    c = np.array([[float(x[:, j] @ cy) for x, cy in zip(xs, cys)]
+                  for j in range(m)])
+    return xs, cys, xbar, scale, ybar, gram, c
 
 
 def lambda_max(data: MultiStudy, active) -> float:
     """Smallest penalty at which the all-zero solution is optimal:
     max_j of the group norm of 2 * Xs_j' (y - ybar) across studies."""
     active = _check_active(data, active)
-    xs, cys, _, _, _ = _standardize(data, active)
-    worst = 0.0
-    for j in range(len(active)):
-        z = [2.0 * float(xs[k][:, j] @ cys[k]) for k in range(data.k)]
-        worst = max(worst, _group_norm(z))
-    return worst
+    return max(_group_norm(2.0 * cj) for cj in _standardize(data, active)[-1])
 
 
 def _group_norm(z) -> float:
@@ -140,36 +158,31 @@ def _group_norm(z) -> float:
     return math.sqrt(math.fsum(v * v for v in z))
 
 
-def _objective(resid, beta_std, lam) -> float:
-    loss = math.fsum(float(r @ r) for r in resid)
-    penalty = lam * math.fsum(
-        math.sqrt(float(beta_std[j] @ beta_std[j]))
-        for j in range(beta_std.shape[0]))
-    return loss + penalty
+def _objective(xs, cys, beta_std, lam) -> float:
+    # The loss comes from the residuals themselves: the Gram form
+    # y'y - 2c'beta + beta'G beta cancels badly when the fit is good.
+    loss = math.fsum(float(r @ r) for r in
+                     (cy - x @ b for x, cy, b in zip(xs, cys, beta_std.T)))
+    return loss + lam * math.fsum(np.sqrt((beta_std * beta_std).sum(axis=1)))
 
 
-def _kkt_residual(xs, resid, beta_std, lam) -> float:
-    worst = 0.0
-    for j in range(beta_std.shape[0]):
-        g = np.array([-2.0 * float(xs[k][:, j] @ resid[k])
-                      for k in range(len(xs))])
-        bj = beta_std[j]
-        norm_b = math.sqrt(float(bj @ bj))
-        if norm_b == 0.0:
-            worst = max(worst, max(0.0, math.sqrt(float(g @ g)) - lam))
-        else:
-            worst = max(worst, float(np.max(np.abs(g + lam * bj / norm_b))))
-    return worst
+def _kkt_residual(gram, c, beta_std, lam) -> float:
+    """Largest violation of the group optimality conditions, with the
+    gradient -2(c - G beta) of every group at once."""
+    g = -2.0 * (c - np.einsum("kjl,lk->jk", gram, beta_std))
+    norms = np.sqrt((beta_std * beta_std).sum(axis=1))
+    zero = norms == 0.0
+    off = np.sqrt((g[zero] * g[zero]).sum(axis=1)) - lam
+    on = np.abs(g[~zero] + lam * beta_std[~zero] / norms[~zero, None])
+    return float(max(off.max(initial=0.0), on.max(initial=0.0)))
 
 
 def group_lasso_fit(data: MultiStudy, active, lambda_: float, *,
-                    max_iter: int = 10000, tol: float = 1e-10,
-                    kkt_tol: float = 1e-6,
                     beta0: np.ndarray | None = None) -> GroupLassoFit:
     """Fit the group-penalized multi-study regression at one penalty value.
 
-    Iterates until the relative objective change drops below ``tol`` and
-    the group-wise KKT residual is within ``kkt_tol``; if ``max_iter``
+    Iterates until the relative objective change drops below ``_TOL`` and
+    the group-wise KKT residual is within ``_KKT_TOL``; if ``_MAX_ITER``
     sweeps do not get there the best-effort fit is returned with
     ``converged=False`` and a warning code.
     """
@@ -179,60 +192,40 @@ def group_lasso_fit(data: MultiStudy, active, lambda_: float, *,
         raise InputError(f"lambda must be a finite nonnegative real, got {lambda_!r}")
     lam = float(lambda_)
     m, K = len(active), data.k
-    xs, cys, xbar, scale, ybar = _standardize(data, active)
+    xs, cys, xbar, scale, ybar, gram, c = _standardize(data, active)
     n_k = np.array([s.n for s in data.studies], dtype=float)
     lips = 2.0 * float(n_k.max())
 
-    if beta0 is None:
-        beta = np.zeros((m, K))
-    else:
-        beta = np.array(beta0, dtype=float, copy=True)
-        if beta.shape != (m, K):
-            raise InputError(f"beta0 must have shape {(m, K)}")
-    resid = [cys[k] - xs[k] @ beta[:, k] for k in range(K)]
+    beta = np.zeros((m, K)) if beta0 is None else np.array(beta0, dtype=float)
+    if beta.shape != (m, K):
+        raise InputError(f"beta0 must have shape {(m, K)}")
 
     trace = []
-    converged = False
-    it = 0
     prev_obj = math.inf
-    for it in range(1, max_iter + 1):
+    for it in range(1, _MAX_ITER + 1):
         for j in range(m):
-            z = np.array([2.0 * float(xs[k][:, j] @ resid[k]) for k in range(K)])
-            old = beta[j].copy()
+            z = 2.0 * (c[j] - (gram[:, j, :] * beta.T).sum(axis=1))
+            old = beta[j]
             # Zero is the exact block minimizer iff the gradient at the
             # block origin fits in the penalty ball.
-            z0 = z + 2.0 * n_k * old
-            if _group_norm(z0) <= lam:
-                if old.any():
-                    beta[j] = 0.0
-                    for k in range(K):
-                        if old[k] != 0.0:
-                            resid[k] += xs[k][:, j] * old[k]
+            if _group_norm(z + 2.0 * n_k * old) <= lam:
+                beta[j] = 0.0
                 continue
             v = old + z / lips
             norm_v = math.sqrt(float(v @ v))
             shrink = max(0.0, 1.0 - lam / (lips * norm_v)) if norm_v > 0.0 else 0.0
-            new = shrink * v
-            d = new - old
-            beta[j] = new
-            for k in range(K):
-                if d[k] != 0.0:
-                    resid[k] -= xs[k][:, j] * d[k]
-        if it % 100 == 0:
-            # Guard against drift in the incrementally maintained residuals.
-            resid = [cys[k] - xs[k] @ beta[:, k] for k in range(K)]
-        obj = _objective(resid, beta, lam)
+            beta[j] = shrink * v
+        obj = _objective(xs, cys, beta, lam)
         trace.append(obj)
-        if abs(prev_obj - obj) <= tol * max(1.0, abs(prev_obj)):
-            if _kkt_residual(xs, resid, beta, lam) <= kkt_tol:
+        if abs(prev_obj - obj) <= _TOL * max(1.0, abs(prev_obj)):
+            kkt = _kkt_residual(gram, c, beta, lam)
+            if kkt <= _KKT_TOL:
                 converged = True
                 break
         prev_obj = obj
-
-    resid = [cys[k] - xs[k] @ beta[:, k] for k in range(K)]
-    kkt = _kkt_residual(xs, resid, beta, lam)
-    if not converged and kkt <= kkt_tol:
-        converged = True
+    else:
+        kkt = _kkt_residual(gram, c, beta, lam)
+        converged = kkt <= _KKT_TOL
     warning = None if converged else "max_iter"
 
     beta_orig = beta / scale
@@ -248,16 +241,12 @@ def group_lasso_fit(data: MultiStudy, active, lambda_: float, *,
 
 
 def _fit_rss(data: MultiStudy, fit: GroupLassoFit) -> float:
-    total = 0.0
-    for k, study in enumerate(data.studies):
-        pred = fit.intercepts[k] + study.x[:, fit.features] @ fit.beta[:, k]
-        r = study.y - pred
-        total += float(r @ r)
-    return total
+    resid = (s.y - (fit.intercepts[k] + s.x[:, fit.features] @ fit.beta[:, k])
+             for k, s in enumerate(data.studies))
+    return sum(float(r @ r) for r in resid)
 
 
 def _subset_rows(data: MultiStudy, keep_masks) -> MultiStudy:
-    from .screening import Study
     studies = tuple(Study(id=s.id, x=s.x[mask], y=s.y[mask])
                     for s, mask in zip(data.studies, keep_masks))
     return MultiStudy(studies=studies, feature_names=data.feature_names)
@@ -280,15 +269,17 @@ def _solver_stats(fits) -> dict:
 
 
 def select_lambda(data: MultiStudy, active, method: str = "bic",
-                  grid_size: int = 50, folds: int = 5):
+                  grid_size: int = 50):
     """Tune the penalty on a log-spaced grid from lambda_max down three
-    decades. Returns (best_lambda, per-lambda diagnostics); ties resolve
-    to the smallest lambda.
+    decades. Returns (best_lambda, per-lambda diagnostics, fit at
+    best_lambda); ties resolve to the smallest lambda.
 
     ``bic`` scores N*log(RSS/N) + df*log(N) with df = K * n_selected and
-    N the pooled sample count; ``cv`` scores the pooled squared prediction
-    error over folds assigned by row position within each study. Rows also
-    report the solver's converged, iterations and kkt_residual (cv: worst fold).
+    N the pooled sample count, and returns the path's own fit; ``cv``
+    scores the pooled squared prediction error over ``_FOLDS`` folds
+    assigned by row position within each study, and fits the chosen
+    penalty once on the full data. Rows also report the solver's
+    converged, iterations and kkt_residual (cv: worst fold).
     """
     if method not in ("bic", "cv"):
         raise InputError(f"unknown tuning method {method!r}; expected 'bic' or 'cv'")
@@ -304,8 +295,9 @@ def select_lambda(data: MultiStudy, active, method: str = "bic",
 
     if method == "bic":
         n_total = sum(s.n for s in data.studies)
+        fits = list(_path(data, active, grid))
         diagnostics = []
-        for fit in _path(data, active, grid):
+        for fit in fits:
             rss = _fit_rss(data, fit)
             df = data.k * len(fit.selected)
             bic = n_total * math.log(max(rss, 1e-300) / n_total) \
@@ -317,8 +309,8 @@ def select_lambda(data: MultiStudy, active, method: str = "bic",
         sse = np.zeros(len(grid))
         count = 0
         fold_fits = [[] for _ in grid]
-        fold_ids = [np.arange(s.n) % folds for s in data.studies]
-        for f in range(folds):
+        fold_ids = [np.arange(s.n) % _FOLDS for s in data.studies]
+        for f in range(_FOLDS):
             train_masks = [ids != f for ids in fold_ids]
             test_masks = [ids == f for ids in fold_ids]
             if any(mask.sum() < 3 for mask in train_masks):
@@ -341,8 +333,10 @@ def select_lambda(data: MultiStudy, active, method: str = "bic",
                         **_solver_stats(fold_fits[gi])}
                        for gi, lam in enumerate(grid)]
     score = "bic" if method == "bic" else "cv_mse"
-    best = min(reversed(diagnostics), key=lambda row: row[score])
-    return best["lambda"], diagnostics
+    best = min(reversed(range(len(grid))), key=lambda gi: diagnostics[gi][score])
+    lam = diagnostics[best]["lambda"]
+    fit = fits[best] if method == "bic" else group_lasso_fit(data, active, lam)
+    return lam, diagnostics, fit
 
 
 def tsa_sis_group_lasso(data: MultiStudy, config: ScreeningConfig,
@@ -356,9 +350,8 @@ def tsa_sis_group_lasso(data: MultiStudy, config: ScreeningConfig,
         return SelectionModel(screening=screening, screened=(), selected=(),
                               lambda_=None, fit=None, diagnostics=None,
                               tune_method=method, empty_screen=True)
-    lam, diagnostics = select_lambda(data, screening.kept, method=method,
-                                     grid_size=grid_size)
-    fit = group_lasso_fit(data, screening.kept, lam)
+    lam, diagnostics, fit = select_lambda(data, screening.kept, method=method,
+                                          grid_size=grid_size)
     return SelectionModel(screening=screening, screened=screening.kept,
                           selected=fit.selected, lambda_=lam, fit=fit,
                           diagnostics=tuple(diagnostics), tune_method=method,

@@ -85,14 +85,14 @@ def residualize(x: np.ndarray, cond, target) -> np.ndarray:
     return t - design @ coef
 
 
-def partial_t(study: Study, j: int, cond, adjust_n: bool = False) -> TStat:
+def partial_t(study: Study, j: int, cond) -> TStat:
     """Self-normalized statistic of feature ``j`` against the response after
     both are residualized on the conditioning set.
 
     An empty conditioning set reproduces the marginal statistic exactly
     (the statistic centers internally, so no residualization is applied).
-    With ``adjust_n`` the sqrt(n) factor is replaced by sqrt(n - |S| - 1)
-    and the stored sample count is the adjusted one.
+    The sqrt(n) factor and the stored sample count are the study's n, not
+    adjusted for the size of the conditioning set.
     """
     cond = tuple(sorted(int(c) for c in cond))
     j = int(j)
@@ -100,13 +100,7 @@ def partial_t(study: Study, j: int, cond, adjust_n: bool = False) -> TStat:
         raise InputError(f"feature {j} cannot condition on itself")
     if not cond:
         return self_normalized_t(study.x[:, j], study.y, label=j)
-    stat, = _conditional_stats(study, [j], cond)
-    if adjust_n:
-        n_eff = study.n - len(cond) - 1
-        scale = math.sqrt(n_eff / study.n)
-        stat = TStat(value=stat.value * scale, sigma_hat=stat.sigma_hat,
-                     theta_hat=stat.theta_hat, n=n_eff)
-    return stat
+    return _conditional_stats(study, [j], cond)[0]
 
 
 def _conditional_stats(study: Study, features: list[int],

@@ -158,6 +158,14 @@ class SensitivityGrid:
     n_failed: int
     failures: tuple[str, ...]
 
+    def __eq__(self, other):
+        # Arrays compare elementwise; a B=1 grid has NaN standard errors.
+        if not isinstance(other, SensitivityGrid):
+            return NotImplemented
+        return all(np.array_equal(a, b, equal_nan=True)
+                   if isinstance(a, np.ndarray) else a == b
+                   for a, b in zip(vars(self).values(), vars(other).values()))
+
 
 # ---------------------------------------------------------------------------
 # Seeded generation.

@@ -243,9 +243,12 @@ class TestReplicationFailures:
 class TestDeterminismAcrossCommands:
     def test_screen_and_select_byte_identical(self, dataset_dir, tmp_path):
         manifest, _ = dataset_dir
-        for cmd in (["screen", "--manifest", manifest, "--method", "tsa"],
-                    ["select", "--manifest", manifest, "--grid", "8"]):
-            o1, o2 = tmp_path / f"{cmd[0]}1", tmp_path / f"{cmd[0]}2"
+        for i, cmd in enumerate((
+                ["screen", "--manifest", manifest, "--method", "tsa"],
+                ["select", "--manifest", manifest, "--grid", "8"],
+                ["select", "--manifest", manifest, "--tune", "cv",
+                 "--grid", "8"])):
+            o1, o2 = tmp_path / f"{i}a", tmp_path / f"{i}b"
             assert run(cmd + ["--out", o1]) == 0
             assert run(cmd + ["--out", o2]) == 0
             assert (o1 / "result.json").read_bytes() \

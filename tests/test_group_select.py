@@ -121,7 +121,12 @@ class TestGroupLassoFit:
             assert fit.converged
             assert fit.kkt_residual <= 1e-6
             xs, cys = standardize(data, active)
-            assert kkt_residual(xs, cys, fit.beta_std, lam) <= 1e-6
+            reference = kkt_residual(xs, cys, fit.beta_std, lam)
+            assert reference <= 1e-6
+            # The solver's Gram-form gradients differ from these residual
+            # ones by rounding only, well under 1e-15 * lambda_max.
+            assert fit.kkt_residual == pytest.approx(reference,
+                                                     abs=1e-12 * lmax)
             trace = fit.objective_trace
             for a, b in zip(trace, trace[1:]):
                 assert b <= a + 1e-12
@@ -202,13 +207,13 @@ class TestSelectLambda:
         data, _ = make_multistudy(rng, n=40, p=4, k=2, signal=0.6)
         active = (0, 1, 2, 3)
         lmax = lambda_max(data, active)
-        lam, diag = select_lambda(data, active, method="bic", grid_size=2)
+        lam, diag, _ = select_lambda(data, active, method="bic", grid_size=2)
         assert len(diag) == 2
         assert lam in (pytest.approx(lmax), pytest.approx(lmax * 1e-3))
 
     def test_bic_formula_in_diagnostics(self, rng):
         data, _ = make_multistudy(rng, n=30, p=3, k=2, signal=0.5)
-        _, diag = select_lambda(data, (0, 1, 2), method="bic", grid_size=5)
+        _, diag, _ = select_lambda(data, (0, 1, 2), method="bic", grid_size=5)
         n_total = sum(s.n for s in data.studies)
         for cell in diag:
             expected = n_total * math.log(cell["rss"] / n_total) \
@@ -224,7 +229,7 @@ class TestSelectLambda:
             data, _ = make_multistudy(rng, n=40, p=5, k=3, signal=0.0)
             active = (0, 1, 2, 3, 4)
             lmax = lambda_max(data, active)
-            lam, diag = select_lambda(data, active, method="bic", grid_size=25)
+            lam, diag, _ = select_lambda(data, active, method="bic", grid_size=25)
             n_sel = next(c["n_selected"] for c in diag
                          if c["lambda"] == pytest.approx(lam))
             if lam >= 0.5 * lmax or n_sel <= 1:
@@ -250,7 +255,7 @@ class TestSelectLambda:
         for _ in range(4):
             data, _ = make_multistudy(rng, n=60, p=8, k=3, signal=1.0, s0=3)
         kept = tsa_sis(data, ScreeningConfig(0.001, 0.05)).kept
-        _, diag = select_lambda(data, kept, method="bic", grid_size=25)
+        _, diag, _ = select_lambda(data, kept, method="bic", grid_size=25)
         assert all(cell["converged"] for cell in diag)
         assert diag[3]["lambda"] == pytest.approx(
             0.4217 * lambda_max(data, kept), rel=1e-4)
@@ -258,10 +263,10 @@ class TestSelectLambda:
 
     def test_cv_runs_and_is_deterministic(self, rng):
         data, _ = make_multistudy(rng, n=40, p=5, k=2, signal=0.7, s0=2)
-        lam1, diag1 = select_lambda(data, (0, 1, 2, 3, 4), method="cv",
-                                    grid_size=8)
-        lam2, diag2 = select_lambda(data, (0, 1, 2, 3, 4), method="cv",
-                                    grid_size=8)
+        lam1, diag1, _ = select_lambda(data, (0, 1, 2, 3, 4), method="cv",
+                                       grid_size=8)
+        lam2, diag2, _ = select_lambda(data, (0, 1, 2, 3, 4), method="cv",
+                                       grid_size=8)
         assert lam1 == lam2
         assert diag1 == diag2
         assert all(math.isfinite(c["cv_mse"]) for c in diag1)
@@ -293,6 +298,36 @@ class TestPipeline:
         assert model.selected == ()
         assert model.fit is None
         assert model.lambda_ is None
+
+    def test_bic_reuses_path_fit(self, rng, monkeypatch):
+        # The fit at the chosen penalty is the path's own: one fit per grid
+        # point and no cold refit.
+        import multiscreen.group_select as group_select
+        data, _ = make_multistudy(rng, n=50, p=10, k=2, signal=0.6, s0=3)
+        fits = []
+
+        def counted(*args, **kwargs):
+            fits.append(group_lasso_fit(*args, **kwargs))
+            return fits[-1]
+
+        monkeypatch.setattr(group_select, "group_lasso_fit", counted)
+        model = tsa_sis_group_lasso(data, ScreeningConfig(0.01, 0.05),
+                                    method="bic", grid_size=12)
+        assert model.screened
+        assert len(fits) == 12
+        path_fit = next(f for f in fits if f.lambda_ == model.lambda_)
+        assert model.fit.beta_std.tobytes() == path_fit.beta_std.tobytes()
+
+    def test_cv_fit_is_full_data_fit(self, rng):
+        data, _ = make_multistudy(rng, n=50, p=10, k=2, signal=0.6, s0=3)
+        model = tsa_sis_group_lasso(data, ScreeningConfig(0.01, 0.05),
+                                    method="cv", grid_size=8)
+        assert model.screened and model.tune_method == "cv"
+        assert model.fit.converged
+        assert model.lambda_ in [row["lambda"] for row in model.diagnostics]
+        refit = group_lasso_fit(data, model.screened, model.lambda_)
+        assert model.fit.beta_std.tobytes() == refit.beta_std.tobytes()
+        assert model.selected == refit.selected
 
     def test_selected_subset_of_screened(self, rng):
         data, _ = make_multistudy(rng, n=50, p=10, k=2, signal=0.6, s0=3)

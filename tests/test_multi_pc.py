@@ -127,18 +127,6 @@ class TestPartialT:
                 t = partial_t(study, j, S)
                 assert math.copysign(1.0, t.value) == math.copysign(1.0, rho)
 
-    def test_adjusted_sample_size_flag(self, rng):
-        data, _ = make_multistudy(rng, n=30, p=5, k=1)
-        study = data.studies[0]
-        plain = partial_t(study, 0, (2, 3))
-        adjusted = partial_t(study, 0, (2, 3), adjust_n=True)
-        n, s = 30, 2
-        assert adjusted.n == n - s - 1
-        assert adjusted.value == pytest.approx(
-            plain.value * math.sqrt((n - s - 1) / n), abs=1e-12)
-        assert adjusted.sigma_hat == plain.sigma_hat
-        assert adjusted.theta_hat == plain.theta_hat
-
     def test_conditioning_on_self_rejected(self, rng):
         data, _ = make_multistudy(rng)
         with pytest.raises(InputError):

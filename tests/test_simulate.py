@@ -286,6 +286,16 @@ class TestSensitivityGrid:
         assert np.array_equal(g1.mean_sensitivity, g2.mean_sensitivity)
         assert np.array_equal(g1.se_specificity, g2.se_specificity)
 
+    def test_equality(self):
+        levels = [LevelGrid([0.01, 0.001], [0.05])]
+        setting = SimSetting.preset(1, p=60, B=2, seed=3)
+        assert replicate(setting, levels) == replicate(setting, levels)
+        other = SimSetting.preset(1, p=60, B=2, seed=4)
+        assert replicate(setting, levels) != replicate(other, levels)
+        (single,) = replicate(small_setting(B=1), levels)
+        assert np.isnan(single.se_sensitivity).all()
+        assert single == single
+
     def test_validation(self):
         with pytest.raises(InputError):
             LevelGrid([], [0.05])
