@@ -155,7 +155,7 @@ def lambda_max(data: MultiStudy, active) -> float:
 def _group_norm(z) -> float:
     """Euclidean norm from exact squares (v * v; v ** 2 goes through libm
     pow) and an exact sum, shared by lambda_max and the zero-block test."""
-    return math.sqrt(math.fsum(v * v for v in z))
+    return math.sqrt(math.fsum((z * z).tolist()))
 
 
 def _objective(xs, cys, beta_std, lam) -> float:

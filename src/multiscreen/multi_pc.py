@@ -100,31 +100,31 @@ def partial_t(study: Study, j: int, cond) -> TStat:
         raise InputError(f"feature {j} cannot condition on itself")
     if not cond:
         return self_normalized_t(study.x[:, j], study.y, label=j)
-    return _conditional_stats(study, [j], cond)[0]
+    value, sigma, theta = _conditional_stats(study, [j], cond)
+    return TStat(value=float(value[0]), sigma_hat=float(sigma[0]),
+                 theta_hat=float(theta[0]), n=study.n)
 
 
 def _conditional_stats(study: Study, features: list[int],
-                       cond: tuple[int, ...]) -> list[TStat]:
+                       cond: tuple[int, ...]):
     """Statistics of ``features`` given a non-empty sorted ``cond`` in one
     study: the features and the response share one least-squares solve.
+    Returns the (value, sigma_hat, theta_hat) arrays, one entry per feature.
 
     Raises :class:`DegenerateColumnError` when a feature or the response
     lies in the span of the conditioning set.
     """
     raw = np.column_stack([study.x[:, features], study.y])
-    resid = residualize(study.x, cond, raw)
-    names = [f"feature {j}" for j in features] + ["response"]
-    centered = []
-    for col, raw_var, what in zip(resid.T, raw.var(axis=0), names):
-        c, var = center_column(col)
-        if var <= 1e-24 * max(raw_var, 1e-300):
-            raise DegenerateColumnError(
-                f"{what} lies in the span of conditioning set {cond} "
-                f"(study {study.id!r})")
-        centered.append((c, var))
-    cy, var_y = centered.pop()
-    return [_t_from_centered(cx, cy, study.n, var_x, var_y, label=j)
-            for j, (cx, var_x) in zip(features, centered)]
+    centered, var = center_column(residualize(study.x, cond, raw))
+    flat = np.flatnonzero(var <= 1e-24 * np.maximum(raw.var(axis=0), 1e-300))
+    if flat.size:
+        i = flat[0]
+        what = f"feature {features[i]}" if i < len(features) else "response"
+        raise DegenerateColumnError(
+            f"{what} lies in the span of conditioning set {cond} "
+            f"(study {study.id!r})")
+    return _t_from_centered(centered[:, :-1], centered[:, -1:], var[:-1],
+                            var[-1:], label=lambda i: features[i])
 
 
 def multi_pc_run(data: MultiStudy, config: ScreeningConfig, max_order: int,
@@ -178,9 +178,8 @@ def multi_pc_run(data: MultiStudy, config: ScreeningConfig, max_order: int,
             tested = [j for j in survivors if j not in cond]
             if not tested:
                 continue
-            t_mat = np.array([[t.value for t in
-                               _conditional_stats(study, tested, cond)]
-                              for study in data.studies]).T
+            t_mat = np.column_stack([_conditional_stats(study, tested, cond)[0]
+                                     for study in data.studies])
             verdict = dict(zip(tested, _two_step(t_mat, threshold,
                                                  chi2_thresholds)[2]))
             survivors = [j for j in survivors if verdict.get(j, True)]

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateColumnError, InputError
-from .stats_core import (_exact_sum, _t_from_centered, center_column,
+from .stats_core import (_exact_colsum, _t_from_centered, center_column,
                          chi2_quantile, normal_quantile)
 
 __all__ = [
@@ -177,43 +177,51 @@ class Step1Output:
         return self.entries[i]
 
 
-def _centered_pairs(data: MultiStudy):
-    """(j, k, study, cx, var_x, cy, var_y) per (feature, study): centered
-    columns and their 1/n variances; a constant response raises."""
+# Feature columns per block: bounds the (n, chunk) temporaries of the
+# statistic matrices.
+_CHUNK = 128
+
+
+def _centered_blocks(data: MultiStudy):
+    """(study index, study, first feature, cx, var_x, cy, var_y) per study
+    and chunk of feature columns, in study-major order: the centered (n,
+    chunk) block and (n, 1) response with their 1/n variances; a constant
+    response raises."""
     for ki, study in enumerate(data.studies):
-        cy, var_y = center_column(study.y)
-        if var_y <= 0.0:
+        cy, var_y = center_column(study.y[:, None])
+        if var_y[0] <= 0.0:
             raise DegenerateColumnError(
                 f"response in study {study.id!r} has zero variance")
-        for j in range(data.p):
-            cx, var_x = center_column(study.x[:, j])
-            yield j, ki, study, cx, var_x, cy, var_y
+        for j0 in range(0, data.p, _CHUNK):
+            cx, var_x = center_column(study.x[:, j0:j0 + _CHUNK])
+            yield ki, study, j0, cx, var_x, cy, var_y
 
 
 def compute_t_matrix(data: MultiStudy) -> np.ndarray:
     """Self-normalized statistics for every (feature, study) pair, shape (p, K).
 
     Degenerate columns raise :class:`DegenerateColumnError` naming the
-    feature and study.
+    first such feature and study, in study-major order.
     """
     out = np.empty((data.p, data.k))
-    for j, ki, study, cx, var_x, cy, var_y in _centered_pairs(data):
-        label = f"{data.feature_names[j]} (study {study.id!r})"
-        out[j, ki] = _t_from_centered(cx, cy, study.n, var_x, var_y,
-                                      label=label).value
+    for ki, study, j0, cx, var_x, cy, var_y in _centered_blocks(data):
+        out[j0:j0 + cx.shape[1], ki] = _t_from_centered(
+            cx, cy, var_x, var_y, label=lambda i: (
+                f"{data.feature_names[j0 + i]} (study {study.id!r})"))[0]
     return out
 
 
 def compute_correlation_matrix(data: MultiStudy) -> np.ndarray:
     """Pearson sample correlations for every (feature, study) pair, shape (p, K)."""
     out = np.empty((data.p, data.k))
-    for j, ki, study, cx, var_x, cy, var_y in _centered_pairs(data):
-        if var_x <= 0.0:
+    for ki, study, j0, cx, var_x, cy, var_y in _centered_blocks(data):
+        flat = np.flatnonzero(var_x <= 0.0)
+        if flat.size:
             raise DegenerateColumnError(
-                f"feature {data.feature_names[j]!r} has zero variance "
-                f"in study {study.id!r}")
-        cov = _exact_sum(cx * cy) / study.n
-        out[j, ki] = cov / math.sqrt(var_x * var_y)
+                f"feature {data.feature_names[j0 + flat[0]]!r} has zero "
+                f"variance in study {study.id!r}")
+        cov = _exact_colsum(cx * cy) / study.n
+        out[j0:j0 + cx.shape[1], ki] = cov / np.sqrt(var_x * var_y)
     return out
 
 
@@ -288,8 +296,7 @@ def _two_step(t_mat: np.ndarray, threshold: float, chi2_table):
     """
     in_l = _step1_mask(t_mat, threshold)
     kappa = in_l.sum(axis=1)
-    l_stat = np.array([math.fsum(r) for r in
-                       np.where(in_l, t_mat * t_mat, 0.0).tolist()])
+    l_stat = _exact_colsum(np.where(in_l, t_mat * t_mat, 0.0).T)
     keep = (kappa == 0) | (l_stat > np.asarray(chi2_table)[..., kappa])
     return kappa, l_stat, keep
 

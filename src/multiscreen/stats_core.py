@@ -3,9 +3,10 @@ covariance statistic.
 
 Everything here is dependency-free (numpy only) and deterministic: the
 distribution functions are classical rational approximations refined by
-Newton steps, and the statistic accumulates moments with exact (Shewchuk)
-summation so results are bit-identical across platforms and under joint
-permutation of the observations.
+Newton steps, and the statistic accumulates moments with correctly rounded
+column sums (:func:`_exact_colsum`, equal to ``math.fsum`` per column) so
+results are bit-identical across platforms and under joint permutation of
+the observations.
 """
 
 from __future__ import annotations
@@ -414,33 +415,95 @@ def chi2_quantile(p: float, df: int) -> float:
 # Self-normalized covariance statistic.
 # ---------------------------------------------------------------------------
 
-def _exact_sum(values: np.ndarray) -> float:
-    # math.fsum is exact (correctly rounded), hence invariant to input order.
-    return math.fsum(values.tolist())
+# Exact column sums (error-free extraction after Demmel & Nguyen, "Fast
+# reproducible floating-point summation", ARITH 2013). For a block of at
+# most 2**(k + 1) rows (k >= 2) and |x| <= 2**e, adding the shifter
+# sigma = 1.5 * 2**(e + k) rounds x to a multiple of u = 2**(e + k - 52);
+# subtracting sigma back gives that multiple q exactly, and the remainder
+# x - q is exact with |x - q| <= u / 2. Every q is an integer of magnitude
+# at most 2**(52 - k) in units of u, so the block's column sum of the q
+# (a limb sum) is exact in any order. The remainder is split again with e
+# lowered by 53 - k until it is zero.
+_ROW_CHUNK = 4096
+# Columns with n * max|x| at or above this bound go through math.fsum (which
+# may raise OverflowError on them); below it no partial sum can overflow.
+_SAFE_TOTAL = 2.0 ** 1000
 
 
-def _t_from_centered(cx: np.ndarray, cy: np.ndarray, n: int,
-                     var_x: float, var_y: float, label=None) -> TStat:
-    """Statistic from already-centered columns; shared with the screeners."""
+def _exact_colsum(a: np.ndarray) -> np.ndarray:
+    """Correctly rounded column sums of an (n, m) float block: entry j
+    equals ``math.fsum(a[:, j].tolist())`` bit for bit, so it does not
+    depend on the row order."""
+    n, m = a.shape
+    if n == 0 or m == 0:
+        return np.zeros(m)
+    rows = min(n, _ROW_CHUNK)
+    k = max(2, (rows - 1).bit_length() - 1)
+    # Two buffers serve every limb: fresh temporaries cost several times more.
+    r, q = np.empty((rows, m)), np.empty((rows, m))
+    big = np.zeros(m, dtype=bool)
+    terms = []
+    for i in range(0, n, rows):
+        rb, qb = r[:n - i], q[:n - i]
+        np.copyto(rb, a[i:i + rows])
+        top = np.abs(rb, out=qb).max(axis=0)
+        hit = ~(top < _SAFE_TOTAL / n)   # also NaN and inf
+        if hit.any():
+            big |= hit
+            rb[:, hit] = 0.0
+            top[hit] = 0.0
+        sigma = np.ldexp(1.5, np.frexp(top)[1] + k)
+        while True:
+            np.add(rb, sigma, out=qb)
+            qb -= sigma
+            terms.append(qb.sum(axis=0))
+            rb -= qb
+            if not rb.any():
+                break
+            sigma *= 2.0 ** (k - 53)
+    terms = np.array(terms)
+    # With at most two nonzero terms one IEEE addition is the correctly
+    # rounded sum (and +0.0 for a zero total, as math.fsum returns).
+    out = terms.sum(axis=0) + 0.0
+    if len(terms) > 2:
+        for j in np.flatnonzero(np.count_nonzero(terms, axis=0) > 2):
+            out[j] = math.fsum(terms[:, j].tolist())
+    for j in np.flatnonzero(big):
+        out[j] = math.fsum(a[:, j].tolist())
+    return out
+
+
+def _t_from_centered(cx: np.ndarray, cy: np.ndarray, var_x: np.ndarray,
+                     var_y: np.ndarray, label=None):
+    """Statistics of the centered (n, m) feature columns ``cx`` against the
+    centered (n, 1) response ``cy``, given their 1/n variances; shared with
+    the screeners. Returns the (value, sigma_hat, theta_hat) arrays.
+
+    ``label(i)`` names block column i in the error raised for the first
+    degenerate column.
+    """
+    n = cx.shape[0]
     prods = cx * cy
-    sigma = _exact_sum(prods) / n
-    dev = prods - sigma
-    theta = _exact_sum(dev * dev) / n
+    sigma = _exact_colsum(prods) / n
+    prods -= sigma
+    theta = _exact_colsum(prods * prods) / n
     floor = 1e-12 * var_x * var_y + 1e-300
-    if theta < floor:
-        what = "column" if label is None else f"column {label!r}"
+    bad = np.flatnonzero(theta < floor)
+    if bad.size:
+        i = bad[0]
+        what = "column" if label is None else f"column {label(i)!r}"
         raise DegenerateColumnError(
             f"{what} yields a degenerate self-normalized statistic "
-            f"(theta_hat={theta:.3e} below floor {floor:.3e})")
-    value = math.sqrt(n) * sigma / math.sqrt(theta)
-    return TStat(value=value, sigma_hat=sigma, theta_hat=theta, n=n)
+            f"(theta_hat={theta[i]:.3e} below floor {floor[i]:.3e})")
+    return math.sqrt(n) * sigma / np.sqrt(theta), sigma, theta
 
 
-def center_column(col: np.ndarray) -> tuple[np.ndarray, float]:
-    """Center a column by its exact-sum mean; returns (centered, 1/n variance)."""
-    n = col.shape[0]
-    centered = col - _exact_sum(col) / n
-    variance = _exact_sum(centered * centered) / n
+def center_column(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Center each column of an (n, m) block by its exact-sum mean; returns
+    (centered block, 1/n variances)."""
+    n = a.shape[0]
+    centered = a - _exact_colsum(a) / n
+    variance = _exact_colsum(centered * centered) / n
     return centered, variance
 
 
@@ -468,9 +531,12 @@ def self_normalized_t(x_col, y, label=None) -> TStat:
         raise InputError(f"need at least 3 observations, got {n}")
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(yv))):
         raise InputError("x_col and y must be finite")
-    cx, var_x = center_column(x)
-    cy, var_y = center_column(yv)
-    return _t_from_centered(cx, cy, n, var_x, var_y, label=label)
+    c, var = center_column(np.column_stack([x, yv]))
+    value, sigma, theta = _t_from_centered(
+        c[:, :1], c[:, 1:], var[:1], var[1:],
+        label=None if label is None else lambda i: label)
+    return TStat(value=float(value[0]), sigma_hat=float(sigma[0]),
+                 theta_hat=float(theta[0]), n=n)
 
 
 def theoretical_alpha1(p: int, L: float, b: float = 0.0) -> float:

@@ -11,6 +11,7 @@ from multiscreen import (DegenerateColumnError, InputError, MultiStudy,
                          ScreeningConfig, SelectionError, SingularDesignError,
                          Study, group_lasso_fit, lambda_max, ols_refit,
                          select_lambda, tsa_sis, tsa_sis_group_lasso)
+from multiscreen.group_select import _group_norm
 
 
 def standardize(data, active):
@@ -63,6 +64,16 @@ def ista_oracle(xs, cys, lam, b0, iters=40000, tol=1e-14):
             break
         b = b_new
     return b
+
+
+def test_group_norm_matches_scalar_squares():
+    # The array form squares and sums the same values as iterating numpy
+    # scalars into math.fsum.
+    rng = np.random.default_rng(9)
+    for _ in range(2000):
+        z = rng.standard_normal(int(rng.integers(1, 12))) \
+            * 10.0 ** rng.uniform(-150, 150)
+        assert _group_norm(z) == math.sqrt(math.fsum(v * v for v in z))
 
 
 class TestGroupLassoFit:
