@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import tempfile
 import warnings
@@ -59,7 +60,9 @@ def load_manifest(manifest_path) -> StudyManifest:
     if not path.is_file():
         raise ManifestError(f"manifest not found: {path}")
     try:
-        doc = json.loads(path.read_text())
+        doc = json.loads(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ManifestError(f"manifest {path} is not valid UTF-8: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ManifestError(f"manifest {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or not isinstance(doc.get("entries"), list):
@@ -100,42 +103,74 @@ def load_manifest(manifest_path) -> StudyManifest:
 def _read_table(path: Path, study_id: str) -> tuple[list[str], np.ndarray]:
     if not path.is_file():
         raise ManifestError(f"study {study_id!r}: data file not found: {path}")
-    with open(path, newline="") as fh:
+    header: list[str] = []
+    rows: list[list[float]] = []
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ManifestError(f"study {study_id!r}: {path} is empty") from None
-        header = [h.strip() for h in header]
-        if any(not h for h in header):
-            raise ManifestError(f"study {study_id!r}: {path} has an empty column name")
-        if len(set(header)) != len(header):
-            dupes = sorted({h for h in header if header.count(h) > 1})
-            raise ManifestError(
-                f"study {study_id!r}: duplicate column names in {path}: {dupes}")
-        rows = []
-        for row_num, row in enumerate(reader, start=1):
-            if len(row) != len(header):
+            try:
+                header = next(reader)
+            except StopIteration:
                 raise ManifestError(
-                    f"study {study_id!r}: row {row_num} has {len(row)} cells, "
-                    f"expected {len(header)} ({path})")
-            parsed = []
-            for col_name, cell in zip(header, row):
+                    f"study {study_id!r}: {path} is empty") from None
+            header = [h.strip() for h in header]
+            if any(not h for h in header):
+                raise ManifestError(
+                    f"study {study_id!r}: {path} has an empty column name")
+            if len(set(header)) != len(header):
+                dupes = sorted({h for h in header if header.count(h) > 1})
+                raise ManifestError(
+                    f"study {study_id!r}: duplicate column names in {path}: {dupes}")
+            for row in reader:
+                if len(row) != len(header):
+                    _raise_first_fault(header, [*rows, row], path, study_id)
                 try:
-                    value = float(cell)
+                    rows.append(list(map(float, row)))
                 except ValueError:
-                    raise ManifestError(
-                        f"study {study_id!r}: malformed numeric {cell!r} at "
-                        f"row {row_num}, column {col_name} ({path})") from None
-                if not np.isfinite(value):
-                    raise ManifestError(
-                        f"study {study_id!r}: non-finite value at row "
-                        f"{row_num}, column {col_name} ({path})")
-                parsed.append(value)
-            rows.append(parsed)
+                    _raise_first_fault(header, [*rows, row], path, study_id)
+        except csv.Error as exc:
+            # A fault in a row read before the unreadable one comes first,
+            # as it would were each cell checked as it is read.
+            _raise_first_fault(header, rows, path, study_id)
+            raise ManifestError(
+                f"study {study_id!r}: {path} line {reader.line_num}: {exc}"
+            ) from None
+        except UnicodeDecodeError as exc:
+            # The decoder reads ahead in blocks, so reader.line_num need
+            # not be the line that holds the bad byte.
+            _raise_first_fault(header, rows, path, study_id)
+            raise ManifestError(
+                f"study {study_id!r}: {path} is not valid UTF-8 (byte "
+                f"0x{exc.object[exc.start]:02x}: {exc.reason})") from None
     if not rows:
         raise ManifestError(f"study {study_id!r}: {path} has no data rows")
-    return header, np.asarray(rows, dtype=float)
+    values = np.asarray(rows, dtype=float)
+    if not np.isfinite(values).all():
+        _raise_first_fault(header, rows, path, study_id)
+    return header, values
+
+
+def _raise_first_fault(header: list[str], rows: list, path: Path,
+                       study_id: str) -> None:
+    """Raise the error for the first bad row or cell of ``rows``, in
+    reading order, if there is one. Rows may hold floats already parsed
+    or the raw strings of the row that failed to parse."""
+    for row_num, row in enumerate(rows, start=1):
+        if len(row) != len(header):
+            raise ManifestError(
+                f"study {study_id!r}: row {row_num} has {len(row)} cells, "
+                f"expected {len(header)} ({path})")
+        for col_name, cell in zip(header, row):
+            try:
+                value = float(cell)
+            except ValueError:
+                raise ManifestError(
+                    f"study {study_id!r}: malformed numeric {cell!r} at "
+                    f"row {row_num}, column {col_name} ({path})") from None
+            if not math.isfinite(value):
+                raise ManifestError(
+                    f"study {study_id!r}: non-finite value at row "
+                    f"{row_num}, column {col_name} ({path})")
 
 
 def load_multistudy(manifest_path) -> MultiStudy:
@@ -237,7 +272,7 @@ def _replace_with(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:

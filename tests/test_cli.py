@@ -75,6 +75,18 @@ class TestScreenCommand:
         assert run(["screen", "--manifest", tmp_path / "none.json",
                     "--out", tmp_path / "x"]) == 2
 
+    @pytest.mark.parametrize("body", [
+        b"g1,y\n1,2\n3," + b"1" * 200_001 + b"\n",
+        b"g1,y\n1,2\n3,\xff4\n",
+    ], ids=["over_csv_field_limit", "not_utf8"])
+    def test_unreadable_study_exits_2(self, tmp_path, capsys, body):
+        (tmp_path / "a.csv").write_bytes(body)
+        (tmp_path / "m.json").write_text(json.dumps({"entries": [
+            {"study_id": "A", "data_path": "a.csv", "response_column": "y"}]}))
+        assert run(["screen", "--manifest", tmp_path / "m.json",
+                    "--out", tmp_path / "x"]) == 2
+        assert capsys.readouterr().err.startswith("error: study 'A': ")
+
     def test_degenerate_data_exits_3(self, tmp_path):
         (tmp_path / "a.csv").write_text(
             "g1,g2,y\n" + "".join(f"1,{i},{i}\n" for i in range(10)))

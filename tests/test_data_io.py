@@ -1,11 +1,20 @@
 """Manifest parsing, CSV ingestion with its error contract, and the exact
 export/reload round trip."""
 
+import csv
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import multiscreen
+import multiscreen.data_io as data_io
 from multiscreen import ManifestError, SimSetting, gen_instance, load_multistudy
 from multiscreen.data_io import load_manifest, write_multistudy
 
@@ -148,3 +157,174 @@ class TestRoundTrip:
             assert a.n == b.n
             assert np.array_equal(a.x, b.x)
             assert np.array_equal(a.y, b.y)
+
+
+def _reference_read_table(path: Path, study_id: str) -> tuple[list[str], np.ndarray]:
+    """The reader as it was before it parsed whole rows: every cell through
+    ``float()`` and ``np.isfinite`` in reading order. Kept verbatim as the
+    reference that ``data_io._read_table`` must match."""
+    if not path.is_file():
+        raise ManifestError(f"study {study_id!r}: data file not found: {path}")
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ManifestError(f"study {study_id!r}: {path} is empty") from None
+        header = [h.strip() for h in header]
+        if any(not h for h in header):
+            raise ManifestError(f"study {study_id!r}: {path} has an empty column name")
+        if len(set(header)) != len(header):
+            dupes = sorted({h for h in header if header.count(h) > 1})
+            raise ManifestError(
+                f"study {study_id!r}: duplicate column names in {path}: {dupes}")
+        rows = []
+        for row_num, row in enumerate(reader, start=1):
+            if len(row) != len(header):
+                raise ManifestError(
+                    f"study {study_id!r}: row {row_num} has {len(row)} cells, "
+                    f"expected {len(header)} ({path})")
+            parsed = []
+            for col_name, cell in zip(header, row):
+                try:
+                    value = float(cell)
+                except ValueError:
+                    raise ManifestError(
+                        f"study {study_id!r}: malformed numeric {cell!r} at "
+                        f"row {row_num}, column {col_name} ({path})") from None
+                if not np.isfinite(value):
+                    raise ManifestError(
+                        f"study {study_id!r}: non-finite value at row "
+                        f"{row_num}, column {col_name} ({path})")
+                parsed.append(value)
+            rows.append(parsed)
+    if not rows:
+        raise ManifestError(f"study {study_id!r}: {path} has no data rows")
+    return header, np.asarray(rows, dtype=float)
+
+
+def _outcome(read, path):
+    try:
+        header, values = read(path, "S")
+    except Exception as exc:
+        return type(exc), str(exc)
+    return header, values.dtype, values.shape, values.tobytes()
+
+
+OVER_FIELD_LIMIT = "1" * 200_001
+
+CRAFTED = {
+    "quoted_cells_and_header": '"g1","g 2",y\n"1.5",2,"-3e2"\n4,"5",6\n',
+    "quoted_comma": 'a,b\n"1,5",2\n',
+    "underscore_space_underflow": "a,b,c,d\n1_0, 2.5 ,1e-400,-0.0\n3,4,5,6\n",
+    "overflow": "a,b\n1,2\n1,1e400\n",
+    "inf": "a,b\n1,2\n1,inf\n",
+    "minus_inf": "a,b\n-inf,2\n",
+    "nan": "a,b\n1,2\n3,nan\n",
+    "blank_line": "a,b\n1,2\n\n3,4\n",
+    "trailing_blank_line": "a,b\n1,2\n3,4\n\n",
+    "whitespace_line": "a,b\n1,2\n   \n3,4\n",
+    "whitespace_line_one_column": "y\n1\n  \n2\n",
+    "ragged_short": "a,b,c\n1,2,3\n4,5\n",
+    "ragged_long": "a,b\n1,2\n3,4,5\n",
+    "crlf": "a,b\r\n1,2\r\n3,4\r\n",
+    "bare_cr": "a,b\r1,2\r3,4\r",
+    "no_trailing_newline": "a,b\n1,2\n3,4",
+    "header_only": "a,b\n",
+    "empty": "",
+    "empty_cell": "a,b\n1,\n",
+    "comment_marker": "a,b\n#1,2\n",
+    "header_padding": " a , b \n1,2\n",
+    "duplicate_header": "a,b,a\n1,2,3\n",
+    "nonfinite_then_malformed": "a,b\n1,2\n1,nan\n3,4\n5,x\n",
+    "malformed_then_nonfinite": "a,b\n1,2\n5,x\n3,4\n1,nan\n",
+    "nonfinite_then_malformed_same_row": "a,b,c\n1,inf,x\n",
+    "malformed_then_nonfinite_same_row": "a,b,c\n1,x,inf\n",
+    "short_row_after_nonfinite": "a,b\n1,inf\n3\n",
+    "nonfinite_after_short_row": "a,b\n1,2\n3\n1,inf\n",
+    "over_field_limit_after_nonfinite": f"a,b\n1,inf\n{OVER_FIELD_LIMIT},1\n",
+    "single_column": "y\n1\n2.5\n-3\n",
+}
+
+
+class TestReaderMatchesReference:
+    @pytest.mark.parametrize("name", sorted(CRAFTED))
+    def test_same_array_or_same_error(self, tmp_path, name):
+        path = tmp_path / f"{name}.csv"
+        path.write_bytes(CRAFTED[name].encode("ascii"))
+        assert (_outcome(data_io._read_table, path)
+                == _outcome(_reference_read_table, path))
+
+    def test_clean_fixture_bit_for_bit(self, tmp_path):
+        setting = SimSetting(n=30, p=40, K=2, s0=3, beta_low=0.4,
+                             beta_high=0.8, B=1, seed=7)
+        data, _, _ = gen_instance(setting, 0)
+        manifest = write_multistudy(data, tmp_path)
+        for path in sorted(manifest.parent.glob("*.csv")):
+            assert (_outcome(data_io._read_table, path)
+                    == _outcome(_reference_read_table, path))
+
+    def test_finiteness_checked_once_per_study(self, tmp_path, rng, monkeypatch):
+        from conftest import make_multistudy
+        data, _ = make_multistudy(rng, n=12, p=4, k=3)
+        manifest = write_multistudy(data, tmp_path)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return np.isfinite(*args, **kwargs)
+
+        monkeypatch.setattr(data_io, "np",
+                            SimpleNamespace(**{**vars(np), "isfinite": counted}))
+        load_multistudy(manifest)
+        assert len(calls) <= 3
+
+
+class TestUnreadableFiles:
+    def test_cell_over_field_limit(self, tmp_path):
+        write(tmp_path / "a.csv", f"g1,y\n1,2\n3,{OVER_FIELD_LIMIT}\n4,5\n")
+        manifest = make_manifest(tmp_path, [
+            {"study_id": "A", "data_path": "a.csv", "response_column": "y"}])
+        with pytest.raises(ManifestError,
+                           match=r"study 'A': .*a\.csv line 3: field larger"):
+            load_multistudy(manifest)
+
+    def test_study_not_utf8(self, tmp_path):
+        (tmp_path / "a.csv").write_bytes(b"g1,y\n1,2\n3,\xff4\n")
+        manifest = make_manifest(tmp_path, [
+            {"study_id": "A", "data_path": "a.csv", "response_column": "y"}])
+        with pytest.raises(ManifestError,
+                           match=r"study 'A': .*a\.csv is not valid UTF-8 "
+                                 r"\(byte 0xff"):
+            load_multistudy(manifest)
+
+    def test_manifest_not_utf8(self, tmp_path):
+        path = tmp_path / "manifest.json"
+        path.write_bytes(b'{"entries": [], "x": "\xe9"}')
+        with pytest.raises(ManifestError, match="is not valid UTF-8"):
+            load_manifest(path)
+
+
+def test_non_ascii_names_round_trip_under_ascii_locale(tmp_path):
+    # Under LC_ALL=C with UTF-8 mode off the locale encoding is ASCII, so
+    # a file opened without an explicit encoding cannot hold "gène".
+    script = textwrap.dedent("""
+        import sys
+        import numpy as np
+        from multiscreen import MultiStudy, Study, load_multistudy
+        from multiscreen.data_io import write_multistudy
+        x = np.arange(8.0).reshape(4, 2)
+        data = MultiStudy(studies=(Study(id="s1", x=x, y=x[:, 0] ** 2),),
+                          feature_names=("g\\u00e8ne", "g2"))
+        back = load_multistudy(write_multistudy(data, sys.argv[1]))
+        assert back.feature_names == data.feature_names, back.feature_names
+        assert np.array_equal(back.studies[0].x, x)
+    """)
+    src = str(Path(multiscreen.__file__).resolve().parents[1])
+    env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0",
+           "PYTHONPATH": os.pathsep.join(
+               [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    env.pop("PYTHONIOENCODING", None)
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
