@@ -60,7 +60,7 @@ def load_manifest(manifest_path) -> StudyManifest:
     if not path.is_file():
         raise ManifestError(f"manifest not found: {path}")
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc = json.loads(path.read_text(encoding="utf-8-sig"))
     except UnicodeDecodeError as exc:
         raise ManifestError(f"manifest {path} is not valid UTF-8: {exc}") from None
     except json.JSONDecodeError as exc:
@@ -105,7 +105,7 @@ def _read_table(path: Path, study_id: str) -> tuple[list[str], np.ndarray]:
         raise ManifestError(f"study {study_id!r}: data file not found: {path}")
     header: list[str] = []
     rows: list[list[float]] = []
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             try:
@@ -228,11 +228,10 @@ def load_multistudy(manifest_path) -> MultiStudy:
     return MultiStudy(studies=tuple(studies), feature_names=tuple(features))
 
 
-def write_multistudy(data: MultiStudy, directory,
-                     manifest_name: str = "manifest.json") -> Path:
-    """Export a MultiStudy as per-study CSVs plus a manifest; floats use
-    shortest round-trip formatting so a reload reproduces values exactly.
-    Returns the manifest path."""
+def write_multistudy(data: MultiStudy, directory) -> Path:
+    """Export a MultiStudy as per-study CSVs plus ``manifest.json``; floats
+    use shortest round-trip formatting so a reload reproduces values
+    exactly. Returns the manifest path."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     response = "response"
@@ -249,7 +248,7 @@ def write_multistudy(data: MultiStudy, directory,
         entries.append({"study_id": study.id, "data_path": file_name,
                         "response_column": response})
     manifest = {"entries": entries, "feature_columns": list(data.feature_names)}
-    path = directory / manifest_name
+    path = directory / "manifest.json"
     write_json_atomic(path, manifest)
     return path
 

@@ -367,20 +367,10 @@ def one_step_sis(data: MultiStudy, alpha1: float) -> ScreeningResult:
     return _result(step1, keep, config, "onestep")
 
 
-def min_sis_rank(data: MultiStudy, score: str = "pearson") -> list[tuple[int, float]]:
-    """Rank features by the minimum absolute marginal association across
-    studies, strongest first; ties break toward the lower feature index.
-
-    ``score`` selects Pearson correlation (default) or the self-normalized
-    statistic.
-    """
-    if score == "pearson":
-        mat = compute_correlation_matrix(data)
-    elif score == "tstat":
-        mat = compute_t_matrix(data)
-    else:
-        raise InputError(f"unknown score {score!r}; expected 'pearson' or 'tstat'")
-    order, scores = _min_rank(mat)
+def min_sis_rank(data: MultiStudy) -> list[tuple[int, float]]:
+    """Rank features by the minimum absolute Pearson correlation across
+    studies, strongest first; ties break toward the lower feature index."""
+    order, scores = _min_rank(compute_correlation_matrix(data))
     return [(int(j), float(scores[j])) for j in order]
 
 

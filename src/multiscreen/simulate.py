@@ -384,10 +384,13 @@ def _mean_se(values) -> tuple[float, float]:
     return mean, math.sqrt(var / b)
 
 
-def default_d_grid(p: int, max_points: int = 200) -> tuple[int, ...]:
-    """0..p subsampled to at most max_points + 1 distinct counts."""
+_D_GRID_POINTS = 200
+
+
+def default_d_grid(p: int) -> tuple[int, ...]:
+    """0..p subsampled to at most _D_GRID_POINTS + 1 distinct counts."""
     return tuple(sorted({int(v) for v in
-                         np.linspace(0, p, min(p, max_points) + 1).round()}))
+                         np.linspace(0, p, min(p, _D_GRID_POINTS) + 1).round()}))
 
 
 # ---------------------------------------------------------------------------

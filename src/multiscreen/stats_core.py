@@ -56,109 +56,94 @@ class TStat:
 
 
 # ---------------------------------------------------------------------------
-# erfc: Cody's rational Chebyshev approximations, vectorized.
+# erfc (Cody, "Rational Chebyshev approximations for the error function",
+# Math. Comp. 23, 1969) and the inverse normal CDF (Acklam's rationals).
+# Each branch is one function that takes a float or an array; the array
+# dispatchers pick branches by boolean mask, the scalar ones by comparison,
+# so the two paths run the same IEEE operations. Both use np.exp/np.log:
+# math.exp rounds differently.
 # ---------------------------------------------------------------------------
 
-_ERF_A = (3.16112374387056560e00, 1.13864154151050156e02,
-          3.77485237685302021e02, 3.20937758913846947e03,
-          1.85777706184603153e-1)
-_ERF_B = (2.36012909523441209e01, 2.44024637934444173e02,
+# Coefficients highest degree first, in the order _horner reads them; a
+# leading 1.0 marks a monic polynomial.
+_ERF_A = (1.85777706184603153e-1, 3.16112374387056560e00,
+          1.13864154151050156e02, 3.77485237685302021e02,
+          3.20937758913846947e03)
+_ERF_B = (1.0, 2.36012909523441209e01, 2.44024637934444173e02,
           1.28261652607737228e03, 2.84423683343917062e03)
-_ERF_C = (5.64188496988670089e-1, 8.88314979438837594e00,
-          6.61191906371416295e01, 2.98635138197400131e02,
-          8.81952221241769090e02, 1.71204761263407058e03,
-          2.05107837782607147e03, 1.23033935479799725e03,
-          2.15311535474403846e-8)
-_ERF_D = (1.57449261107098347e01, 1.17693950891312499e02,
+_ERF_C = (2.15311535474403846e-8, 5.64188496988670089e-1,
+          8.88314979438837594e00, 6.61191906371416295e01,
+          2.98635138197400131e02, 8.81952221241769090e02,
+          1.71204761263407058e03, 2.05107837782607147e03,
+          1.23033935479799725e03)
+_ERF_D = (1.0, 1.57449261107098347e01, 1.17693950891312499e02,
           5.37181101862009858e02, 1.62138957456669019e03,
           3.29079923573345963e03, 4.36261909014324716e03,
           3.43936767414372164e03, 1.23033935480374942e03)
-_ERF_P = (3.05326634961232344e-1, 3.60344899949804439e-1,
-          1.25781726111229246e-1, 1.60837851487422766e-2,
-          6.58749161529837803e-4, 1.63153871373020978e-2)
-_ERF_Q = (2.56852019228982242e00, 1.87295284992346047e00,
+_ERF_P = (1.63153871373020978e-2, 3.05326634961232344e-1,
+          3.60344899949804439e-1, 1.25781726111229246e-1,
+          1.60837851487422766e-2, 6.58749161529837803e-4)
+_ERF_Q = (1.0, 2.56852019228982242e00, 1.87295284992346047e00,
           5.27905102951428412e-1, 6.05183413124413191e-2,
           2.33520497626869185e-3)
+
+
+def _horner(coef, x):
+    """The polynomial ``coef`` (highest degree first) at a float, or
+    elementwise on an array. A monic polynomial starts from ``x + coef[1]``
+    (``1.0 * x`` is exact, so this only saves a pass). Later steps update
+    in place: ``acc = acc * x + c`` would allocate a temporary per step."""
+    acc = x + coef[1] if coef[0] == 1.0 else coef[0] * x + coef[1]
+    for c in coef[2:]:
+        acc *= x
+        acc += c
+    return acc
+
+
+def _erfc_small(x):
+    """erfc(x) for |x| <= 0.46875."""
+    y = x * x
+    return 1.0 - x * _horner(_ERF_A, y) / _horner(_ERF_B, y)
+
+
+def _erfc_mid(ax):
+    """erfc(ax) for 0.46875 < ax <= 4."""
+    return np.exp(-ax * ax) * _horner(_ERF_C, ax) / _horner(_ERF_D, ax)
+
+
+def _erfc_large(ax):
+    """erfc(ax) for ax > 4."""
+    y = 1.0 / (ax * ax)
+    r = y * _horner(_ERF_P, y) / _horner(_ERF_Q, y)
+    return np.exp(-ax * ax) / ax * (_INV_SQRT_PI - r)
 
 
 def _erfc(x: np.ndarray) -> np.ndarray:
     """Complementary error function on a 1-d float array."""
     ax = np.abs(x)
     out = np.empty_like(x)
-
+    # An empty mask still costs a scan per branch, hence the guards.
     m1 = ax <= 0.46875
     if m1.any():
-        z = x[m1]
-        y = z * z
-        a, b = _ERF_A, _ERF_B
-        num = ((((a[4] * y + a[0]) * y + a[1]) * y + a[2]) * y + a[3])
-        den = ((((y + b[0]) * y + b[1]) * y + b[2]) * y + b[3])
-        out[m1] = 1.0 - z * num / den
-
+        out[m1] = _erfc_small(x[m1])
     m2 = (ax > 0.46875) & (ax <= 4.0)
     if m2.any():
-        z = ax[m2]
-        c, d = _ERF_C, _ERF_D
-        num = c[8]
-        for ci in c[:8]:
-            num = num * z + ci
-        den = 1.0
-        for di in d:
-            den = den * z + di
-        out[m2] = np.exp(-z * z) * num / den
-
+        out[m2] = _erfc_mid(ax[m2])
     m3 = ax > 4.0
     if m3.any():
-        z = ax[m3]
-        y = 1.0 / (z * z)
-        p, q = _ERF_P, _ERF_Q
-        num = p[5]
-        for pi in p[:5]:
-            num = num * y + pi
-        den = 1.0
-        for qi in q:
-            den = den * y + qi
-        r = y * num / den
-        out[m3] = np.exp(-z * z) / z * (_INV_SQRT_PI - r)
-
+        out[m3] = _erfc_large(ax[m3])
     neg = (x < 0.0) & ~m1
     out[neg] = 2.0 - out[neg]
     return out
 
 
 def _erfc_scalar(x: float) -> float:
-    """:func:`_erfc` for one float, bit-identical to the array version.
-
-    The arithmetic repeats the array branches operation by operation, and
-    ``np.exp`` (not ``math.exp``, which rounds differently) keeps the
-    exponential on the same code path.
-    """
+    """:func:`_erfc` for one float, bit-identical to the array version."""
     ax = abs(x)
     if ax <= 0.46875:
-        y = x * x
-        a, b = _ERF_A, _ERF_B
-        num = ((((a[4] * y + a[0]) * y + a[1]) * y + a[2]) * y + a[3])
-        den = ((((y + b[0]) * y + b[1]) * y + b[2]) * y + b[3])
-        return 1.0 - x * num / den
-    if ax <= 4.0:
-        num = _ERF_C[8]
-        for ci in _ERF_C[:8]:
-            num = num * ax + ci
-        den = 1.0
-        for di in _ERF_D:
-            den = den * ax + di
-        out = float(np.exp(-ax * ax)) * num / den
-    else:
-        y = 1.0 / (ax * ax)
-        num = _ERF_P[5]
-        for pi in _ERF_P[:5]:
-            num = num * y + pi
-        den = 1.0
-        for qi in _ERF_Q:
-            den = den * y + qi
-        r = y * num / den
-        out = float(np.exp(-ax * ax)) / ax * (_INV_SQRT_PI - r)
-    return 2.0 - out if x < 0.0 else out
+        return _erfc_small(x)
+    out = _erfc_mid(ax) if ax <= 4.0 else _erfc_large(ax)
+    return float(2.0 - out if x < 0.0 else out)
 
 
 def _as_float_array(value, name: str) -> tuple[np.ndarray, bool]:
@@ -175,12 +160,8 @@ def normal_cdf(z):
     Accepts a scalar or array; returns the same shape.
     """
     arr, scalar = _as_float_array(z, "z")
-    out = 0.5 * _erfc(-arr.ravel() / _SQRT2).reshape(arr.shape)
-    return float(out[0]) if scalar else out.reshape(np.shape(z))
-
-
-def _normal_pdf(z: np.ndarray) -> np.ndarray:
-    return np.exp(-0.5 * z * z) / _SQRT_2PI
+    out = 0.5 * _erfc(-arr.ravel() / _SQRT2)
+    return float(out[0]) if scalar else out.reshape(arr.shape)
 
 
 # Acklam's rational approximation to the inverse normal CDF (relative
@@ -190,13 +171,27 @@ _NQ_A = (-3.969683028665376e+01, 2.209460984245205e+02,
          -3.066479806614716e+01, 2.506628277459239e+00)
 _NQ_B = (-5.447609879822406e+01, 1.615858368580409e+02,
          -1.556989798598866e+02, 6.680131188771972e+01,
-         -1.328068155288572e+01)
+         -1.328068155288572e+01, 1.0)
 _NQ_C = (-7.784894002430293e-03, -3.223964580411365e-01,
          -2.400758277161838e+00, -2.549732539343734e+00,
          4.374664141464968e+00, 2.938163982698783e+00)
 _NQ_D = (7.784695709041462e-03, 3.224671290700398e-01,
-         2.445134137142996e+00, 3.754408661907416e+00)
+         2.445134137142996e+00, 3.754408661907416e+00, 1.0)
 _NQ_SPLIT = 0.02425
+
+
+def _nq_central(p):
+    """Acklam's start for _NQ_SPLIT <= p <= 1 - _NQ_SPLIT."""
+    q = p - 0.5
+    r = q * q
+    return q * _horner(_NQ_A, r) / _horner(_NQ_B, r)
+
+
+def _nq_tail(q, sign):
+    """Acklam's start in a tail, from the tail probability q: p with sign
+    -1.0 below _NQ_SPLIT, 1 - p with sign 1.0 above 1 - _NQ_SPLIT."""
+    r = np.sqrt(-2.0 * np.log(q))
+    return -sign * _horner(_NQ_C, r) / _horner(_NQ_D, r)
 
 
 def normal_quantile(p):
@@ -212,62 +207,44 @@ def normal_quantile(p):
         raise InputError("p must lie strictly inside (0, 1)")
     flat = arr.ravel()
     z = np.empty_like(flat)
-    a, b, c, d = _NQ_A, _NQ_B, _NQ_C, _NQ_D
-
     lo = flat < _NQ_SPLIT
     hi = flat > 1.0 - _NQ_SPLIT
     mid = ~(lo | hi)
     if mid.any():
-        q = flat[mid] - 0.5
-        r = q * q
-        num = ((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]
-        den = ((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0
-        z[mid] = q * num / den
-    for mask, tail_p, sign in ((lo, flat[lo], -1.0), (hi, 1.0 - flat[hi], 1.0)):
-        if mask.any():
-            q = np.sqrt(-2.0 * np.log(tail_p))
-            num = ((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]
-            den = (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0
-            z[mask] = -sign * num / den
+        z[mid] = _nq_central(flat[mid])
+    if lo.any():
+        z[lo] = _nq_tail(flat[lo], -1.0)
+    if hi.any():
+        z[hi] = _nq_tail(1.0 - flat[hi], 1.0)
 
     # One Newton step where the density is representable.
-    pdf = _normal_pdf(z)
+    pdf = np.exp(-0.5 * z * z) / _SQRT_2PI
     ok = pdf > 0.0
     if ok.any():
         cdf = 0.5 * _erfc(-z[ok] / _SQRT2)
         z[ok] -= (cdf - flat[ok]) / pdf[ok]
-
-    out = z.reshape(arr.shape)
-    return float(out[0]) if scalar else out.reshape(np.shape(p))
+    return float(z[0]) if scalar else z.reshape(arr.shape)
 
 
 def _normal_quantile_scalar(p: float) -> float:
     """:func:`normal_quantile` for one float without array masking;
-    bit-identical to the array path (``np.log``/``np.exp`` on purpose)."""
+    bit-identical to the array path."""
     if not math.isfinite(p):
         raise InputError("p must be finite")
     if not 0.0 < p < 1.0:
         raise InputError("p must lie strictly inside (0, 1)")
-    if p < _NQ_SPLIT or p > 1.0 - _NQ_SPLIT:
-        c, d = _NQ_C, _NQ_D
-        sign, tail_p = (-1.0, p) if p < _NQ_SPLIT else (1.0, 1.0 - p)
-        q = math.sqrt(-2.0 * float(np.log(tail_p)))
-        num = ((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]
-        den = (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0
-        z = -sign * num / den
+    if p < _NQ_SPLIT:
+        z = _nq_tail(p, -1.0)
+    elif p > 1.0 - _NQ_SPLIT:
+        z = _nq_tail(1.0 - p, 1.0)
     else:
-        a, b = _NQ_A, _NQ_B
-        q = p - 0.5
-        r = q * q
-        num = ((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]
-        den = ((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0
-        z = q * num / den
+        z = _nq_central(p)
 
-    pdf = float(np.exp(-0.5 * z * z)) / _SQRT_2PI
+    pdf = np.exp(-0.5 * z * z) / _SQRT_2PI
     if pdf > 0.0:
         cdf = 0.5 * _erfc_scalar(-z / _SQRT2)
         z -= (cdf - p) / pdf
-    return z
+    return float(z)
 
 
 # ---------------------------------------------------------------------------
@@ -556,4 +533,4 @@ def theoretical_alpha1(p: int, L: float, b: float = 0.0) -> float:
     gamma = 2.0 * (L + 1.0 + b)
     t = gamma * math.sqrt(math.log(p))
     # 2 * (1 - Phi(t)) = erfc(t / sqrt(2)), computed without cancellation.
-    return _erfc_scalar(t / _SQRT2)
+    return math.erfc(t / _SQRT2)

@@ -305,6 +305,27 @@ class TestUnreadableFiles:
             load_manifest(path)
 
 
+class TestByteOrderMark:
+    """A leading UTF-8 byte-order mark, as spreadsheet programs write it,
+    is not part of the first column name or of the JSON document."""
+
+    def test_study_csv_with_bom(self, tmp_path):
+        (tmp_path / "a.csv").write_bytes(
+            b"\xef\xbb\xbfg1,x1,x2\n1,2,3\n4,5,7\n7,8,8\n")
+        manifest = make_manifest(tmp_path, [
+            {"study_id": "A", "data_path": "a.csv", "response_column": "g1"}])
+        data = load_multistudy(manifest)
+        assert data.feature_names == ("x1", "x2")
+        assert np.array_equal(data.studies[0].y, [1.0, 4.0, 7.0])
+
+    def test_manifest_with_bom(self, tmp_path):
+        write(tmp_path / "a.csv", "g1,y\n1,2\n3,4\n5,7\n")
+        path = make_manifest(tmp_path, [
+            {"study_id": "A", "data_path": "a.csv", "response_column": "y"}])
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert load_manifest(path).entries[0].study_id == "A"
+
+
 def test_non_ascii_names_round_trip_under_ascii_locale(tmp_path):
     # Under LC_ALL=C with UTF-8 mode off the locale encoding is ASCII, so
     # a file opened without an explicit encoding cannot hold "gène".

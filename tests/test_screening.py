@@ -276,14 +276,6 @@ class TestMinSis:
         for j, score in min_sis_rank(data):
             assert score == pytest.approx(rho[j].min(), abs=1e-14)
 
-    def test_tstat_scoring_flag(self, rng):
-        data, _ = make_multistudy(rng, n=25, p=6, k=2)
-        t_abs = np.abs(compute_t_matrix(data)).min(axis=1)
-        for j, score in min_sis_rank(data, score="tstat"):
-            assert score == pytest.approx(t_abs[j], abs=1e-14)
-        with pytest.raises(InputError):
-            min_sis_rank(data, score="spearman")
-
     def test_tie_break_ascending_index(self):
         rng = np.random.default_rng(0)
         x = rng.normal(size=(30, 2))

@@ -14,6 +14,9 @@ from multiscreen import (InputError, DegenerateColumnError, NumericalError,
                          TStat, chi2_cdf, chi2_quantile, normal_cdf,
                          normal_quantile, self_normalized_t,
                          theoretical_alpha1)
+from multiscreen.simulate import _rep_rng, _uniform_open
+from multiscreen.stats_core import (_as_float_array, _erfc, _erfc_scalar,
+                                    _normal_quantile_scalar)
 
 
 def simpson(f, lo, hi, n=20001):
@@ -360,3 +363,270 @@ class TestTheoreticalAlpha1:
             theoretical_alpha1(10, 0.0, 0.0)
         with pytest.raises(InputError):
             theoretical_alpha1(10, 1.0, -0.5)
+
+
+# ---------------------------------------------------------------------------
+# The distribution layer as it was when each Cody and Acklam branch was
+# written out twice (once per path), kept verbatim but for the names as the
+# reference that stats_core's shared branches must match bit for bit.
+# ---------------------------------------------------------------------------
+
+_REF_ERF_A = (3.16112374387056560e00, 1.13864154151050156e02,
+              3.77485237685302021e02, 3.20937758913846947e03,
+              1.85777706184603153e-1)
+_REF_ERF_B = (2.36012909523441209e01, 2.44024637934444173e02,
+              1.28261652607737228e03, 2.84423683343917062e03)
+_REF_ERF_C = (5.64188496988670089e-1, 8.88314979438837594e00,
+              6.61191906371416295e01, 2.98635138197400131e02,
+              8.81952221241769090e02, 1.71204761263407058e03,
+              2.05107837782607147e03, 1.23033935479799725e03,
+              2.15311535474403846e-8)
+_REF_ERF_D = (1.57449261107098347e01, 1.17693950891312499e02,
+              5.37181101862009858e02, 1.62138957456669019e03,
+              3.29079923573345963e03, 4.36261909014324716e03,
+              3.43936767414372164e03, 1.23033935480374942e03)
+_REF_ERF_P = (3.05326634961232344e-1, 3.60344899949804439e-1,
+              1.25781726111229246e-1, 1.60837851487422766e-2,
+              6.58749161529837803e-4, 1.63153871373020978e-2)
+_REF_ERF_Q = (2.56852019228982242e00, 1.87295284992346047e00,
+              5.27905102951428412e-1, 6.05183413124413191e-2,
+              2.33520497626869185e-3)
+_REF_INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
+_REF_SQRT2 = math.sqrt(2.0)
+_REF_SQRT_2PI = math.sqrt(2.0 * math.pi)
+
+
+def _reference_erfc(x: np.ndarray) -> np.ndarray:
+    """Complementary error function on a 1-d float array."""
+    ax = np.abs(x)
+    out = np.empty_like(x)
+
+    m1 = ax <= 0.46875
+    if m1.any():
+        z = x[m1]
+        y = z * z
+        a, b = _REF_ERF_A, _REF_ERF_B
+        num = ((((a[4] * y + a[0]) * y + a[1]) * y + a[2]) * y + a[3])
+        den = ((((y + b[0]) * y + b[1]) * y + b[2]) * y + b[3])
+        out[m1] = 1.0 - z * num / den
+
+    m2 = (ax > 0.46875) & (ax <= 4.0)
+    if m2.any():
+        z = ax[m2]
+        c, d = _REF_ERF_C, _REF_ERF_D
+        num = c[8]
+        for ci in c[:8]:
+            num = num * z + ci
+        den = 1.0
+        for di in d:
+            den = den * z + di
+        out[m2] = np.exp(-z * z) * num / den
+
+    m3 = ax > 4.0
+    if m3.any():
+        z = ax[m3]
+        y = 1.0 / (z * z)
+        p, q = _REF_ERF_P, _REF_ERF_Q
+        num = p[5]
+        for pi in p[:5]:
+            num = num * y + pi
+        den = 1.0
+        for qi in q:
+            den = den * y + qi
+        r = y * num / den
+        out[m3] = np.exp(-z * z) / z * (_REF_INV_SQRT_PI - r)
+
+    neg = (x < 0.0) & ~m1
+    out[neg] = 2.0 - out[neg]
+    return out
+
+
+def _reference_erfc_scalar(x: float) -> float:
+    """:func:`_erfc` for one float, bit-identical to the array version.
+
+    The arithmetic repeats the array branches operation by operation, and
+    ``np.exp`` (not ``math.exp``, which rounds differently) keeps the
+    exponential on the same code path.
+    """
+    ax = abs(x)
+    if ax <= 0.46875:
+        y = x * x
+        a, b = _REF_ERF_A, _REF_ERF_B
+        num = ((((a[4] * y + a[0]) * y + a[1]) * y + a[2]) * y + a[3])
+        den = ((((y + b[0]) * y + b[1]) * y + b[2]) * y + b[3])
+        return 1.0 - x * num / den
+    if ax <= 4.0:
+        num = _REF_ERF_C[8]
+        for ci in _REF_ERF_C[:8]:
+            num = num * ax + ci
+        den = 1.0
+        for di in _REF_ERF_D:
+            den = den * ax + di
+        out = float(np.exp(-ax * ax)) * num / den
+    else:
+        y = 1.0 / (ax * ax)
+        num = _REF_ERF_P[5]
+        for pi in _REF_ERF_P[:5]:
+            num = num * y + pi
+        den = 1.0
+        for qi in _REF_ERF_Q:
+            den = den * y + qi
+        r = y * num / den
+        out = float(np.exp(-ax * ax)) / ax * (_REF_INV_SQRT_PI - r)
+    return 2.0 - out if x < 0.0 else out
+
+
+def _reference_normal_pdf(z: np.ndarray) -> np.ndarray:
+    return np.exp(-0.5 * z * z) / _REF_SQRT_2PI
+
+
+_REF_NQ_A = (-3.969683028665376e+01, 2.209460984245205e+02,
+             -2.759285104469687e+02, 1.383577518672690e+02,
+             -3.066479806614716e+01, 2.506628277459239e+00)
+_REF_NQ_B = (-5.447609879822406e+01, 1.615858368580409e+02,
+             -1.556989798598866e+02, 6.680131188771972e+01,
+             -1.328068155288572e+01)
+_REF_NQ_C = (-7.784894002430293e-03, -3.223964580411365e-01,
+             -2.400758277161838e+00, -2.549732539343734e+00,
+             4.374664141464968e+00, 2.938163982698783e+00)
+_REF_NQ_D = (7.784695709041462e-03, 3.224671290700398e-01,
+             2.445134137142996e+00, 3.754408661907416e+00)
+_REF_NQ_SPLIT = 0.02425
+
+
+def _reference_normal_quantile(p):
+    """Inverse standard normal CDF for p strictly inside (0, 1).
+
+    Accepts a scalar or array; round-trips through :func:`normal_cdf`
+    to better than 1e-9 over p in [1e-12, 1 - 1e-12].
+    """
+    if isinstance(p, float):
+        return _reference_normal_quantile_scalar(p)
+    arr, scalar = _as_float_array(p, "p")
+    if np.any(arr <= 0.0) or np.any(arr >= 1.0):
+        raise InputError("p must lie strictly inside (0, 1)")
+    flat = arr.ravel()
+    z = np.empty_like(flat)
+    a, b, c, d = _REF_NQ_A, _REF_NQ_B, _REF_NQ_C, _REF_NQ_D
+
+    lo = flat < _REF_NQ_SPLIT
+    hi = flat > 1.0 - _REF_NQ_SPLIT
+    mid = ~(lo | hi)
+    if mid.any():
+        q = flat[mid] - 0.5
+        r = q * q
+        num = ((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]
+        den = ((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0
+        z[mid] = q * num / den
+    for mask, tail_p, sign in ((lo, flat[lo], -1.0), (hi, 1.0 - flat[hi], 1.0)):
+        if mask.any():
+            q = np.sqrt(-2.0 * np.log(tail_p))
+            num = ((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]
+            den = (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0
+            z[mask] = -sign * num / den
+
+    # One Newton step where the density is representable.
+    pdf = _reference_normal_pdf(z)
+    ok = pdf > 0.0
+    if ok.any():
+        cdf = 0.5 * _reference_erfc(-z[ok] / _REF_SQRT2)
+        z[ok] -= (cdf - flat[ok]) / pdf[ok]
+
+    out = z.reshape(arr.shape)
+    return float(out[0]) if scalar else out.reshape(np.shape(p))
+
+
+def _reference_normal_quantile_scalar(p: float) -> float:
+    """:func:`normal_quantile` for one float without array masking;
+    bit-identical to the array path (``np.log``/``np.exp`` on purpose)."""
+    if not math.isfinite(p):
+        raise InputError("p must be finite")
+    if not 0.0 < p < 1.0:
+        raise InputError("p must lie strictly inside (0, 1)")
+    if p < _REF_NQ_SPLIT or p > 1.0 - _REF_NQ_SPLIT:
+        c, d = _REF_NQ_C, _REF_NQ_D
+        sign, tail_p = (-1.0, p) if p < _REF_NQ_SPLIT else (1.0, 1.0 - p)
+        q = math.sqrt(-2.0 * float(np.log(tail_p)))
+        num = ((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]
+        den = (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0
+        z = -sign * num / den
+    else:
+        a, b = _REF_NQ_A, _REF_NQ_B
+        q = p - 0.5
+        r = q * q
+        num = ((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]
+        den = ((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0
+        z = q * num / den
+
+    pdf = float(np.exp(-0.5 * z * z)) / _REF_SQRT_2PI
+    if pdf > 0.0:
+        cdf = 0.5 * _reference_erfc_scalar(-z / _REF_SQRT2)
+        z -= (cdf - p) / pdf
+    return z
+
+
+def _with_neighbours(points) -> np.ndarray:
+    """Each point with the floats on either side of it."""
+    pts = np.asarray(points, dtype=float)
+    return np.concatenate([np.nextafter(pts, -np.inf), pts,
+                           np.nextafter(pts, np.inf)])
+
+
+def _bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+@pytest.fixture(scope="module")
+def quantile_inputs():
+    """10^6 uniforms from the simulations' counter-based stream, the
+    extremes 2^-54 and 1 - 2^-53, 1e-300 and both Acklam split points."""
+    return np.concatenate([
+        _uniform_open(_rep_rng(20240811, 0), 1_000_000),
+        [2.0 ** -54, 1.0 - 2.0 ** -53, 1e-300],
+        _with_neighbours([0.02425, 1.0 - 0.02425]),
+    ])
+
+
+@pytest.fixture(scope="module")
+def erfc_inputs():
+    """Zero of both signs, Cody's split points with their neighbours, the
+    far tail (27, 40) and 10^6 draws from N(0, 3^2)."""
+    return np.concatenate([
+        [0.0, -0.0, 27.0, 40.0],
+        _with_neighbours([0.46875, -0.46875, 4.0, -4.0]),
+        np.random.default_rng(7).normal(0.0, 3.0, 1_000_000),
+    ])
+
+
+def _scalar_sample(inputs: np.ndarray) -> np.ndarray:
+    """The crafted points (at both ends) plus every 500th random one: one
+    float at a time is too slow for all 10^6."""
+    return np.concatenate([inputs[:20], inputs[::500], inputs[-20:]])
+
+
+class TestDistributionLayerReference:
+    """stats_core's shared branches against the two-copy reference above."""
+
+    def test_normal_quantile_array(self, quantile_inputs):
+        assert np.array_equal(_bits(normal_quantile(quantile_inputs)),
+                              _bits(_reference_normal_quantile(quantile_inputs)))
+
+    def test_erfc_array(self, erfc_inputs):
+        assert np.array_equal(_bits(_erfc(erfc_inputs)),
+                              _bits(_reference_erfc(erfc_inputs)))
+
+    def test_normal_quantile_scalar(self, quantile_inputs):
+        ps = _scalar_sample(quantile_inputs)
+        got = [_normal_quantile_scalar(float(p)) for p in ps]
+        assert all(type(z) is float for z in got)
+        expect = [_reference_normal_quantile_scalar(float(p)) for p in ps]
+        assert np.array_equal(_bits(got), _bits(expect))
+        assert np.array_equal(_bits(got), _bits(normal_quantile(ps)))
+
+    def test_erfc_scalar(self, erfc_inputs):
+        xs = _scalar_sample(erfc_inputs)
+        got = [_erfc_scalar(float(x)) for x in xs]
+        assert all(type(v) is float for v in got)
+        expect = [_reference_erfc_scalar(float(x)) for x in xs]
+        assert np.array_equal(_bits(got), _bits(expect))
+        assert np.array_equal(_bits(got), _bits(_erfc(xs)))
