@@ -5,9 +5,12 @@ curves.
 Every random draw is a pure function of (setting, replication index): a
 counter-based generator supplies uniforms on the open unit interval and
 normals come from the package's own inverse CDF, so runs reproduce
-bit-for-bit across platforms. Replications may run in parallel; results
-are aggregated in replication order with exact summation, so the thread
-count never changes the output.
+bit-for-bit for a given numpy build, SIMD dispatch and BLAS kernel. The
+inverse CDF calls ``np.exp`` and ``np.log``, which round differently with,
+for instance, numpy's AVX-512 kernels disabled, and the response is a BLAS
+matrix-vector product. Replications may run in parallel; results are
+aggregated in replication order with exact summation, so the thread count
+never changes the output.
 """
 
 from __future__ import annotations
@@ -182,9 +185,13 @@ def _side_rng(seed: int) -> np.random.Generator:
 
 
 def _uniform_open(rng: np.random.Generator, size) -> np.ndarray:
-    # (2k + 1) / 2^54 lies strictly inside (0, 1) for k < 2^53.
+    # (2k + 1) / 2^54 for k < 2^53, rounded: exact for k < 2^52; above, the
+    # 54-bit numerator rounds to even, so the upper half of the grid has
+    # spacing 2^-53. Only k = 2^53 - 1 would round up to 1.0, hence the
+    # clamp to the largest float below 1.
     k = rng.integers(0, 1 << 53, size=size, dtype=np.uint64)
-    return (2.0 * k.astype(np.float64) + 1.0) * 2.0 ** -54
+    u = (2.0 * k.astype(np.float64) + 1.0) * 2.0 ** -54
+    return np.minimum(u, 1.0 - 2.0 ** -53, out=u)
 
 
 def _standard_normal(rng: np.random.Generator, size) -> np.ndarray:
@@ -244,13 +251,17 @@ def gen_instance(setting: SimSetting, rep: int):
         betas = beta_base.copy()
         if setting.heterogeneous:
             betas = betas + setting.hetero_sd * _standard_normal(rng, s_act)
-        z = _standard_normal(rng, (n, p))
-        x = np.empty((n, p))
-        x[:, 0] = z[:, 0]
-        if p > 1:
-            c = math.sqrt(1.0 - r * r)
-            for j in range(1, p):
-                x[:, j] = r * x[:, j - 1] + c * z[:, j]
+        # The recursion runs on the contiguous rows of x.T. IEEE addition
+        # commutes, so c * z_j + r * col_{j-1} has the bits of the
+        # docstring's recursion. x is made C-contiguous again, so that
+        # x[:, active] @ betas runs the same BLAS kernel.
+        xt = np.ascontiguousarray(_standard_normal(rng, (n, p)).T)
+        xt[1:] *= math.sqrt(1.0 - r * r)
+        step = np.empty(n)
+        for j in range(1, p):
+            np.multiply(xt[j - 1], r, out=step)
+            xt[j] += step
+        x = np.ascontiguousarray(xt.T)
         eps = setting.noise_sd * _standard_normal(rng, n)
         y = x[:, active] @ betas + eps
         studies.append(Study(id=f"study{k + 1}", x=x, y=y))

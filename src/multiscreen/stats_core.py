@@ -4,9 +4,13 @@ covariance statistic.
 Everything here is dependency-free (numpy only) and deterministic: the
 distribution functions are classical rational approximations refined by
 Newton steps, and the statistic accumulates moments with correctly rounded
-column sums (:func:`_exact_colsum`, equal to ``math.fsum`` per column) so
-results are bit-identical across platforms and under joint permutation of
-the observations.
+column sums (:func:`_exact_colsum`, equal to ``math.fsum`` per column), so
+the marginal statistics are bit-identical under joint permutation of the
+observations. Bits are the same for a given numpy build and SIMD dispatch:
+the distribution functions call ``np.exp`` and ``np.log``, whose results
+move in the last bit with, for instance, numpy's AVX-512 kernels disabled.
+The conditional statistics of ``multi_pc`` solve by LAPACK and are not
+invariant under a row permutation.
 """
 
 from __future__ import annotations
@@ -59,9 +63,9 @@ class TStat:
 # erfc (Cody, "Rational Chebyshev approximations for the error function",
 # Math. Comp. 23, 1969) and the inverse normal CDF (Acklam's rationals).
 # Each branch is one function that takes a float or an array; the array
-# dispatchers pick branches by boolean mask, the scalar ones by comparison,
-# so the two paths run the same IEEE operations. Both use np.exp/np.log:
-# math.exp rounds differently.
+# dispatchers merge branch results by boolean mask, the scalar ones pick a
+# branch by comparison, so the two paths run the same IEEE operations.
+# Both use np.exp/np.log: math.exp rounds differently.
 # ---------------------------------------------------------------------------
 
 # Coefficients highest degree first, in the order _horner reads them; a
@@ -91,24 +95,39 @@ _ERF_Q = (1.0, 2.56852019228982242e00, 1.87295284992346047e00,
 def _horner(coef, x):
     """The polynomial ``coef`` (highest degree first) at a float, or
     elementwise on an array. A monic polynomial starts from ``x + coef[1]``
-    (``1.0 * x`` is exact, so this only saves a pass). Later steps update
-    in place: ``acc = acc * x + c`` would allocate a temporary per step."""
-    acc = x + coef[1] if coef[0] == 1.0 else coef[0] * x + coef[1]
+    (``1.0 * x`` is exact, so this only saves a pass). Every later step
+    updates in place, which rounds like ``acc * x + c`` without allocating
+    a temporary per step."""
+    if coef[0] == 1.0:
+        acc = x + coef[1]
+    else:
+        acc = coef[0] * x
+        acc += coef[1]
     for c in coef[2:]:
         acc *= x
         acc += c
     return acc
 
 
+# The branches update in place, which rounds like the plain expression and
+# saves temporaries: ``num = A; num *= x; num /= B`` is ``x * A / B``
+# (products commute).
+
 def _erfc_small(x):
     """erfc(x) for |x| <= 0.46875."""
     y = x * x
-    return 1.0 - x * _horner(_ERF_A, y) / _horner(_ERF_B, y)
+    num = _horner(_ERF_A, y)
+    num *= x
+    num /= _horner(_ERF_B, y)
+    return 1.0 - num
 
 
 def _erfc_mid(ax):
     """erfc(ax) for 0.46875 < ax <= 4."""
-    return np.exp(-ax * ax) * _horner(_ERF_C, ax) / _horner(_ERF_D, ax)
+    num = _horner(_ERF_C, ax)
+    num *= np.exp(-ax * ax)
+    num /= _horner(_ERF_D, ax)
+    return num
 
 
 def _erfc_large(ax):
@@ -121,19 +140,19 @@ def _erfc_large(ax):
 def _erfc(x: np.ndarray) -> np.ndarray:
     """Complementary error function on a 1-d float array."""
     ax = np.abs(x)
-    out = np.empty_like(x)
-    # An empty mask still costs a scan per branch, hence the guards.
+    # The small and mid branches run on every lane and are merged by mask,
+    # which is cheaper than gathering and scattering each. Their inputs are
+    # clipped to the branch's domain, so lanes outside it raise no overflow
+    # warning; clipping leaves the lanes inside it unchanged.
+    out = _erfc_mid(np.clip(ax, 0.46875, 4.0))
     m1 = ax <= 0.46875
-    if m1.any():
-        out[m1] = _erfc_small(x[m1])
-    m2 = (ax > 0.46875) & (ax <= 4.0)
-    if m2.any():
-        out[m2] = _erfc_mid(ax[m2])
+    np.copyto(out, _erfc_small(np.clip(x, -0.46875, 0.46875)), where=m1)
+    # The far tail is rare, so it keeps its mask; an empty one still costs a
+    # scan, hence the guard.
     m3 = ax > 4.0
     if m3.any():
         out[m3] = _erfc_large(ax[m3])
-    neg = (x < 0.0) & ~m1
-    out[neg] = 2.0 - out[neg]
+    np.subtract(2.0, out, out=out, where=x < -0.46875)
     return out
 
 
@@ -166,6 +185,8 @@ def normal_cdf(z):
 
 # Acklam's rational approximation to the inverse normal CDF (relative
 # error below 1.2e-9 on its own), followed by one Newton step on the CDF.
+# The step needs no guard: the start is -38.47 at the smallest positive p,
+# 5e-324, and the density there is 1.9e-322, not zero.
 _NQ_A = (-3.969683028665376e+01, 2.209460984245205e+02,
          -2.759285104469687e+02, 1.383577518672690e+02,
          -3.066479806614716e+01, 2.506628277459239e+00)
@@ -180,18 +201,30 @@ _NQ_D = (7.784695709041462e-03, 3.224671290700398e-01,
 _NQ_SPLIT = 0.02425
 
 
+# Lanes per block of the array quantile. Every float64 temporary of a block
+# (96 KiB) stays below glibc's 128 KiB mmap threshold, so it is served from
+# the heap instead of a fresh mapping that would be page-faulted in.
+_NQ_BLOCK = 12_288
+
+
 def _nq_central(p):
     """Acklam's start for _NQ_SPLIT <= p <= 1 - _NQ_SPLIT."""
     q = p - 0.5
     r = q * q
-    return q * _horner(_NQ_A, r) / _horner(_NQ_B, r)
+    num = _horner(_NQ_A, r)
+    num *= q
+    num /= _horner(_NQ_B, r)
+    return num
 
 
-def _nq_tail(q, sign):
-    """Acklam's start in a tail, from the tail probability q: p with sign
-    -1.0 below _NQ_SPLIT, 1 - p with sign 1.0 above 1 - _NQ_SPLIT."""
-    r = np.sqrt(-2.0 * np.log(q))
-    return -sign * _horner(_NQ_C, r) / _horner(_NQ_D, r)
+def _nq_tail(r, sign):
+    """Acklam's start in a tail, from r = sqrt(-2 log q) of the tail
+    probability q: p with sign -1.0 below _NQ_SPLIT, 1 - p with sign 1.0
+    above 1 - _NQ_SPLIT."""
+    num = _horner(_NQ_C, r)
+    num *= -sign
+    num /= _horner(_NQ_D, r)
+    return num
 
 
 def normal_quantile(p):
@@ -207,43 +240,58 @@ def normal_quantile(p):
         raise InputError("p must lie strictly inside (0, 1)")
     flat = arr.ravel()
     z = np.empty_like(flat)
-    lo = flat < _NQ_SPLIT
-    hi = flat > 1.0 - _NQ_SPLIT
-    mid = ~(lo | hi)
-    if mid.any():
-        z[mid] = _nq_central(flat[mid])
-    if lo.any():
-        z[lo] = _nq_tail(flat[lo], -1.0)
-    if hi.any():
-        z[hi] = _nq_tail(1.0 - flat[hi], 1.0)
-
-    # One Newton step where the density is representable.
-    pdf = np.exp(-0.5 * z * z) / _SQRT_2PI
-    ok = pdf > 0.0
-    if ok.any():
-        cdf = 0.5 * _erfc(-z[ok] / _SQRT2)
-        z[ok] -= (cdf - flat[ok]) / pdf[ok]
+    for start in range(0, flat.size, _NQ_BLOCK):
+        block = slice(start, start + _NQ_BLOCK)
+        _normal_quantile_block(flat[block], z[block])
     return float(z[0]) if scalar else z.reshape(arr.shape)
+
+
+def _normal_quantile_block(p: np.ndarray, z: np.ndarray) -> None:
+    """Write the quantiles of one block of valid probabilities into z."""
+    # The central rational runs on every lane: r = (p - 0.5)**2 <= 0.25 and
+    # its denominator stays above 1e-4 there, so tail lanes raise no
+    # warning. The tails (about 5 % of lanes) overwrite theirs by mask.
+    z[:] = _nq_central(p)
+    lo = p < _NQ_SPLIT
+    if lo.any():
+        z[lo] = _nq_tail(np.sqrt(-2.0 * np.log(p[lo])), -1.0)
+    hi = p > 1.0 - _NQ_SPLIT
+    if hi.any():
+        z[hi] = _nq_tail(np.sqrt(-2.0 * np.log(1.0 - p[hi])), 1.0)
+
+    # One Newton step on every lane. In place, it rounds like
+    # z -= (0.5 * erfc(-z / sqrt 2) - p) / pdf with
+    # pdf = exp(-0.5 * z * z) / sqrt(2 pi); z / -sqrt 2 is -z / sqrt 2.
+    pdf = -0.5 * z
+    pdf *= z
+    np.exp(pdf, out=pdf)
+    pdf /= _SQRT_2PI
+    step = _erfc(z / -_SQRT2)
+    step *= 0.5
+    step -= p
+    step /= pdf
+    z -= step
 
 
 def _normal_quantile_scalar(p: float) -> float:
     """:func:`normal_quantile` for one float without array masking;
-    bit-identical to the array path."""
+    bit-identical to the array path (np.log and np.exp on purpose: the math
+    module rounds differently; math.sqrt is correctly rounded like
+    np.sqrt)."""
     if not math.isfinite(p):
         raise InputError("p must be finite")
     if not 0.0 < p < 1.0:
         raise InputError("p must lie strictly inside (0, 1)")
     if p < _NQ_SPLIT:
-        z = _nq_tail(p, -1.0)
+        z = _nq_tail(math.sqrt(-2.0 * float(np.log(p))), -1.0)
     elif p > 1.0 - _NQ_SPLIT:
-        z = _nq_tail(1.0 - p, 1.0)
+        z = _nq_tail(math.sqrt(-2.0 * float(np.log(1.0 - p))), 1.0)
     else:
         z = _nq_central(p)
 
-    pdf = np.exp(-0.5 * z * z) / _SQRT_2PI
-    if pdf > 0.0:
-        cdf = 0.5 * _erfc_scalar(-z / _SQRT2)
-        z -= (cdf - p) / pdf
+    pdf = float(np.exp(-0.5 * z * z)) / _SQRT_2PI
+    cdf = 0.5 * _erfc_scalar(-z / _SQRT2)
+    z -= (cdf - p) / pdf
     return float(z)
 
 

@@ -1,6 +1,7 @@
 """Seeded generation, metric identities, the replication entry point and
 its three specs (screener summary, level grid, ROC curve)."""
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -13,7 +14,9 @@ from multiscreen import (DegenerateColumnError, InputError, LevelGrid,
                          even_spaced_active, evaluate, gen_instance,
                          min_sis_rank, one_step_sis, replicate,
                          top_d_selection, tsa_sis)
-from multiscreen.simulate import _mean_se, default_d_grid
+from multiscreen.simulate import (_mean_se, _rep_rng, _standard_normal,
+                                  _uniform_open, default_d_grid)
+from multiscreen.stats_core import normal_quantile
 
 
 def small_setting(**overrides):
@@ -124,6 +127,92 @@ class TestGenInstance:
         assert abs(x.mean()) < 0.05
         assert abs(x.std() - 1.0) < 0.05
         assert np.all(np.isfinite(x))
+
+
+def _sha256(arrays) -> str:
+    digest = hashlib.sha256()
+    for a in arrays:
+        digest.update(np.ascontiguousarray(a).tobytes())
+    return digest.hexdigest()
+
+
+def _reference_ar1(z, r):
+    """The design as gen_instance built it column by column, kept verbatim
+    as the reference for its row-wise recursion."""
+    n, p = z.shape
+    x = np.empty((n, p))
+    x[:, 0] = z[:, 0]
+    if p > 1:
+        c = math.sqrt(1.0 - r * r)
+        for j in range(1, p):
+            x[:, j] = r * x[:, j - 1] + c * z[:, j]
+    return x
+
+
+class _StubGenerator:
+    """Stands in for np.random.Generator: integers() returns fixed draws."""
+
+    def __init__(self, draws):
+        self.draws = np.array(draws, dtype=np.uint64)
+
+    def integers(self, low, high, size, dtype):
+        assert (low, high, size, dtype) == (0, 1 << 53, len(self.draws), np.uint64)
+        return self.draws.copy()
+
+
+class TestSimulatedBits:
+    """Pins on the simulated bits, so a change that moves them fails here
+    and not only in the benchmark's output digests. The digests hold for a
+    given numpy build and SIMD dispatch: np.exp and np.log return other
+    bits with numpy's AVX-512 kernels disabled."""
+
+    # sha256 of every study's x (then every study's y), in study order.
+    GOLDEN = {
+        1: ("530b8f95f477343381b16528ae50ff27ed8383b27dd5a96bf7e652f939d10da5",
+            "6e4d910f2891018388eaf2399634e3ce3ed719914695f1921168546784fddd7a"),
+        2: ("530b8f95f477343381b16528ae50ff27ed8383b27dd5a96bf7e652f939d10da5",
+            "5994d8f54fa2ec7a3eaa22864d9b701ccfe1e70181a6c0ead25a95c5b839c113"),
+    }
+
+    @pytest.mark.parametrize("setting_id", [1, 2])
+    def test_gen_instance_digests(self, setting_id):
+        setting = SimSetting.preset(setting_id, seed=20240811)
+        data, _, _ = gen_instance(setting, 0)
+        x_digest, y_digest = self.GOLDEN[setting_id]
+        assert _sha256(s.x for s in data.studies) == x_digest
+        assert _sha256(s.y for s in data.studies) == y_digest
+
+    def test_normal_quantile_digest(self):
+        u = _uniform_open(_rep_rng(20240811, 0), 100_000)
+        assert _sha256([normal_quantile(u)]) == (
+            "d8b013e1a25b20d80e4f20b073b4be787625b98542509e51a3e4ba5bad42fc27")
+
+    @pytest.mark.parametrize("r", [0.0, 0.2, 0.4, 0.6])
+    @pytest.mark.parametrize("p", [1, 2, 1000])
+    def test_ar1_matches_column_reference(self, r, p):
+        setting = SimSetting(n=100, p=p, K=1, s0=1, r_pool=(r,), seed=3)
+        data, _, _ = gen_instance(setting, 0)
+        # Replay gen_instance's draw order: the base coefficient, the
+        # study's r, then the design normals.
+        rng = _rep_rng(setting.seed, 0)
+        _uniform_open(rng, 1)
+        _uniform_open(rng, 1)
+        z = _standard_normal(rng, (setting.n, p))
+        x = data.studies[0].x
+        assert x.flags.c_contiguous
+        assert np.array_equal(x.view(np.int64),
+                              _reference_ar1(z, r).view(np.int64))
+
+    def test_uniform_open_top_of_grid(self):
+        k = [0, 2 ** 52 - 1, 2 ** 52, 2 ** 53 - 2, 2 ** 53 - 1]
+        u = _uniform_open(_StubGenerator(k), len(k))
+        assert np.all(np.isfinite(u))
+        assert np.all((u > 0.0) & (u < 1.0))
+        # (2k + 1) / 2^54 as rounded before the top draw was clamped.
+        unclamped = (2.0 * np.array(k[:-1], dtype=float) + 1.0) * 2.0 ** -54
+        assert np.array_equal(u[:-1], unclamped)
+        assert u[-1] == 1.0 - 2.0 ** -53
+        assert np.all(np.isfinite(normal_quantile(u)))
 
 
 class TestEvaluate:

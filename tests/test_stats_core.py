@@ -6,6 +6,7 @@ helpers rerun here so the constants stay pinned to an independent route.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,8 +16,8 @@ from multiscreen import (InputError, DegenerateColumnError, NumericalError,
                          normal_quantile, self_normalized_t,
                          theoretical_alpha1)
 from multiscreen.simulate import _rep_rng, _uniform_open
-from multiscreen.stats_core import (_as_float_array, _erfc, _erfc_scalar,
-                                    _normal_quantile_scalar)
+from multiscreen.stats_core import (_NQ_BLOCK, _as_float_array, _erfc,
+                                    _erfc_scalar, _normal_quantile_scalar)
 
 
 def simpson(f, lo, hi, n=20001):
@@ -76,6 +77,14 @@ class TestNormalCdf:
         zs = np.linspace(-10, 10, 5001)
         vals = normal_cdf(zs)
         assert np.all(np.diff(vals) >= 0.0)
+
+    def test_far_tails_warning_free(self):
+        # _erfc evaluates its small and mid branches on every lane; lanes
+        # far outside their domains must not overflow there.
+        zs = np.array([40.0, -40.0, 1e100, -1e100, 1e150, -1e150])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert np.array_equal(normal_cdf(zs), [1.0, 0.0] * 3)
 
     def test_nonfinite_rejected(self):
         with pytest.raises(InputError):
@@ -579,10 +588,11 @@ def _bits(values) -> np.ndarray:
 @pytest.fixture(scope="module")
 def quantile_inputs():
     """10^6 uniforms from the simulations' counter-based stream, the
-    extremes 2^-54 and 1 - 2^-53, 1e-300 and both Acklam split points."""
+    extremes 2^-54 and 1 - 2^-53, 1e-300, the smallest positive float and
+    both Acklam split points."""
     return np.concatenate([
         _uniform_open(_rep_rng(20240811, 0), 1_000_000),
-        [2.0 ** -54, 1.0 - 2.0 ** -53, 1e-300],
+        [2.0 ** -54, 1.0 - 2.0 ** -53, 1e-300, 5e-324],
         _with_neighbours([0.02425, 1.0 - 0.02425]),
     ])
 
@@ -610,6 +620,38 @@ class TestDistributionLayerReference:
     def test_normal_quantile_array(self, quantile_inputs):
         assert np.array_equal(_bits(normal_quantile(quantile_inputs)),
                               _bits(_reference_normal_quantile(quantile_inputs)))
+
+    @pytest.mark.parametrize("size", [0, 1, _NQ_BLOCK - 1, _NQ_BLOCK,
+                                      _NQ_BLOCK + 1, 3 * _NQ_BLOCK + 5])
+    def test_normal_quantile_block_edges(self, quantile_inputs, size):
+        ps = quantile_inputs[-size:] if size else quantile_inputs[:0]
+        got = normal_quantile(ps)
+        assert got.shape == (size,)
+        assert np.array_equal(_bits(got), _bits(_reference_normal_quantile(ps)))
+
+    @pytest.mark.parametrize("region", ["central", "tails", "subnormal"])
+    def test_normal_quantile_one_region(self, quantile_inputs, region):
+        # Blocks with no tail lane, with tail lanes only, and with the
+        # smallest positive probabilities (whose start has the smallest
+        # density) among central ones.
+        u = quantile_inputs
+        if region == "central":
+            ps = u[(u >= 0.02425) & (u <= 1.0 - 0.02425)]
+        elif region == "tails":
+            ps = u[(u < 0.02425) | (u > 1.0 - 0.02425)]
+        else:
+            ps = u[:3 * _NQ_BLOCK].copy()
+            spots = np.linspace(0, ps.size - 1, 40).astype(int)
+            ps[spots] = [5e-324, 1e-320, 1e-310, 2.0 ** -1022] * 10
+        assert np.array_equal(_bits(normal_quantile(ps)),
+                              _bits(_reference_normal_quantile(ps)))
+
+    def test_normal_quantile_keeps_shape(self, quantile_inputs):
+        # Rows of 7 001 lanes, so block edges fall inside rows.
+        ps = quantile_inputs[:5 * 7001].reshape(5, 7001)
+        got = normal_quantile(ps)
+        assert got.shape == ps.shape
+        assert np.array_equal(_bits(got), _bits(_reference_normal_quantile(ps)))
 
     def test_erfc_array(self, erfc_inputs):
         assert np.array_equal(_bits(_erfc(erfc_inputs)),
