@@ -2,16 +2,18 @@
 proximal-gradient oracle, KKT conditions, penalty tuning, and the refit."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from conftest import make_multistudy
 from multiscreen import (DegenerateColumnError, InputError, MultiStudy,
-                         ScreeningConfig, SelectionError, SingularDesignError,
-                         Study, group_lasso_fit, lambda_max, ols_refit,
+                         ScreeningConfig, SelectionError, SimSetting,
+                         SingularDesignError, Study, gen_instance,
+                         group_lasso_fit, lambda_max, ols_refit,
                          select_lambda, tsa_sis, tsa_sis_group_lasso)
-from multiscreen.group_select import _group_norm
+from multiscreen.group_select import _group_norm, _kkt_residual
 
 
 def standardize(data, active):
@@ -82,12 +84,63 @@ class TestGroupLassoFit:
         active = tuple(range(6))
         fit = group_lasso_fit(data, active, 0.0)
         assert fit.converged
+        # Unpenalized, the objective is quadratic on the full support: one
+        # Newton step after the first sweep reaches the least-squares fit,
+        # and the next sweep confirms it.
+        assert fit.iterations <= 3
         for k, study in enumerate(data.studies):
             design = np.column_stack([np.ones(study.n), study.x[:, active]])
             coef, *_ = np.linalg.lstsq(design, study.y, rcond=None)
             assert fit.intercepts[k] == pytest.approx(coef[0], abs=1e-6)
             assert np.allclose(fit.beta[:, k], coef[1:], atol=1e-6)
         assert set(fit.selected) == set(active)
+
+    @pytest.mark.parametrize("design", ["duplicated_column", "p_above_n"])
+    @pytest.mark.parametrize("fraction", [0.3, 0.05, 0.01])
+    def test_degenerate_active_sets(self, rng, design, fraction):
+        # Singular or nearly singular Newton systems: a column repeated
+        # verbatim (the optimum is not unique, so the selected set is not
+        # checked), and more features than rows.
+        if design == "duplicated_column":
+            base, _ = make_multistudy(rng, n=40, p=6, k=3, signal=0.6, s0=2)
+            studies = tuple(Study(id=s.id, x=np.column_stack([s.x, s.x[:, 0]]),
+                                  y=s.y) for s in base.studies)
+            data = MultiStudy(studies=studies,
+                              feature_names=base.feature_names + ("g1_copy",))
+        else:
+            data, _ = make_multistudy(rng, n=20, p=30, k=2, signal=0.8, s0=3)
+        active = tuple(range(data.p))
+        lam = fraction * lambda_max(data, active)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = group_lasso_fit(data, active, lam)
+        assert fit.converged
+        assert fit.kkt_residual <= 1e-6
+        trace = fit.objective_trace
+        assert all(b <= a + 1e-12 for a, b in zip(trace, trace[1:]))
+        xs, cys = standardize(data, active)
+        oracle = ista_oracle(xs, cys, lam, np.zeros_like(fit.beta_std))
+        assert objective(xs, cys, fit.beta_std, lam) \
+            == pytest.approx(objective(xs, cys, oracle, lam), abs=1e-6)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_warm_start_is_input_error(self, bad):
+        data, _ = make_multistudy(np.random.default_rng(1), n=30, p=4, k=2)
+        active = (0, 1, 2, 3)
+        beta0 = np.zeros((4, 2))
+        beta0[1, 0] = bad
+        with pytest.raises(InputError):
+            group_lasso_fit(data, active, 0.5 * lambda_max(data, active),
+                            beta0=beta0)
+
+    def test_kkt_residual_propagates_nan(self):
+        # A NaN among the zero groups only, then a NaN with no zero group
+        # at all: neither may give way to the finite side or its 0.0 floor.
+        gram = np.eye(2)[None]
+        for c, beta in (([[math.nan], [1.0]], [[0.0], [0.5]]),
+                        ([[1.0], [1.0]], [[0.5], [math.nan]])):
+            assert math.isnan(_kkt_residual(gram, np.array(c),
+                                            np.array(beta), 1.0))
 
     def test_at_lambda_max_all_zero(self, rng):
         cases = [make_multistudy(rng, n=30, p=5, k=int(rng.integers(1, 4)),
@@ -271,6 +324,20 @@ class TestSelectLambda:
         assert diag[3]["lambda"] == pytest.approx(
             0.4217 * lambda_max(data, kept), rel=1e-4)
         assert diag[3]["iterations"] <= 100
+
+    def test_setting2_path_sweep_count(self):
+        # A 50-point BIC path on a setting-2 instance (38 screened
+        # features): the Newton step on the nonzero groups keeps every fit
+        # to a few sweeps (1 247 in total with block steps alone).
+        data, _, _ = gen_instance(SimSetting.preset(2, seed=20240811, p=300), 0)
+        kept = tsa_sis(data, ScreeningConfig(1e-4, 0.05)).kept
+        assert len(kept) == 38
+        lam, diag, fit = select_lambda(data, kept, method="bic", grid_size=50)
+        assert all(cell["converged"] for cell in diag)
+        assert sum(cell["iterations"] for cell in diag) <= 400
+        assert lam == pytest.approx(40.01253448152968, rel=1e-12)
+        assert fit.selected == (0, 33, 66, 100, 133, 166, 199, 231, 233, 266,
+                                286, 299)
 
     def test_cv_runs_and_is_deterministic(self, rng):
         data, _ = make_multistudy(rng, n=40, p=5, k=2, signal=0.7, s0=2)
