@@ -4,6 +4,8 @@ export/reload round trip."""
 import csv
 import json
 import os
+import re
+import stat
 import subprocess
 import sys
 import textwrap
@@ -15,8 +17,10 @@ import pytest
 
 import multiscreen
 import multiscreen.data_io as data_io
-from multiscreen import ManifestError, SimSetting, gen_instance, load_multistudy
-from multiscreen.data_io import load_manifest, write_multistudy
+from multiscreen import (ManifestError, MultiStudy, SimSetting, Study,
+                         gen_instance, load_multistudy)
+from multiscreen.data_io import (load_manifest, write_csv_atomic,
+                                 write_json_atomic, write_multistudy)
 
 
 def write(path, text):
@@ -79,6 +83,11 @@ class TestLoad:
             {"study_id": "A", "data_path": "a.csv", "response_column": "y"}])
         with pytest.raises(ManifestError, match="duplicate column"):
             load_multistudy(manifest)
+        write(tmp_path / "a.csv", "g2,g1,g1,y,g2,g2\n1,2,3,4,5,6\n")
+        with pytest.raises(ManifestError,
+                           match=re.escape("duplicate column names in "
+                                           f"{tmp_path / 'a.csv'}: ['g1', 'g2']")):
+            load_multistudy(manifest)
 
     def test_empty_intersection(self, tmp_path):
         write(tmp_path / "a.csv", "a,y\n1,0\n2,1\n3,0\n")
@@ -112,6 +121,51 @@ class TestLoad:
             {"study_id": "A", "data_path": "a.csv", "response_column": "y"}],
             feature_columns=["a", "zz"])
         with pytest.raises(ManifestError, match="zz"):
+            load_multistudy(manifest)
+
+    def test_absent_columns_in_manifest_order_first_study_named(self, tmp_path):
+        write(tmp_path / "a.csv", "aa,a,zz,y\n1,2,3,0\n4,5,6,1\n")
+        write(tmp_path / "b.csv", "a,y\n1,0\n2,1\n")
+        write(tmp_path / "c.csv", "y,a\n0,1\n1,2\n")
+        manifest = make_manifest(tmp_path, [
+            {"study_id": "A", "data_path": "a.csv", "response_column": "y"},
+            {"study_id": "B", "data_path": "b.csv", "response_column": "y"},
+            {"study_id": "C", "data_path": "c.csv", "response_column": "y"}],
+            feature_columns=["zz", "a", "aa"])
+        with pytest.raises(ManifestError, match=re.escape(
+                "study 'B': feature column(s) ['zz', 'aa'] not in "
+                f"{tmp_path / 'b.csv'}")):
+            load_multistudy(manifest)
+
+    def test_response_listed_in_feature_columns(self, tmp_path):
+        write(tmp_path / "a.csv", "a,b,y\n1,2,0\n3,4,1\n")
+        manifest = make_manifest(tmp_path, [
+            {"study_id": "A", "data_path": "a.csv", "response_column": "y"}],
+            feature_columns=["a", "y"])
+        with pytest.raises(ManifestError, match=re.escape(
+                "study 'A': response column 'y' is listed in feature_columns")):
+            load_multistudy(manifest)
+
+    @pytest.mark.parametrize("responses, features, expected", [
+        # Study A fails both checks: its response check comes first.
+        (("y", "y"), ["a", "y", "zz"],
+         "study 'A': response column 'y' is listed"),
+        # Study A lacks a column and study B lists its response: studies
+        # are checked in manifest order.
+        (("y", "b"), ["a", "zz", "b"],
+         "study 'A': feature column(s) ['zz'] not in"),
+    ])
+    def test_alignment_check_precedence(self, tmp_path, responses, features,
+                                        expected):
+        write(tmp_path / "a.csv", "a,b,y\n1,2,0\n3,4,1\n")
+        write(tmp_path / "b.csv", "a,b,y\n1,2,0\n3,4,1\n")
+        manifest = make_manifest(tmp_path, [
+            {"study_id": "A", "data_path": "a.csv",
+             "response_column": responses[0]},
+            {"study_id": "B", "data_path": "b.csv",
+             "response_column": responses[1]}],
+            feature_columns=features)
+        with pytest.raises(ManifestError, match=re.escape(expected)):
             load_multistudy(manifest)
 
     def test_response_column_missing(self, tmp_path):
@@ -157,6 +211,95 @@ class TestRoundTrip:
             assert a.n == b.n
             assert np.array_equal(a.x, b.x)
             assert np.array_equal(a.y, b.y)
+
+    def test_names_needing_quotes_round_trip(self, tmp_path):
+        names = ("HLA-A,B", 'say "hi"', "two\nlines", "cr\rname", "plain")
+        x = np.arange(15.0).reshape(3, 5) / 7
+        data = MultiStudy(studies=(Study(id="s1", x=x, y=x.sum(axis=1)),
+                                   Study(id="s2", x=-x, y=x[:, 0])),
+                          feature_names=names)
+        reloaded = load_multistudy(write_multistudy(data, tmp_path))
+        assert reloaded.feature_names == names
+        for a, b in zip(data.studies, reloaded.studies):
+            assert np.array_equal(a.x, b.x)
+            assert np.array_equal(a.y, b.y)
+
+    def test_quoted_data_rows_read_back(self, tmp_path):
+        rows = [["HLA-A,B", 1.5, 2], ['say "hi"', -0.25, 3],
+                ["two\nlines", 1e-300, 4], ["g1", 0.5, 5]]
+        write_csv_atomic(tmp_path / "r.csv", ["name", "t", "rank"], rows)
+        with open(tmp_path / "r.csv", newline="", encoding="utf-8") as fh:
+            read = list(csv.reader(fh))
+        assert read == [["name", "t", "rank"],
+                        *[[str(c) for c in row] for row in rows]]
+
+    def test_unquoted_output_is_the_joined_cells(self, tmp_path, rng):
+        from conftest import make_multistudy
+        data, _ = make_multistudy(rng, n=6, p=5, k=2)
+        manifest = write_multistudy(data, tmp_path)
+        for study in data.studies:
+            lines = [["response", *data.feature_names]]
+            lines += [[repr(float(v)) for v in (study.y[i], *study.x[i])]
+                      for i in range(study.n)]
+            expected = "".join(",".join(cells) + "\n" for cells in lines)
+            assert (manifest.parent / f"{study.id}.csv").read_bytes() \
+                == expected.encode()
+        header = ["a b", " c", "", "d-e", 7, None]
+        rows = [[1, 2.5, "x y", "", -0.0, None], [], [""], ["", ""]]
+        write_csv_atomic(tmp_path / "plain.csv", header, rows)
+        expected = "".join(",".join(str(c) for c in row) + "\n"
+                           for row in [header, *rows])
+        assert (tmp_path / "plain.csv").read_text() == expected
+
+
+def test_output_files_follow_umask(tmp_path, rng):
+    from conftest import make_multistudy
+    data, _ = make_multistudy(rng, n=5, p=3, k=2)
+    old = os.umask(0o022)
+    try:
+        write_json_atomic(tmp_path / "result.json", {"a": 1})
+        write_csv_atomic(tmp_path / "records.csv", ["a"], [[1]])
+        manifest = write_multistudy(data, tmp_path / "exported")
+    finally:
+        os.umask(old)
+    written = [tmp_path / "result.json", tmp_path / "records.csv", manifest,
+               *manifest.parent.glob("*.csv")]
+    assert len(written) == 5
+    for path in written:
+        assert stat.S_IMODE(path.stat().st_mode) == 0o644, path
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
+def test_alignment_compares_names_linearly(tmp_path, monkeypatch):
+    # Counting string comparisons pins the cost of aligning a wide
+    # manifest without timing it: a scan of the header list per feature
+    # makes about p * p / 2 comparisons per study.
+    p, k = 2_000, 2
+    x = np.arange(3.0 * p).reshape(3, p)
+    names = tuple(f"g{j}" for j in range(p))
+    data = MultiStudy(studies=tuple(Study(id=f"s{i}", x=x + i, y=x[:, i])
+                                    for i in range(k)),
+                      feature_names=names)
+    manifest = write_multistudy(data, tmp_path)
+    comparisons = [0]
+
+    class CountedName(str):
+        __hash__ = str.__hash__
+
+        def __eq__(self, other):
+            comparisons[0] += 1
+            return str.__eq__(self, other)
+
+    read_table = data_io._read_table
+
+    def counted_read_table(path, study_id):
+        header, values = read_table(path, study_id)
+        return [CountedName(h) for h in header], values
+
+    monkeypatch.setattr(data_io, "_read_table", counted_read_table)
+    reloaded = load_multistudy(manifest)
+    assert reloaded.feature_names == names
+    assert comparisons[0] <= 4 * p * k
 
 
 def _reference_read_table(path: Path, study_id: str) -> tuple[list[str], np.ndarray]:
