@@ -8,7 +8,10 @@ A manifest is a JSON document::
      "feature_columns": ["g1", "g2", ...]}        # optional
 
 Each data file is a CSV with a header row and one numeric row per
-observation. Data paths are resolved relative to the manifest location.
+observation, split into cells as Python's ``csv`` module splits them: a
+line with no double quote is split on its commas, and a record that holds
+one is read by ``csv.reader``. Data paths are resolved relative to the
+manifest location.
 When ``feature_columns`` is absent the feature set is the intersection of
 the studies' non-response columns, in first-study order, and a warning
 lists anything dropped.
@@ -24,11 +27,12 @@ import os
 import warnings
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ManifestError
+from .errors import InputError, ManifestError
 from .screening import MultiStudy, Study
 
 __all__ = [
@@ -107,7 +111,7 @@ def _read_table(path: Path, study_id: str) -> tuple[list[str], np.ndarray]:
     header: list[str] = []
     rows: list[list[float]] = []
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
+        reader = _Rows(fh)
         try:
             try:
                 header = next(reader)
@@ -149,6 +153,41 @@ def _read_table(path: Path, study_id: str) -> tuple[list[str], np.ndarray]:
     if not np.isfinite(values).all():
         _raise_first_fault(header, rows, path, study_id)
     return header, values
+
+
+class _Rows:
+    """The rows ``csv.reader`` gives for a file opened with ``newline=""``.
+
+    Under the default dialect (delimiter ``,``, quote ``"``, no escape
+    character, not strict) a line with no quote is exactly its
+    comma-separated pieces, which ``str.split`` gives at about half the
+    cost. A line that holds a quote, a NUL (which Python 3.10's ``csv``
+    rejects) or a field over ``csv.field_size_limit()`` starts a record
+    that ``csv.reader`` reads, over as many lines as it needs.
+    ``line_num`` counts the lines consumed, as ``csv.reader``'s does."""
+
+    def __init__(self, fh):
+        self._fh = fh
+        self._limit = csv.field_size_limit()
+        self.line_num = 0
+
+    def __iter__(self):
+        return self
+
+    def __next__(self) -> list[str]:
+        line = next(self._fh)
+        if '"' not in line and "\0" not in line:
+            text = line.rstrip("\r\n")
+            cells = text.split(",") if text else []
+            if (len(line) <= self._limit
+                    or max(map(len, cells), default=0) <= self._limit):
+                self.line_num += 1
+                return cells
+        record = csv.reader(chain([line], self._fh))
+        try:
+            return next(record)
+        finally:
+            self.line_num += record.line_num
 
 
 def _raise_first_fault(header: list[str], rows: list, path: Path,
@@ -233,8 +272,21 @@ def load_multistudy(manifest_path) -> MultiStudy:
 def write_multistudy(data: MultiStudy, directory) -> Path:
     """Export a MultiStudy as per-study CSVs plus ``manifest.json``; floats
     use shortest round-trip formatting so a reload reproduces values
-    exactly. Returns the manifest path."""
+    exactly. Returns the manifest path. Raises ``InputError``, before any
+    file is written, for a study id that is not a plain file name and for
+    a feature name with whitespace at either end, which reading strips."""
     directory = Path(directory)
+    for study in data.studies:
+        stem = str(study.id)
+        if (stem in ("", ".", "..") or "\0" in stem
+                or any(sep and sep in stem for sep in ("/", os.sep, os.altsep))):
+            raise InputError(
+                f"study id {study.id!r} cannot name a file in {directory}")
+    for name in data.feature_names:
+        if name != name.strip():
+            raise InputError(
+                f"feature name {name!r} has whitespace at either end, "
+                "which reading strips")
     directory.mkdir(parents=True, exist_ok=True)
     response = "response"
     while response in data.feature_names:

@@ -4,11 +4,13 @@ export/reload round trip."""
 import csv
 import json
 import os
+import random
 import re
 import stat
 import subprocess
 import sys
 import textwrap
+from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -17,8 +19,8 @@ import pytest
 
 import multiscreen
 import multiscreen.data_io as data_io
-from multiscreen import (ManifestError, MultiStudy, SimSetting, Study,
-                         gen_instance, load_multistudy)
+from multiscreen import (InputError, ManifestError, MultiStudy, SimSetting,
+                         Study, gen_instance, load_multistudy)
 from multiscreen.data_io import (load_manifest, write_csv_atomic,
                                  write_json_atomic, write_multistudy)
 
@@ -224,6 +226,32 @@ class TestRoundTrip:
             assert np.array_equal(a.x, b.x)
             assert np.array_equal(a.y, b.y)
 
+    @pytest.mark.parametrize("study_id", ["../escaped", "a/b"])
+    def test_study_id_that_is_a_path_rejected(self, tmp_path, study_id):
+        x = np.arange(6.0).reshape(3, 2)
+        data = MultiStudy(studies=(Study(id=study_id, x=x, y=x[:, 0]),),
+                          feature_names=("g1", "g2"))
+        with pytest.raises(InputError, match=re.escape(repr(study_id))):
+            write_multistudy(data, tmp_path / "out")
+        assert not list(tmp_path.rglob("*"))
+
+    def test_plain_study_ids_round_trip(self, tmp_path):
+        x = np.arange(6.0).reshape(3, 2)
+        data = MultiStudy(studies=(Study(id="cohort_a", x=x, y=x[:, 0]),
+                                   Study(id="s 1", x=-x, y=x[:, 1])),
+                          feature_names=("g1", "g2"))
+        reloaded = load_multistudy(write_multistudy(data, tmp_path))
+        assert [s.id for s in reloaded.studies] == ["cohort_a", "s 1"]
+        assert np.array_equal(reloaded.studies[1].x, -x)
+
+    def test_feature_name_with_outer_whitespace_rejected(self, tmp_path):
+        x = np.arange(6.0).reshape(3, 2)
+        data = MultiStudy(studies=(Study(id="s1", x=x, y=x[:, 0]),),
+                          feature_names=("g0", " g1"))
+        with pytest.raises(InputError, match=re.escape("' g1'")):
+            write_multistudy(data, tmp_path / "out")
+        assert not list(tmp_path.rglob("*"))
+
     def test_quoted_data_rows_read_back(self, tmp_path):
         rows = [["HLA-A,B", 1.5, 2], ['say "hi"', -0.25, 3],
                 ["two\nlines", 1e-300, 4], ["g1", 0.5, 5]]
@@ -387,6 +415,13 @@ CRAFTED = {
     "nonfinite_after_short_row": "a,b\n1,2\n3\n1,inf\n",
     "over_field_limit_after_nonfinite": f"a,b\n1,inf\n{OVER_FIELD_LIMIT},1\n",
     "single_column": "y\n1\n2.5\n-3\n",
+    "quote_first_in_row_3": 'a,b\n1,2\n3,4\n"5",6\n7,8\n',
+    "quoted_field_spans_two_lines": '"a\nb",c\n1,2\n3,4\n5,6\n',
+    "crlf_one_quoted_row": 'a,b\r\n1,2\r\n"3",4\r\n5,6\r\n',
+    "quoted_header_plain_data": '"g,1",y\n1,2\n3,4\n',
+    "bare_quote_inside_field": 'a,b\n1,2\n1"2,3\n',
+    "nul_in_cell": "a,b\n1,2\n3,4\x00\n",
+    "last_line_bare_cr": "a,b\n1,2\n3,4\r",
 }
 
 
@@ -423,6 +458,130 @@ class TestReaderMatchesReference:
         assert len(calls) <= 3
 
 
+def _csv_reader_read_table(path: Path, study_id: str) -> tuple[list[str], np.ndarray]:
+    """The reader as it was while ``csv.reader`` tokenized every line. Kept
+    verbatim as the reference for the tokenizer of ``data_io._read_table``."""
+    if not path.is_file():
+        raise ManifestError(f"study {study_id!r}: data file not found: {path}")
+    header: list[str] = []
+    rows: list[list[float]] = []
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        try:
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise ManifestError(
+                    f"study {study_id!r}: {path} is empty") from None
+            header = [h.strip() for h in header]
+            if any(not h for h in header):
+                raise ManifestError(
+                    f"study {study_id!r}: {path} has an empty column name")
+            if len(set(header)) != len(header):
+                dupes = sorted(h for h, n in Counter(header).items() if n > 1)
+                raise ManifestError(
+                    f"study {study_id!r}: duplicate column names in {path}: {dupes}")
+            for row in reader:
+                if len(row) != len(header):
+                    _raise_first_fault(header, [*rows, row], path, study_id)
+                try:
+                    rows.append(list(map(float, row)))
+                except ValueError:
+                    _raise_first_fault(header, [*rows, row], path, study_id)
+        except csv.Error as exc:
+            # A fault in a row read before the unreadable one comes first,
+            # as it would were each cell checked as it is read.
+            _raise_first_fault(header, rows, path, study_id)
+            raise ManifestError(
+                f"study {study_id!r}: {path} line {reader.line_num}: {exc}"
+            ) from None
+        except UnicodeDecodeError as exc:
+            # The decoder reads ahead in blocks, so reader.line_num need
+            # not be the line that holds the bad byte.
+            _raise_first_fault(header, rows, path, study_id)
+            raise ManifestError(
+                f"study {study_id!r}: {path} is not valid UTF-8 (byte "
+                f"0x{exc.object[exc.start]:02x}: {exc.reason})") from None
+    if not rows:
+        raise ManifestError(f"study {study_id!r}: {path} has no data rows")
+    values = np.asarray(rows, dtype=float)
+    if not np.isfinite(values).all():
+        _raise_first_fault(header, rows, path, study_id)
+    return header, values
+
+
+_raise_first_fault = data_io._raise_first_fault
+
+FUZZ_TOKENS = ["1", "2", ".5", "e3", "-", ",", '"', "\n", "\r", "\r\n", " ",
+               "x", "\0", "inf", "_"]
+CELL_WEIGHTS = [20, 20, 8, 3, 3, 0, 1, 1, 1, 1, 1, 1, 1, 1, 1]
+
+
+def _fuzz_files(seed, count):
+    """Short random CSV files over ``FUZZ_TOKENS``: half are free token
+    strings, half are a plain header over rows of two mostly numeric
+    cells, some quoted. A third start with a byte-order mark and a few end
+    with a byte that is not UTF-8."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        if rng.random() < 0.5:
+            text = "".join(rng.choices(FUZZ_TOKENS, k=rng.randint(0, 30)))
+        else:
+            lines = ["a,b"]
+            for _ in range(rng.randint(1, 5)):
+                cells = ["".join(rng.choices(FUZZ_TOKENS, CELL_WEIGHTS,
+                                             k=rng.randint(1, 3)))
+                         for _ in range(2)]
+                lines.append(",".join(f'"{c}"' if rng.random() < 0.15 else c
+                                      for c in cells))
+            text = "".join(line + rng.choice(["\n", "\r", "\r\n"])
+                           for line in lines)
+        data = text.encode()
+        if rng.random() < 0.3:
+            data = b"\xef\xbb\xbf" + data
+        if rng.random() < 0.05:
+            data += b"\xff"
+        yield data
+
+
+class TestSplitMatchesCsvModule:
+    @pytest.mark.parametrize("limit", [8, None])
+    def test_fuzzed_files_same_array_or_same_error(self, tmp_path, limit):
+        path = tmp_path / "f.csv"
+        old = csv.field_size_limit()
+        if limit is not None:
+            csv.field_size_limit(limit)
+        try:
+            for data in _fuzz_files(seed=20240811, count=1_500):
+                path.write_bytes(data)
+                assert (_outcome(data_io._read_table, path)
+                        == _outcome(_csv_reader_read_table, path)), data
+        finally:
+            csv.field_size_limit(old)
+
+    def test_plain_lines_skip_the_csv_module(self, tmp_path, monkeypatch):
+        calls = [0]
+        reader = csv.reader
+
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return reader(*args, **kwargs)
+
+        monkeypatch.setattr(data_io.csv, "reader", counted)
+        x = np.arange(15.0).reshape(3, 5) / 7
+        plain = MultiStudy(studies=(Study(id="s1", x=x, y=x.sum(axis=1)),
+                                    Study(id="s2", x=-x, y=x[:, 0])),
+                           feature_names=("g1", "g2", "g3", "g4", "g5"))
+        load_multistudy(write_multistudy(plain, tmp_path / "plain"))
+        assert calls[0] == 0
+        quoted = MultiStudy(studies=(Study(id="s1", x=x, y=x[:, 1]),),
+                            feature_names=("HLA-A,B", "g2", "g3", "g4", "g5"))
+        reloaded = load_multistudy(write_multistudy(quoted, tmp_path / "quoted"))
+        assert calls[0] == 1
+        assert reloaded.feature_names == quoted.feature_names
+        assert np.array_equal(reloaded.studies[0].x, x)
+
+
 class TestUnreadableFiles:
     def test_cell_over_field_limit(self, tmp_path):
         write(tmp_path / "a.csv", f"g1,y\n1,2\n3,{OVER_FIELD_LIMIT}\n4,5\n")
@@ -430,6 +589,28 @@ class TestUnreadableFiles:
             {"study_id": "A", "data_path": "a.csv", "response_column": "y"}])
         with pytest.raises(ManifestError,
                            match=r"study 'A': .*a\.csv line 3: field larger"):
+            load_multistudy(manifest)
+
+    def test_field_at_and_over_limit_on_a_quote_free_line(self, tmp_path):
+        limit = csv.field_size_limit()
+        write(tmp_path / "a.csv",
+              f"g1,y\n1,2\n{'0' * limit},3\n4,{'0' * (limit + 1)}\n")
+        manifest = make_manifest(tmp_path, [
+            {"study_id": "A", "data_path": "a.csv", "response_column": "y"}])
+        with pytest.raises(ManifestError, match=re.escape(
+                f"a.csv line 4: field larger than field limit ({limit})")):
+            load_multistudy(manifest)
+
+    def test_field_over_limit_after_multiline_record(self, tmp_path):
+        # float() strips the line break inside the quoted cell, so lines
+        # 2-3 are one good row and the fault is on line 4.
+        limit = csv.field_size_limit()
+        write(tmp_path / "a.csv",
+              f'g1,y\n"1\n",2\n3,{"0" * (limit + 1)}\n')
+        manifest = make_manifest(tmp_path, [
+            {"study_id": "A", "data_path": "a.csv", "response_column": "y"}])
+        with pytest.raises(ManifestError, match=re.escape(
+                f"a.csv line 4: field larger than field limit ({limit})")):
             load_multistudy(manifest)
 
     def test_study_not_utf8(self, tmp_path):
