@@ -8,10 +8,10 @@ A manifest is a JSON document::
      "feature_columns": ["g1", "g2", ...]}        # optional
 
 Each data file is a CSV with a header row and one numeric row per
-observation, split into cells as Python's ``csv`` module splits them: a
-line with no double quote is split on its commas, and a record that holds
-one is read by ``csv.reader``. Data paths are resolved relative to the
-manifest location.
+observation, read as ``csv.reader`` and ``float()`` read it: numpy's C
+reader converts quote-free data lines with ``float()``'s own conversion,
+and any other file is read cell by cell. Data paths are resolved
+relative to the manifest location.
 When ``feature_columns`` is absent the feature set is the intersection of
 the studies' non-response columns, in first-study order, and a warning
 lists anything dropped.
@@ -27,7 +27,6 @@ import os
 import warnings
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -106,12 +105,38 @@ def load_manifest(manifest_path) -> StudyManifest:
 
 
 def _read_table(path: Path, study_id: str) -> tuple[list[str], np.ndarray]:
+    """The stripped header and the (rows, columns) values of a study file.
+
+    When no data line needs ``csv.reader`` (see ``_split_on_commas``), one
+    ``np.loadtxt`` call converts them, each cell by ``PyOS_string_to_double``
+    as ``float()`` does, and keeps the result if it has a row per line, a
+    column per name and only finite values. Any other file is read again
+    cell by cell, which raises the error for its first fault."""
     if not path.is_file():
         raise ManifestError(f"study {study_id!r}: data file not found: {path}")
+    limit = csv.field_size_limit()
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            lines = fh.readlines()
+        if lines and _split_on_commas(lines[0], limit):
+            names, body = lines[0].rstrip("\r\n").split(","), lines[1:]
+        else:
+            reader = csv.reader(lines)
+            names, body = next(reader, []), lines[reader.line_num:]
+        names = [h.strip() for h in names]
+        if (body and all(names) and len(set(names)) == len(names)
+                and all(_split_on_commas(line, limit) for line in body)):
+            values = np.loadtxt(body, delimiter=",", comments=None,
+                                quotechar=None, dtype=float, ndmin=2)
+            if (values.shape == (len(body), len(names))
+                    and np.isfinite(values).all()):
+                return names, values
+    except (ValueError, csv.Error):
+        pass  # not UTF-8, an unreadable header, or a cell numpy rejects
     header: list[str] = []
     rows: list[list[float]] = []
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = _Rows(fh)
+        reader = csv.reader(fh)
         try:
             try:
                 header = next(reader)
@@ -155,39 +180,13 @@ def _read_table(path: Path, study_id: str) -> tuple[list[str], np.ndarray]:
     return header, values
 
 
-class _Rows:
-    """The rows ``csv.reader`` gives for a file opened with ``newline=""``.
-
-    Under the default dialect (delimiter ``,``, quote ``"``, no escape
-    character, not strict) a line with no quote is exactly its
-    comma-separated pieces, which ``str.split`` gives at about half the
-    cost. A line that holds a quote, a NUL (which Python 3.10's ``csv``
-    rejects) or a field over ``csv.field_size_limit()`` starts a record
-    that ``csv.reader`` reads, over as many lines as it needs.
-    ``line_num`` counts the lines consumed, as ``csv.reader``'s does."""
-
-    def __init__(self, fh):
-        self._fh = fh
-        self._limit = csv.field_size_limit()
-        self.line_num = 0
-
-    def __iter__(self):
-        return self
-
-    def __next__(self) -> list[str]:
-        line = next(self._fh)
-        if '"' not in line and "\0" not in line:
-            text = line.rstrip("\r\n")
-            cells = text.split(",") if text else []
-            if (len(line) <= self._limit
-                    or max(map(len, cells), default=0) <= self._limit):
-                self.line_num += 1
-                return cells
-        record = csv.reader(chain([line], self._fh))
-        try:
-            return next(record)
-        finally:
-            self.line_num += record.line_num
+def _split_on_commas(line: str, limit: int) -> bool:
+    """Whether ``csv.reader`` reads ``line`` as its comma-separated pieces:
+    it is not blank and has no quote, no NUL and no field over ``limit``."""
+    # csv.reader gives [] for a blank line; Python 3.10's csv rejects a NUL.
+    return (line[0] not in "\r\n" and '"' not in line and "\0" not in line
+            and (len(line) <= limit
+                 or max(map(len, line.rstrip("\r\n").split(","))) <= limit))
 
 
 def _raise_first_fault(header: list[str], rows: list, path: Path,
@@ -273,15 +272,14 @@ def write_multistudy(data: MultiStudy, directory) -> Path:
     """Export a MultiStudy as per-study CSVs plus ``manifest.json``; floats
     use shortest round-trip formatting so a reload reproduces values
     exactly. Returns the manifest path. Raises ``InputError``, before any
-    file is written, for a study id that is not a plain file name and for
-    a feature name with whitespace at either end, which reading strips."""
+    file is written, for a study id that is not a string naming a plain
+    file and for a feature name with whitespace at either end."""
     directory = Path(directory)
     for study in data.studies:
-        stem = str(study.id)
-        if (stem in ("", ".", "..") or "\0" in stem
-                or any(sep and sep in stem for sep in ("/", os.sep, os.altsep))):
-            raise InputError(
-                f"study id {study.id!r} cannot name a file in {directory}")
+        if (not isinstance(study.id, str) or study.id in ("", ".", "..")
+                or {"/", "\0", os.sep, os.altsep} & set(study.id)):
+            raise InputError(f"study id {study.id!r} must be a string that "
+                             f"names a file in {directory}")
     for name in data.feature_names:
         if name != name.strip():
             raise InputError(

@@ -235,6 +235,15 @@ class TestRoundTrip:
             write_multistudy(data, tmp_path / "out")
         assert not list(tmp_path.rglob("*"))
 
+    def test_study_id_that_is_not_a_string_rejected(self, tmp_path):
+        # A manifest's study ids are strings, so id 0 would not reload.
+        x = np.arange(6.0).reshape(3, 2)
+        data = MultiStudy(studies=(Study(id=0, x=x, y=x[:, 0]),),
+                          feature_names=("g1", "g2"))
+        with pytest.raises(InputError, match="study id 0 must be a string"):
+            write_multistudy(data, tmp_path / "out")
+        assert not list(tmp_path.rglob("*"))
+
     def test_plain_study_ids_round_trip(self, tmp_path):
         x = np.arange(6.0).reshape(3, 2)
         data = MultiStudy(studies=(Study(id="cohort_a", x=x, y=x[:, 0]),
@@ -422,17 +431,27 @@ CRAFTED = {
     "bare_quote_inside_field": 'a,b\n1,2\n1"2,3\n',
     "nul_in_cell": "a,b\n1,2\n3,4\x00\n",
     "last_line_bare_cr": "a,b\n1,2\n3,4\r",
+    "only_a_blank_line": "a,b\n\n",
+    "header_wider_than_rows": "a,b,c\n1,2\n3,4\n",
+    "underscore_only": "a,b\n1_0,2\n3,4\n",
+    "arabic_indic_digit": "a,b\n1,\u0662\n3,4\n",
+    "form_feed_padding": "a,b\n\x0c1.5\x0c,2\n3,\x0c4\n",
+    "no_break_space_padding": "a,b\n\xa01.5\xa0,2\n3,\xa04\n",
 }
 
 
 class TestReaderMatchesReference:
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("name", sorted(CRAFTED))
     def test_same_array_or_same_error(self, tmp_path, name):
         path = tmp_path / f"{name}.csv"
-        path.write_bytes(CRAFTED[name].encode("ascii"))
-        assert (_outcome(data_io._read_table, path)
-                == _outcome(_reference_read_table, path))
+        path.write_bytes(CRAFTED[name].encode("utf-8"))
+        outcome = _outcome(data_io._read_table, path)
+        assert outcome == _outcome(_csv_reader_read_table, path)
+        if CRAFTED[name].isascii():  # this reference reads the locale encoding
+            assert outcome == _outcome(_reference_read_table, path)
 
+    @pytest.mark.filterwarnings("error")
     def test_clean_fixture_bit_for_bit(self, tmp_path):
         setting = SimSetting(n=30, p=40, K=2, s0=3, beta_low=0.4,
                              beta_high=0.8, B=1, seed=7)
@@ -519,21 +538,27 @@ CELL_WEIGHTS = [20, 20, 8, 3, 3, 0, 1, 1, 1, 1, 1, 1, 1, 1, 1]
 
 def _fuzz_files(seed, count):
     """Short random CSV files over ``FUZZ_TOKENS``: half are free token
-    strings, half are a plain header over rows of two mostly numeric
-    cells, some quoted. A third start with a byte-order mark and a few end
-    with a byte that is not UTF-8."""
+    strings, half are a plain header over rows of mostly numeric cells,
+    some quoted. Those rows have two cells, or in one file of four twelve
+    cells, few of them fuzzed or quoted, so that at a small field limit
+    lines are longer than the limit while their fields are not. A third start
+    with a byte-order mark and a few end with a byte that is not UTF-8."""
     rng = random.Random(seed)
     for _ in range(count):
         if rng.random() < 0.5:
             text = "".join(rng.choices(FUZZ_TOKENS, k=rng.randint(0, 30)))
         else:
-            lines = ["a,b"]
+            width = rng.choice([2, 2, 2, 12])
+            lines = [",".join("abcdefghijkl"[:width])]
             for _ in range(rng.randint(1, 5)):
                 cells = ["".join(rng.choices(FUZZ_TOKENS, CELL_WEIGHTS,
                                              k=rng.randint(1, 3)))
-                         for _ in range(2)]
-                lines.append(",".join(f'"{c}"' if rng.random() < 0.15 else c
-                                      for c in cells))
+                         if width == 2 or rng.random() < 0.05
+                         else rng.choice(["1", "-2.5", "3e-2"])
+                         for _ in range(width)]
+                lines.append(",".join(
+                    f'"{c}"' if rng.random() < 0.3 / width else c
+                    for c in cells))
             text = "".join(line + rng.choice(["\n", "\r", "\r\n"])
                            for line in lines)
         data = text.encode()
@@ -545,6 +570,7 @@ def _fuzz_files(seed, count):
 
 
 class TestSplitMatchesCsvModule:
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("limit", [8, None])
     def test_fuzzed_files_same_array_or_same_error(self, tmp_path, limit):
         path = tmp_path / "f.csv"
@@ -559,7 +585,7 @@ class TestSplitMatchesCsvModule:
         finally:
             csv.field_size_limit(old)
 
-    def test_plain_lines_skip_the_csv_module(self, tmp_path, monkeypatch):
+    def test_plain_lines_skip_the_csv_module(self, tmp_path, monkeypatch, rng):
         calls = [0]
         reader = csv.reader
 
@@ -580,6 +606,17 @@ class TestSplitMatchesCsvModule:
         assert calls[0] == 1
         assert reloaded.feature_names == quoted.feature_names
         assert np.array_equal(reloaded.studies[0].x, x)
+        # p = 8 000 gives lines longer than the field limit, of short fields.
+        w = rng.standard_normal((3, 8_000))
+        wide = MultiStudy(studies=(Study(id="s1", x=w, y=w.sum(axis=1)),),
+                          feature_names=tuple(f"g{j}" for j in range(8_000)))
+        path = write_multistudy(wide, tmp_path / "wide").parent / "s1.csv"
+        lines = path.read_text().splitlines()[1:]
+        assert min(map(len, lines)) > csv.field_size_limit()
+        outcome = _outcome(data_io._read_table, path)
+        assert calls[0] == 1
+        assert outcome == _outcome(_csv_reader_read_table, path)
+        assert outcome[3] == np.column_stack([w.sum(axis=1), w]).tobytes()
 
 
 class TestUnreadableFiles:
