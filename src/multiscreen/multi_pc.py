@@ -20,8 +20,8 @@ from .errors import (BudgetExceededError, DegenerateColumnError, InputError,
                      SingularDesignError)
 from .screening import (MultiStudy, ScreeningConfig, Study, _chi2_thresholds,
                         _step1_threshold, _two_step, tsa_sis)
-from .stats_core import (TStat, _t_from_centered, center_column,
-                         self_normalized_t)
+from .stats_core import (TStat, _cross_products, _t_from_products,
+                         center_column, self_normalized_t)
 
 __all__ = [
     "StopReason",
@@ -123,8 +123,8 @@ def _conditional_stats(study: Study, features: list[int],
         raise DegenerateColumnError(
             f"{what} lies in the span of conditioning set {cond} "
             f"(study {study.id!r})")
-    return _t_from_centered(centered[:, :-1], centered[:, -1:], var[:-1],
-                            var[-1:], label=lambda i: features[i])
+    return _t_from_products(*_cross_products(centered[:, :-1], centered[:, -1:]),
+                            var[:-1], var[-1:], label=lambda i: features[i])
 
 
 def multi_pc_run(data: MultiStudy, config: ScreeningConfig, max_order: int,

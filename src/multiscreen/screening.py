@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateColumnError, InputError
-from .stats_core import (_exact_colsum, _t_from_centered, center_column,
-                         chi2_quantile, normal_quantile)
+from .stats_core import (_cross_products, _exact_colsum, _t_from_products,
+                         center_column, chi2_quantile, normal_quantile)
 
 __all__ = [
     "Study",
@@ -182,19 +182,50 @@ class Step1Output:
 _CHUNK = 128
 
 
-def _centered_blocks(data: MultiStudy):
-    """(study index, study, first feature, cx, var_x, cy, var_y) per study
-    and chunk of feature columns, in study-major order: the centered (n,
-    chunk) block and (n, 1) response with their 1/n variances; a constant
-    response raises."""
+def _stat_matrices(data: MultiStudy, names) -> dict:
+    """The (p, K) matrices in ``names``, "t" (self-normalized statistics)
+    and "corr" (Pearson correlations, from the same sigma_hat), from one
+    centering of every column. Each maps to its matrix or to the error of
+    its first degenerate column or response, in study-major order."""
+    out = {name: np.empty((data.p, data.k)) for name in names}
+    filling = set(out)
     for ki, study in enumerate(data.studies):
         cy, var_y = center_column(study.y[:, None])
         if var_y[0] <= 0.0:
-            raise DegenerateColumnError(
-                f"response in study {study.id!r} has zero variance")
+            out.update(dict.fromkeys(filling, DegenerateColumnError(
+                f"response in study {study.id!r} has zero variance")))
+            return out
         for j0 in range(0, data.p, _CHUNK):
             cx, var_x = center_column(study.x[:, j0:j0 + _CHUNK])
-            yield ki, study, j0, cx, var_x, cy, var_y
+            cols = (slice(j0, j0 + cx.shape[1]), ki)
+            prods, sigma = _cross_products(cx, cy)
+            flat = np.flatnonzero(var_x <= 0.0)
+            if "corr" in filling and flat.size:
+                filling.remove("corr")
+                out["corr"] = DegenerateColumnError(
+                    f"feature {data.feature_names[j0 + flat[0]]!r} has zero "
+                    f"variance in study {study.id!r}")
+            elif "corr" in filling:
+                out["corr"][cols] = sigma / np.sqrt(var_x * var_y)
+            if "t" in filling:
+                try:
+                    out["t"][cols] = _t_from_products(
+                        prods, sigma, var_x, var_y, label=lambda i: (
+                            f"{data.feature_names[j0 + i]} "
+                            f"(study {study.id!r})"))[0]
+                except DegenerateColumnError as exc:
+                    filling.remove("t")
+                    out["t"] = exc
+            if not filling:
+                return out
+    return out
+
+
+def _one_matrix(data: MultiStudy, name: str) -> np.ndarray:
+    out = _stat_matrices(data, (name,))[name]
+    if isinstance(out, DegenerateColumnError):
+        raise out
+    return out
 
 
 def compute_t_matrix(data: MultiStudy) -> np.ndarray:
@@ -203,26 +234,12 @@ def compute_t_matrix(data: MultiStudy) -> np.ndarray:
     Degenerate columns raise :class:`DegenerateColumnError` naming the
     first such feature and study, in study-major order.
     """
-    out = np.empty((data.p, data.k))
-    for ki, study, j0, cx, var_x, cy, var_y in _centered_blocks(data):
-        out[j0:j0 + cx.shape[1], ki] = _t_from_centered(
-            cx, cy, var_x, var_y, label=lambda i: (
-                f"{data.feature_names[j0 + i]} (study {study.id!r})"))[0]
-    return out
+    return _one_matrix(data, "t")
 
 
 def compute_correlation_matrix(data: MultiStudy) -> np.ndarray:
     """Pearson sample correlations for every (feature, study) pair, shape (p, K)."""
-    out = np.empty((data.p, data.k))
-    for ki, study, j0, cx, var_x, cy, var_y in _centered_blocks(data):
-        flat = np.flatnonzero(var_x <= 0.0)
-        if flat.size:
-            raise DegenerateColumnError(
-                f"feature {data.feature_names[j0 + flat[0]]!r} has zero "
-                f"variance in study {study.id!r}")
-        cov = _exact_colsum(cx * cy) / study.n
-        out[j0:j0 + cx.shape[1], ki] = cov / np.sqrt(var_x * var_y)
-    return out
+    return _one_matrix(data, "corr")
 
 
 def _resolve_threshold(alpha1: float | None, threshold: float | None) -> tuple[float, float]:

@@ -23,8 +23,7 @@ import numpy as np
 
 from .errors import InputError, MultiscreenError
 from .screening import (MultiStudy, Study, _chi2_thresholds, _min_rank,
-                        _step1_threshold, _top_d, _two_step,
-                        compute_correlation_matrix, compute_t_matrix)
+                        _stat_matrices, _step1_threshold, _top_d, _two_step)
 from .stats_core import normal_quantile
 
 __all__ = [
@@ -188,9 +187,11 @@ def _uniform_open(rng: np.random.Generator, size) -> np.ndarray:
     # (2k + 1) / 2^54 for k < 2^53, rounded: exact for k < 2^52; above, the
     # 54-bit numerator rounds to even, so the upper half of the grid has
     # spacing 2^-53. Only k = 2^53 - 1 would round up to 1.0, hence the
-    # clamp to the largest float below 1.
-    k = rng.integers(0, 1 << 53, size=size, dtype=np.uint64)
-    u = (2.0 * k.astype(np.float64) + 1.0) * 2.0 ** -54
+    # clamp to the largest float below 1. The float64 2.0 * k is exact, and
+    # the later steps run in place.
+    u = rng.integers(0, 1 << 53, size=size, dtype=np.uint64) * 2.0
+    u += 1.0
+    u *= 2.0 ** -54
     return np.minimum(u, 1.0 - 2.0 ** -53, out=u)
 
 
@@ -253,14 +254,17 @@ def gen_instance(setting: SimSetting, rep: int):
             betas = betas + setting.hetero_sd * _standard_normal(rng, s_act)
         # The recursion runs on the contiguous rows of x.T. IEEE addition
         # commutes, so c * z_j + r * col_{j-1} has the bits of the
-        # docstring's recursion. x is made C-contiguous again, so that
-        # x[:, active] @ betas runs the same BLAS kernel.
+        # docstring's recursion. At r = 0 it multiplies by 1.0 and adds
+        # +-0.0, which leaves every nonzero entry as it is, so it is skipped
+        # unless a draw is zero (-0.0 + 0.0 is +0.0). x is made C-contiguous
+        # again, so that x[:, active] @ betas runs the same BLAS kernel.
         xt = np.ascontiguousarray(_standard_normal(rng, (n, p)).T)
-        xt[1:] *= math.sqrt(1.0 - r * r)
-        step = np.empty(n)
-        for j in range(1, p):
-            np.multiply(xt[j - 1], r, out=step)
-            xt[j] += step
+        if r != 0.0 or not xt.all():
+            xt[1:] *= math.sqrt(1.0 - r * r)
+            step = np.empty(n)
+            for j in range(1, p):
+                np.multiply(xt[j - 1], r, out=step)
+                xt[j] += step
         x = np.ascontiguousarray(xt.T)
         eps = setting.noise_sd * _standard_normal(rng, n)
         y = x[:, active] @ betas + eps
@@ -294,12 +298,9 @@ def evaluate(kept, truth, p: int) -> RepMetrics:
 # ---------------------------------------------------------------------------
 # Rules: picklable evaluations the replication worker applies to one
 # instance. ``matrix`` names the statistic matrix a rule reads ("t" or
-# "corr"); calling a rule with (matrix, data, active) returns its payload.
+# "corr", as ``screening._stat_matrices`` names them); calling a rule with
+# (matrix, data, active) returns its payload.
 # ---------------------------------------------------------------------------
-
-def _matrix(name: str, data: MultiStudy) -> np.ndarray:
-    return compute_t_matrix(data) if name == "t" else compute_correlation_matrix(data)
-
 
 @dataclass(frozen=True)
 class _StepRule:
@@ -359,22 +360,20 @@ def _attempt(rep: int, fn, *args):
 
 
 def _replicate(args):
-    """One replication: the instance once, each statistic matrix at most
-    once, then every evaluation. Returns one ("ok", payload) or ("err",
-    message) per evaluation, failed only by what that evaluation uses."""
+    """One replication: the instance once, the statistic matrices it reads
+    in one pass, then every evaluation. Returns one ("ok", payload) or
+    ("err", message) per evaluation, failed only by what that one uses."""
     setting, rep, evaluations = args
     tag, instance = _attempt(rep, gen_instance, setting, rep)
     if tag == "err":
         return [(tag, instance)] * len(evaluations)
     data, active, _ = instance
-    matrices = {}
+    matrices = _stat_matrices(data, {ev.matrix for ev in evaluations})
     out = []
     for ev in evaluations:
-        if ev.matrix not in matrices:
-            matrices[ev.matrix] = _attempt(rep, _matrix, ev.matrix, data)
-        tag, mat = matrices[ev.matrix]
-        out.append(_attempt(rep, ev, mat, data, active) if tag == "ok"
-                   else (tag, mat))
+        mat = matrices[ev.matrix]
+        out.append(("err", f"rep {rep}: {mat}") if isinstance(mat, Exception)
+                   else _attempt(rep, ev, mat, data, active))
     return out
 
 
@@ -538,8 +537,9 @@ class RocGrid:
 
 def replicate(setting: SimSetting, specs, threads: int = 1) -> list:
     """Evaluate every spec on replications 0..B-1 in one pass: each
-    instance is generated once and each statistic matrix computed at most
-    once. Returns one result per spec, in order. Failed replications are
+    instance is generated once and each study's columns are centered once
+    for every statistic matrix the specs read. Returns one result per spec,
+    in order. Failed replications are
     counted and reported per spec, not fatal."""
     specs = tuple(specs)
     if not specs:

@@ -137,23 +137,40 @@ def _erfc_large(ax):
     return np.exp(-ax * ax) / ax * (_INV_SQRT_PI - r)
 
 
+def _select_bits(mask: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a`` where ``mask``, else ``b``: merges the float64 bits in place,
+    b ^= (a ^ b) & -mask on int64 views (``a`` is clobbered); returns b."""
+    m = mask.astype(np.int64)
+    np.negative(m, out=m)
+    ai, bi = a.view(np.int64), b.view(np.int64)
+    ai ^= bi
+    ai &= m
+    bi ^= ai
+    return b
+
+
 def _erfc(x: np.ndarray) -> np.ndarray:
     """Complementary error function on a 1-d float array."""
     ax = np.abs(x)
-    # The small and mid branches run on every lane and are merged by mask,
-    # which is cheaper than gathering and scattering each. Their inputs are
-    # clipped to the branch's domain, so lanes outside it raise no overflow
-    # warning; clipping leaves the lanes inside it unchanged.
-    out = _erfc_mid(np.clip(ax, 0.46875, 4.0))
-    m1 = ax <= 0.46875
-    np.copyto(out, _erfc_small(np.clip(x, -0.46875, 0.46875)), where=m1)
+    # The small and mid branches run on every lane and are merged, which is
+    # cheaper than gathering and scattering each. Their inputs are clipped
+    # to the branch's domain, so lanes outside it raise no overflow warning;
+    # clipping leaves the lanes inside it unchanged. Both merges only select
+    # lanes, without a masked ufunc: on a 12 288-lane block of normal_quantile
+    # np.copyto(..., where=) took about 70 us and np.subtract(..., where=)
+    # about 70 us, against 17 us for the bitwise merge of the small and mid
+    # branches (np.where takes 44 us there: a random half-and-half mask
+    # defeats branch prediction) and 19 us for np.where on the reflection,
+    # comparison and subtraction included (a quarter of the lanes).
+    out = _select_bits(ax <= 0.46875,
+                       _erfc_small(np.clip(x, -0.46875, 0.46875)),
+                       _erfc_mid(np.clip(ax, 0.46875, 4.0)))
     # The far tail is rare, so it keeps its mask; an empty one still costs a
     # scan, hence the guard.
     m3 = ax > 4.0
     if m3.any():
         out[m3] = _erfc_large(ax[m3])
-    np.subtract(2.0, out, out=out, where=x < -0.46875)
-    return out
+    return np.where(x < -0.46875, 2.0 - out, out)
 
 
 def _erfc_scalar(x: float) -> float:
@@ -498,18 +515,23 @@ def _exact_colsum(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _t_from_centered(cx: np.ndarray, cy: np.ndarray, var_x: np.ndarray,
+def _cross_products(cx: np.ndarray, cy: np.ndarray):
+    """(cx * cy, its exact 1/n column means sigma_hat) for centered cx, cy."""
+    prods = cx * cy
+    return prods, _exact_colsum(prods) / cx.shape[0]
+
+
+def _t_from_products(prods: np.ndarray, sigma: np.ndarray, var_x: np.ndarray,
                      var_y: np.ndarray, label=None):
-    """Statistics of the centered (n, m) feature columns ``cx`` against the
-    centered (n, 1) response ``cy``, given their 1/n variances; shared with
-    the screeners. Returns the (value, sigma_hat, theta_hat) arrays.
+    """Statistics of centered feature columns against the centered response
+    from their :func:`_cross_products` (centered in place here) and their
+    1/n variances; shared with the screeners. Returns the (value, sigma_hat,
+    theta_hat) arrays.
 
     ``label(i)`` names block column i in the error raised for the first
     degenerate column.
     """
-    n = cx.shape[0]
-    prods = cx * cy
-    sigma = _exact_colsum(prods) / n
+    n = prods.shape[0]
     prods -= sigma
     theta = _exact_colsum(prods * prods) / n
     floor = 1e-12 * var_x * var_y + 1e-300
@@ -557,8 +579,8 @@ def self_normalized_t(x_col, y, label=None) -> TStat:
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(yv))):
         raise InputError("x_col and y must be finite")
     c, var = center_column(np.column_stack([x, yv]))
-    value, sigma, theta = _t_from_centered(
-        c[:, :1], c[:, 1:], var[:1], var[1:],
+    value, sigma, theta = _t_from_products(
+        *_cross_products(c[:, :1], c[:, 1:]), var[:1], var[1:],
         label=None if label is None else lambda i: label)
     return TStat(value=float(value[0]), sigma_hat=float(sigma[0]),
                  theta_hat=float(theta[0]), n=n)

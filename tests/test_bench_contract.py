@@ -1,12 +1,26 @@
-"""The benchmark's tracer (bench/tracing.py) patches package functions by
-name. Renaming one of them must fail here, in the unit suite, rather than in
-a traced benchmark run."""
+"""The benchmark's contract with the package, checked in the unit suite
+rather than only in a benchmark run: the tracer (bench/tracing.py) patches
+package functions by name, and the mc-screen outputs must keep the digests
+stored in bench/reference.json."""
 
 import importlib
+import json
 import sys
 from pathlib import Path
 
+import pytest
+
+from multiscreen.cli import main as cli_main
+
 BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def _bench_module(name: str):
+    sys.path.insert(0, str(BENCH))
+    try:
+        return importlib.import_module(name)
+    finally:
+        sys.path.remove(str(BENCH))
 
 
 def _traced_functions(tracing):
@@ -16,11 +30,7 @@ def _traced_functions(tracing):
 
 
 def test_tracer_installs_and_uninstalls():
-    sys.path.insert(0, str(BENCH))
-    try:
-        import tracing
-    finally:
-        sys.path.remove(str(BENCH))
+    tracing = _bench_module("tracing")
     originals = _traced_functions(tracing)
     uninstall = tracing.Tracer().install()
     try:
@@ -31,3 +41,20 @@ def test_tracer_installs_and_uninstalls():
     finally:
         uninstall()
     assert _traced_functions(tracing) == originals
+
+
+# Benchmark seeds 0 and 2 give the CLI seeds 20240811 and 20240813. Their
+# setting-1 replications 0 and 1 draw the per-study r from (0.2, 0.4, 0.6)
+# only, and r = 0.0 for four of their ten studies, respectively.
+@pytest.mark.parametrize("bench_seed", [0, 2])
+def test_mc_screen_outputs_match_reference(tmp_path, bench_seed):
+    workloads = _bench_module("workloads")
+    reference = json.loads((BENCH / "reference.json").read_text())
+    expected = reference["full"]["mc-screen"]
+    cmds = workloads.commands("mc-screen", "full", bench_seed, tmp_path)
+    assert [argv[0] for _, argv, _ in cmds] == list(workloads.MC_COMMANDS)
+    for tag, argv, _ in cmds:
+        assert cli_main(list(argv)) == 0, tag
+        out_dir = Path(argv[argv.index("--out") + 1])
+        assert workloads.check(argv, out_dir, expected[tag]) == [], tag
+        assert workloads.failed_replications(argv, out_dir) == 0, tag

@@ -13,7 +13,10 @@ from multiscreen import (DegenerateColumnError, InputError, MultiStudy,
                          normal_quantile, one_step_sis, self_normalized_t,
                          step1_from_stats, step1_separate, step2_aggregate,
                          top_d_selection, tsa_sis, tsa_sis_from_stats)
-from multiscreen.screening import tsa_kept_mask
+from multiscreen.screening import (_CHUNK, _stat_matrices,
+                                   compute_correlation_matrix, tsa_kept_mask)
+from multiscreen.simulate import SimSetting, gen_instance
+from multiscreen.stats_core import _exact_colsum, center_column
 
 # |T| statistics of the three-feature toy instance, features x studies: a
 # strong signal, a weak signal, and a noise feature across five studies.
@@ -329,3 +332,135 @@ class TestValidation:
         step1 = step1_from_stats(np.array([[1.0]]), alpha1=0.05)
         with pytest.raises(InputError):
             step2_aggregate(step1, alpha2=0.0)
+
+
+# ---------------------------------------------------------------------------
+# The one-pass statistic matrices against the two passes they replaced,
+# kept verbatim (with the block walk and statistic kernel they called) as
+# the reference.
+# ---------------------------------------------------------------------------
+
+def _centered_blocks(data):
+    for ki, study in enumerate(data.studies):
+        cy, var_y = center_column(study.y[:, None])
+        if var_y[0] <= 0.0:
+            raise DegenerateColumnError(
+                f"response in study {study.id!r} has zero variance")
+        for j0 in range(0, data.p, _CHUNK):
+            cx, var_x = center_column(study.x[:, j0:j0 + _CHUNK])
+            yield ki, study, j0, cx, var_x, cy, var_y
+
+
+def _reference_t_from_centered(cx, cy, var_x, var_y, label=None):
+    n = cx.shape[0]
+    prods = cx * cy
+    sigma = _exact_colsum(prods) / n
+    prods -= sigma
+    theta = _exact_colsum(prods * prods) / n
+    floor = 1e-12 * var_x * var_y + 1e-300
+    bad = np.flatnonzero(theta < floor)
+    if bad.size:
+        i = bad[0]
+        what = "column" if label is None else f"column {label(i)!r}"
+        raise DegenerateColumnError(
+            f"{what} yields a degenerate self-normalized statistic "
+            f"(theta_hat={theta[i]:.3e} below floor {floor[i]:.3e})")
+    return math.sqrt(n) * sigma / np.sqrt(theta), sigma, theta
+
+
+def _reference_t_matrix(data):
+    out = np.empty((data.p, data.k))
+    for ki, study, j0, cx, var_x, cy, var_y in _centered_blocks(data):
+        out[j0:j0 + cx.shape[1], ki] = _reference_t_from_centered(
+            cx, cy, var_x, var_y, label=lambda i: (
+                f"{data.feature_names[j0 + i]} (study {study.id!r})"))[0]
+    return out
+
+
+def _reference_correlation_matrix(data):
+    out = np.empty((data.p, data.k))
+    for ki, study, j0, cx, var_x, cy, var_y in _centered_blocks(data):
+        flat = np.flatnonzero(var_x <= 0.0)
+        if flat.size:
+            raise DegenerateColumnError(
+                f"feature {data.feature_names[j0 + flat[0]]!r} has zero "
+                f"variance in study {study.id!r}")
+        cov = _exact_colsum(cx * cy) / study.n
+        out[j0:j0 + cx.shape[1], ki] = cov / np.sqrt(var_x * var_y)
+    return out
+
+
+_REFERENCES = {"t": _reference_t_matrix, "corr": _reference_correlation_matrix}
+_PUBLIC = {"t": compute_t_matrix, "corr": compute_correlation_matrix}
+
+
+def _outcome(fn, data):
+    """The matrix's int64 bits, or the message of the error it raised."""
+    try:
+        return fn(data).view(np.int64).tolist()
+    except DegenerateColumnError as exc:
+        return str(exc)
+
+
+def _assert_matches_reference(data):
+    want = {name: _outcome(ref, data) for name, ref in _REFERENCES.items()}
+    for names in (("t",), ("corr",), ("t", "corr")):
+        got = _stat_matrices(data, names)
+        assert set(got) == set(names)
+        for name in names:
+            mat = got[name]
+            assert (str(mat) if isinstance(mat, DegenerateColumnError)
+                    else mat.view(np.int64).tolist()) == want[name]
+    for name, public in _PUBLIC.items():
+        assert _outcome(public, data) == want[name]
+    return want
+
+
+def _crafted(rng, faults):
+    """Three studies of 30 x (_CHUNK + 20) with ``faults`` applied: a list
+    of (study, kind, column) where kind is "response" (a constant
+    response), "constant" (a constant column) or "alternating" (response
+    and column both +1, -1, ...: the products are constant, the variances
+    are not)."""
+    data, _ = make_multistudy(rng, n=30, p=_CHUNK + 20, k=3)
+    studies = [[s.x.copy(), s.y.copy()] for s in data.studies]
+    for k, kind, j in faults:
+        x, y = studies[k]
+        if kind == "response":
+            y[:] = 2.5
+        elif kind == "constant":
+            x[:, j] = 7.0
+        else:
+            y[:] = np.resize([1.0, -1.0], y.size)
+            x[:, j] = y
+    return MultiStudy(studies=tuple(
+        Study(id=s.id, x=x, y=y) for s, (x, y) in zip(data.studies, studies)),
+        feature_names=data.feature_names)
+
+
+class TestStatMatrices:
+    @pytest.mark.parametrize("setting_id", [1, 2, 3, 4])
+    def test_simulated_instances(self, setting_id):
+        data, _, _ = gen_instance(SimSetting.preset(setting_id, seed=5), 0)
+        want = _assert_matches_reference(data)
+        assert all(isinstance(w, list) for w in want.values())
+
+    @pytest.mark.parametrize("faults, t_error, corr_error", [
+        ([(1, "response", None)], "response in study 's2'",
+         "response in study 's2'"),
+        ([(0, "constant", 40)], "column \"g41 (study 's1')\"",
+         "feature 'g41' has zero variance in study 's1'"),
+        ([(1, "alternating", 5)], "column \"g6 (study 's2')\"", None),
+        ([(0, "alternating", 5), (2, "constant", _CHUNK + 3)],
+         "column \"g6 (study 's1')\"",
+         f"feature 'g{_CHUNK + 4}' has zero variance in study 's3'"),
+        ([(0, "alternating", 5), (1, "response", None)],
+         "column \"g6 (study 's1')\"", "response in study 's2'"),
+    ])
+    def test_crafted_failures(self, rng, faults, t_error, corr_error):
+        want = _assert_matches_reference(_crafted(rng, faults))
+        for name, error in (("t", t_error), ("corr", corr_error)):
+            if error is None:
+                assert isinstance(want[name], list)
+            else:
+                assert want[name].startswith(error)

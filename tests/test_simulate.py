@@ -10,9 +10,9 @@ import pytest
 
 import multiscreen.simulate as simulate
 from multiscreen import (DegenerateColumnError, InputError, LevelGrid,
-                         MethodSpec, RocGrid, ScreeningConfig, SimSetting,
-                         even_spaced_active, evaluate, gen_instance,
-                         min_sis_rank, one_step_sis, replicate,
+                         MethodSpec, MultiStudy, RocGrid, ScreeningConfig,
+                         SimSetting, Study, even_spaced_active, evaluate,
+                         gen_instance, min_sis_rank, one_step_sis, replicate,
                          top_d_selection, tsa_sis)
 from multiscreen.simulate import (_mean_se, _rep_rng, _standard_normal,
                                   _uniform_open, default_d_grid)
@@ -202,6 +202,34 @@ class TestSimulatedBits:
         assert x.flags.c_contiguous
         assert np.array_equal(x.view(np.int64),
                               _reference_ar1(z, r).view(np.int64))
+
+    def test_ar1_at_zero_r_with_signed_zero_draws(self, monkeypatch):
+        # At r = 0 the recursion only adds 0.0 * col_{j-1}, which is skipped
+        # when no draw is zero; a -0.0 after a positive entry still becomes
+        # +0.0 (and stays -0.0 after a negative one, or in column 0).
+        n, p = 6, 5
+        drawn = []
+
+        def with_zeros(rng, size):
+            z = _standard_normal(rng, size)
+            if size == (n, p):
+                z[0, 1:3] = 1.5, -0.0
+                z[1, 2:4] = -1.0, 0.0
+                z[2, 0] = -0.0
+                z[3, 0:2] = 2.0, -0.0
+                z[4, 1:3] = -1.0, -0.0
+                drawn.append(z.copy())
+            return z
+
+        monkeypatch.setattr(simulate, "_standard_normal", with_zeros)
+        setting = SimSetting(n=n, p=p, K=1, s0=1, r_pool=(0.0,), seed=3)
+        x = gen_instance(setting, 0)[0].studies[0].x
+        want = _reference_ar1(drawn[0], 0.0)
+        zeros = ([0, 1, 2, 3, 4], [2, 3, 0, 1, 2])
+        assert not want[zeros].any()
+        assert np.signbit(want[zeros]).tolist() == [
+            False, False, True, False, True]
+        assert np.array_equal(x.view(np.int64), want.view(np.int64))
 
     def test_uniform_open_top_of_grid(self):
         k = [0, 2 ** 52 - 1, 2 ** 52, 2 ** 53 - 2, 2 ** 53 - 1]
@@ -395,18 +423,22 @@ class TestSensitivityGrid:
 class TestReplicate:
     def test_one_pass_over_instances(self, monkeypatch):
         # Every spec kind in one pass: each replication generates its
-        # instance once and computes each statistic matrix once.
-        calls = dict.fromkeys(("gen_instance", "compute_t_matrix",
-                               "compute_correlation_matrix"), 0)
+        # instance once and makes one pass over its centered columns for
+        # both statistic matrices.
+        calls = dict.fromkeys(("gen_instance", "_stat_matrices"), 0)
+        asked = []
         for name in calls:
             def counted(*args, _name=name, _fn=getattr(simulate, name)):
                 calls[_name] += 1
+                if _name == "_stat_matrices":
+                    asked.append(sorted(args[1]))
                 return _fn(*args)
             monkeypatch.setattr(simulate, name, counted)
         setting = small_setting(B=3)
         replicate(setting, [MethodSpec(), LevelGrid([0.01, 0.001], [0.05]),
                             RocGrid()])
         assert calls == dict.fromkeys(calls, setting.B)
+        assert asked == [["corr", "t"]] * setting.B
 
     def test_failure_reported_by_every_spec(self, monkeypatch):
         def flaky(setting, rep):
@@ -423,6 +455,31 @@ class TestReplicate:
             assert result.failures == ("rep 1: column 'x3' is constant",)
             assert result.n_failed == 1
         assert len(summary.per_rep) == 2
+
+    def test_degenerate_statistic_fails_only_its_readers(self, monkeypatch):
+        # In rep 1 the response and x3 of the first study are +1, -1, ...:
+        # their products are constant, so T fails there while every
+        # correlation exists and the ranking screener still runs.
+        def alternating(setting, rep):
+            data, active, beta = gen_instance(setting, rep)
+            if rep == 1:
+                first = data.studies[0]
+                y = np.resize([1.0, -1.0], first.n)
+                x = first.x.copy()
+                x[:, 2] = y
+                data = MultiStudy(studies=(Study(id=first.id, x=x, y=y),)
+                                  + data.studies[1:],
+                                  feature_names=data.feature_names)
+            return data, active, beta
+
+        monkeypatch.setattr(simulate, "gen_instance", alternating)
+        setting = small_setting(B=3)
+        summary, curve = replicate(setting, [MethodSpec(), RocGrid()])
+        assert summary.n_failed == 1
+        assert summary.failures[0].startswith(
+            "rep 1: column \"x3 (study 'study1')\" yields a degenerate")
+        assert curve.n_failed == 0
+        assert curve == replicate(setting, [RocGrid()])[0]
 
     def test_empty_specs(self):
         with pytest.raises(InputError):

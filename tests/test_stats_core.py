@@ -15,8 +15,10 @@ from multiscreen import (InputError, DegenerateColumnError, NumericalError,
                          TStat, chi2_cdf, chi2_quantile, normal_cdf,
                          normal_quantile, self_normalized_t,
                          theoretical_alpha1)
+import multiscreen.stats_core as stats_core
 from multiscreen.simulate import _rep_rng, _uniform_open
 from multiscreen.stats_core import (_NQ_BLOCK, _as_float_array, _erfc,
+                                    _erfc_large, _erfc_mid, _erfc_small,
                                     _erfc_scalar, _normal_quantile_scalar)
 
 
@@ -672,3 +674,57 @@ class TestDistributionLayerReference:
         expect = [_reference_erfc_scalar(float(x)) for x in xs]
         assert np.array_equal(_bits(got), _bits(expect))
         assert np.array_equal(_bits(got), _bits(_erfc(xs)))
+
+
+def _masked_erfc(x: np.ndarray) -> np.ndarray:
+    """The array erfc as it merged its branches with masked ufuncs
+    (np.copyto and np.subtract with ``where=``), kept verbatim as the
+    reference for the unmasked merges."""
+    ax = np.abs(x)
+    out = _erfc_mid(np.clip(ax, 0.46875, 4.0))
+    m1 = ax <= 0.46875
+    np.copyto(out, _erfc_small(np.clip(x, -0.46875, 0.46875)), where=m1)
+    m3 = ax > 4.0
+    if m3.any():
+        out[m3] = _erfc_large(ax[m3])
+    np.subtract(2.0, out, out=out, where=x < -0.46875)
+    return out
+
+
+@pytest.fixture(scope="module")
+def merge_inputs():
+    """Cody's split points, zero of both signs, 1e-300 and +-26, each with
+    its neighbours, then 10^5 draws from N(0, 2^2)."""
+    return np.concatenate([
+        _with_neighbours([0.46875, -0.46875, 4.0, -4.0, 0.0, -0.0, 1e-300,
+                          26.0, -26.0]),
+        np.random.default_rng(11).normal(0.0, 2.0, 100_000),
+    ])
+
+
+class TestUnmaskedMerges:
+    """_erfc selects its branches without masked ufuncs; every lane must
+    keep the bits of the masked merge."""
+
+    def test_erfc(self, merge_inputs):
+        assert np.array_equal(_bits(_erfc(merge_inputs)),
+                              _bits(_masked_erfc(merge_inputs)))
+
+    def test_erfc_leaves_input_alone(self, merge_inputs):
+        x = merge_inputs.copy()
+        _erfc(x)
+        assert np.array_equal(_bits(x), _bits(merge_inputs))
+
+    def test_normal_cdf(self, merge_inputs):
+        expect = 0.5 * _masked_erfc(-merge_inputs / math.sqrt(2.0))
+        assert np.array_equal(_bits(normal_cdf(merge_inputs)), _bits(expect))
+
+    def test_normal_quantile_edges(self, monkeypatch):
+        ps = np.concatenate([
+            [5e-324, 1e-300, 2.0 ** -54, 1.0 - 2.0 ** -53],
+            _with_neighbours([0.5, 0.02425, 1.0 - 0.02425]),
+            _uniform_open(_rep_rng(20240811, 1), 3 * _NQ_BLOCK),
+        ])
+        got = normal_quantile(ps)
+        monkeypatch.setattr(stats_core, "_erfc", _masked_erfc)
+        assert np.array_equal(_bits(got), _bits(normal_quantile(ps)))
