@@ -16,14 +16,18 @@ ball. On the nonzero groups the objective is smooth, so a sweep that
 does not meet the stop rule is followed by one Newton step on those
 groups (an active-set proximal Newton method; Lee, Sun & Saunders, SIAM
 J. Optim. 24(3), 2014), damped by halving until the objective does not
-rise. Zero groups stay exactly zero in that step.
+rise. Zero groups stay exactly zero in that step. Ordered by study, its
+Hessian on the a nonzero groups is M - U C U': K blocks 2 G_k[A, A] +
+diag(c), c_j = lambda/|b_j|, less each group's rank-one penalty curvature.
+So the step is one batched solve of the K blocks plus one a x a capacitance
+solve (Sherman-Morrison-Woodbury; Hager, SIAM Review 31(2), 1989).
 
 Covariance form (Friedman, Hastie & Tibshirani 2010): per study k, the
 Gram matrix G_k of the standardized columns and c_k = Xs_k' (y_k - ybar_k)
 give every block gradient 2(c_k[j] - G_k[j] beta_k) at once; lambda_max,
-the KKT check and the Newton step read the same arrays, so no residuals
-are carried between block steps. The objective is still summed from
-residuals once per sweep and once per Newton trial, since
+the KKT check and the Newton step read the same arrays, and a penalty
+path builds them once for all its penalties. The objective is still
+summed from residuals once per sweep and once per Newton trial, since
 y'y - 2c'beta + beta'G beta cancels badly near a good fit. c takes one
 dot product per column, not a matrix-vector product, so lambda_max and
 the penalty grid keep their exact bits. The fitted coefficients do not:
@@ -195,38 +199,49 @@ def _kkt_residual(gram, c, beta_std, lam) -> float:
     return float(np.maximum(off.max(initial=0.0), on.max(initial=0.0)))
 
 
-def _newton_step(xs, cys, gram, c, beta_std, lam, obj):
-    """One damped Newton step on the nonzero groups, where the objective is
-    smooth; zero groups stay exactly zero. Returns the new coefficients and
-    objective, or None when the system is singular or no step length from
-    1 down to 2^-30 keeps the objective from rising."""
+def _newton_direction(gram, c, beta_std, lam):
+    """(act, d) for the nonzero groups act; None if none or singular."""
     norms = np.sqrt((beta_std * beta_std).sum(axis=1))
     act = np.nonzero(norms > 0.0)[0]
     if not act.size:
         return None
-    b, norms = beta_std[act], norms[act]
-    a, K = b.shape
-    unit = b / norms[:, None]
-    grad = _gradient(gram[:, act, :], c[act], beta_std) + lam * unit
-    # Unknowns ordered (group, study): study k couples the active groups
-    # through 2 G_k[A, A]; group j couples its studies through the penalty
-    # curvature lam / |b_j| (I - u_j u_j').
-    hess = np.zeros((a, K, a, K))
-    ks, ja = np.arange(K), np.arange(a)
-    hess[:, ks, :, ks] = 2.0 * gram[:, act[:, None], act]
-    hess[ja, :, ja, :] += (lam / norms)[:, None, None] \
-        * (np.eye(K) - unit[:, :, None] * unit[:, None, :])
+    ja = np.arange(act.size)
+    unit = beta_std[act] / norms[act, None]
+    grad = _gradient(gram, c, beta_std)[act] + lam * unit
+    # Per study k, solve M_k [Y_k | w_k] = [diag(u_.k) | -g_k]; then
+    # d_k = w_k + Y_k t with the capacitance system S t = sum_k u_.k * w_k,
+    # S = C^-1 - sum_k diag(u_.k) Y_k. At lam = 0 there is no curvature.
+    blocks = gram[:, act[:, None], act]
+    blocks *= 2.0
+    blocks[:, ja, ja] += lam / norms[act]
+    rhs = np.zeros(blocks.shape[:2] + (act.size + 1,))
+    rhs[:, ja, ja] = unit.T
+    rhs[:, :, -1] = -grad.T
     try:
-        d = np.linalg.solve(hess.reshape(a * K, a * K), -grad.ravel())
+        sol = np.linalg.solve(blocks, rhs)
+        ys, w = sol[:, :, :-1], sol[:, :, -1]
+        if lam > 0.0:
+            cap = np.diag(norms[act] / lam) - np.einsum("jk,kjl->jl", unit, ys)
+            t = np.linalg.solve(cap, np.einsum("jk,kj->j", unit, w))
+            w = w + ys @ t
     except np.linalg.LinAlgError:
         return None
-    if not np.all(np.isfinite(d)):
+    if not np.all(np.isfinite(w)):
         return None
-    d = d.reshape(a, K)
+    return act, w.T
+
+
+def _newton_step(xs, cys, gram, c, beta_std, lam, obj):
+    """Damped Newton step: the new coefficients and objective, or None
+    without a direction or a step length in 1 .. 2^-30 that does not rise."""
+    step = _newton_direction(gram, c, beta_std, lam)
+    if step is None:
+        return None
+    act, d = step
     trial = beta_std.copy()
     t = 1.0
     for _ in range(31):
-        trial[act] = b + t * d
+        trial[act] = beta_std[act] + t * d
         trial_obj = _objective(xs, cys, trial, lam)
         if trial_obj <= obj:
             return trial, trial_obj
@@ -247,18 +262,23 @@ def group_lasso_fit(data: MultiStudy, active, lambda_: float, *,
     if not (np.ndim(lambda_) == 0 and float(lambda_) >= 0.0
             and math.isfinite(float(lambda_))):
         raise InputError(f"lambda must be a finite nonnegative real, got {lambda_!r}")
-    lam = float(lambda_)
+    std = _standardize(data, active)
     m, K = len(active), data.k
-    xs, cys, xbar, scale, ybar, gram, c = _standardize(data, active)
-    n_k = np.array([s.n for s in data.studies], dtype=float)
-    lips = 2.0 * float(n_k.max())
-
     beta = np.zeros((m, K)) if beta0 is None else np.array(beta0, dtype=float)
     if beta.shape != (m, K):
         raise InputError(f"beta0 must have shape {(m, K)}")
     if not np.all(np.isfinite(beta)):
         raise InputError("beta0 must be finite")
+    return _fit(data, active, std, float(lambda_), beta)
 
+
+def _fit(data: MultiStudy, active, std, lam: float,
+         beta: np.ndarray) -> GroupLassoFit:
+    """``group_lasso_fit`` on a ``_standardize`` tuple from start ``beta``."""
+    xs, cys, xbar, scale, ybar, gram, c = std
+    m, K = beta.shape
+    n_k = np.array([s.n for s in data.studies], dtype=float)
+    lips = 2.0 * float(n_k.max())
     trace = []
     prev_obj = math.inf
     for it in range(1, _MAX_ITER + 1):
@@ -315,12 +335,12 @@ def _subset_rows(data: MultiStudy, keep_masks) -> MultiStudy:
     return MultiStudy(studies=studies, feature_names=data.feature_names)
 
 
-def _path(data: MultiStudy, active, grid):
-    """Fits over the penalty grid in order, each warm-started from the last."""
-    warm = None
+def _path(data: MultiStudy, active, std, grid):
+    """Fits over the grid in order on one standardization, warm-started."""
+    beta = np.zeros((len(active), data.k))
     for lam in grid:
-        fit = group_lasso_fit(data, active, float(lam), beta0=warm)
-        warm = fit.beta_std
+        fit = _fit(data, active, std, float(lam), beta.copy())
+        beta = fit.beta_std
         yield fit
 
 
@@ -349,7 +369,8 @@ def select_lambda(data: MultiStudy, active, method: str = "bic",
     if grid_size < 2:
         raise InputError(f"grid_size must be >= 2, got {grid_size}")
     active = _check_active(data, active)
-    lam_max = lambda_max(data, active)
+    std = _standardize(data, active)
+    lam_max = max(_group_norm(2.0 * cj) for cj in std[-1])
     if not (math.isfinite(lam_max) and lam_max > 0.0):
         raise SelectionError(
             "response is orthogonal to every active column; no usable "
@@ -358,7 +379,7 @@ def select_lambda(data: MultiStudy, active, method: str = "bic",
 
     if method == "bic":
         n_total = sum(s.n for s in data.studies)
-        fits = list(_path(data, active, grid))
+        fits = list(_path(data, active, std, grid))
         diagnostics = []
         for fit in fits:
             rss = _fit_rss(data, fit)
@@ -379,8 +400,9 @@ def select_lambda(data: MultiStudy, active, method: str = "bic",
             if any(mask.sum() < 3 for mask in train_masks):
                 raise InputError(
                     f"fold {f} leaves a study with fewer than 3 training rows")
-            for gi, fit in enumerate(_path(_subset_rows(data, train_masks),
-                                           active, grid)):
+            train = _subset_rows(data, train_masks)
+            for gi, fit in enumerate(_path(train, active,
+                                           _standardize(train, active), grid)):
                 fold_fits[gi].append(fit)
                 for k, (study, mask) in enumerate(zip(data.studies, test_masks)):
                     if mask.any():
@@ -398,7 +420,7 @@ def select_lambda(data: MultiStudy, active, method: str = "bic",
     score = "bic" if method == "bic" else "cv_mse"
     best = min(reversed(range(len(grid))), key=lambda gi: diagnostics[gi][score])
     lam = diagnostics[best]["lambda"]
-    fit = fits[best] if method == "bic" else group_lasso_fit(data, active, lam)
+    fit = fits[best] if method == "bic" else next(_path(data, active, std, [lam]))
     return lam, diagnostics, fit
 
 

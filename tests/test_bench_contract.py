@@ -1,7 +1,8 @@
 """The benchmark's contract with the package, checked in the unit suite
 rather than only in a benchmark run: the tracer (bench/tracing.py) patches
-package functions by name, and the mc-screen outputs must keep the digests
-stored in bench/reference.json."""
+package functions by name, and the mc-screen digests and the select-path
+penalty, penalty grid, sets and BICs stored in bench/reference.json must
+hold."""
 
 import importlib
 import json
@@ -58,3 +59,16 @@ def test_mc_screen_outputs_match_reference(tmp_path, bench_seed):
         out_dir = Path(argv[argv.index("--out") + 1])
         assert workloads.check(argv, out_dir, expected[tag]) == [], tag
         assert workloads.failed_replications(argv, out_dir) == 0, tag
+
+
+def test_select_path_outputs_match_reference(tmp_path):
+    workloads = _bench_module("workloads")
+    reference = json.loads((BENCH / "reference.json").read_text())
+    expected = reference["full"]["select-path"]
+    workloads.write_fixture("full", tmp_path / "fixture")
+    cmds = workloads.commands("select-path", "full", 0, tmp_path)
+    assert [tag for tag, _, _ in cmds] == list(expected)
+    for tag, argv, _ in cmds:
+        assert cli_main(list(argv)) == 0, tag
+        out_dir = Path(argv[argv.index("--out") + 1])
+        assert workloads.check(argv, out_dir, expected[tag]) == [], tag

@@ -13,7 +13,9 @@ from multiscreen import (DegenerateColumnError, InputError, MultiStudy,
                          SingularDesignError, Study, gen_instance,
                          group_lasso_fit, lambda_max, ols_refit,
                          select_lambda, tsa_sis, tsa_sis_group_lasso)
-from multiscreen.group_select import _group_norm, _kkt_residual
+import multiscreen.group_select as group_select
+from multiscreen.group_select import (_gradient, _group_norm, _kkt_residual,
+                                      _newton_direction, _standardize)
 
 
 def standardize(data, active):
@@ -266,6 +268,85 @@ class TestGroupLassoFit:
             group_lasso_fit(bad, (0, 1), 1.0)
 
 
+def _reference_newton_direction(gram, c, beta_std, lam):
+    """The dense Newton solve the solver used before the per-study Woodbury
+    form, verbatim: one (aK) x (aK) system with the unknowns ordered
+    (group, study)."""
+    norms = np.sqrt((beta_std * beta_std).sum(axis=1))
+    act = np.nonzero(norms > 0.0)[0]
+    if not act.size:
+        return None
+    b, norms = beta_std[act], norms[act]
+    a, K = b.shape
+    unit = b / norms[:, None]
+    grad = _gradient(gram[:, act, :], c[act], beta_std) + lam * unit
+    # Unknowns ordered (group, study): study k couples the active groups
+    # through 2 G_k[A, A]; group j couples its studies through the penalty
+    # curvature lam / |b_j| (I - u_j u_j').
+    hess = np.zeros((a, K, a, K))
+    ks, ja = np.arange(K), np.arange(a)
+    hess[:, ks, :, ks] = 2.0 * gram[:, act[:, None], act]
+    hess[ja, :, ja, :] += (lam / norms)[:, None, None] \
+        * (np.eye(K) - unit[:, :, None] * unit[:, None, :])
+    try:
+        d = np.linalg.solve(hess.reshape(a * K, a * K), -grad.ravel())
+    except np.linalg.LinAlgError:
+        return None
+    if not np.all(np.isfinite(d)):
+        return None
+    return act, d.reshape(a, K)
+
+
+class TestNewtonDirection:
+    """The batched Woodbury direction against the dense solve."""
+
+    @staticmethod
+    def instance(rng, n_k, p, duplicate=False):
+        studies = []
+        for k, n in enumerate(n_k):
+            x = rng.normal(size=(n, p))
+            if duplicate:
+                x[:, 3] = x[:, 1]
+            y = x[:, :3] @ np.array([0.8, -0.5, 0.3]) + rng.normal(size=n)
+            studies.append(Study(id=f"s{k}", x=x, y=y))
+        data = MultiStudy(studies=tuple(studies),
+                          feature_names=tuple(f"g{j}" for j in range(p)))
+        std = _standardize(data, tuple(range(p)))
+        beta = rng.normal(size=(p, len(n_k)))
+        beta[rng.permutation(p)[: p // 3]] = 0.0
+        if duplicate:
+            beta[[1, 3]] = rng.normal(size=(2, len(n_k)))
+        return std[-2], std[-1], beta
+
+    @pytest.mark.parametrize("n_k, p, duplicate, lam_scale", [
+        ((40, 40, 40), 8, False, 0.3),     # equal n_k
+        ((25, 60, 33, 41), 10, False, 0.1),  # unequal n_k
+        ((30, 45), 9, True, 0.2),          # a duplicated column
+        ((12, 15, 9), 24, False, 0.05),    # m > n_k in every study
+        ((12, 15, 9), 24, False, 3.0),     # heavy penalty curvature
+        ((35, 50, 42), 7, False, 0.0),     # no penalty: H = M
+    ])
+    def test_matches_dense_solve(self, rng, n_k, p, duplicate, lam_scale):
+        for _ in range(5):
+            gram, c, beta = self.instance(rng, n_k, p, duplicate)
+            lam = lam_scale * max(_group_norm(2.0 * cj) for cj in c)
+            got = _newton_direction(gram, c, beta, lam)
+            want = _reference_newton_direction(gram, c, beta, lam)
+            assert got is not None and want is not None
+            assert np.array_equal(got[0], want[0])
+            err = np.linalg.norm(got[1] - want[1])
+            assert err <= 1e-10 * np.linalg.norm(want[1])
+
+    def test_singular_at_lambda_zero(self, rng):
+        gram, c, beta = self.instance(rng, (30, 45), 9, duplicate=True)
+        assert _reference_newton_direction(gram, c, beta, 0.0) is None
+        assert _newton_direction(gram, c, beta, 0.0) is None
+
+    def test_all_zero_has_no_direction(self, rng):
+        gram, c, _ = self.instance(rng, (30, 45), 6)
+        assert _newton_direction(gram, c, np.zeros((6, 2)), 1.0) is None
+
+
 class TestSelectLambda:
     def test_grid_size_two_returns_endpoint(self, rng):
         data, _ = make_multistudy(rng, n=40, p=4, k=2, signal=0.6)
@@ -379,22 +460,45 @@ class TestPipeline:
 
     def test_bic_reuses_path_fit(self, rng, monkeypatch):
         # The fit at the chosen penalty is the path's own: one fit per grid
-        # point and no cold refit.
-        import multiscreen.group_select as group_select
+        # point and no cold refit. The path calls the private fit on its
+        # one standardization, so that is what is counted.
         data, _ = make_multistudy(rng, n=50, p=10, k=2, signal=0.6, s0=3)
-        fits = []
+        fits, snapshots = [], []
+        fit = group_select._fit
 
         def counted(*args, **kwargs):
-            fits.append(group_lasso_fit(*args, **kwargs))
+            fits.append(fit(*args, **kwargs))
+            snapshots.append(fits[-1].beta_std.copy())
             return fits[-1]
 
-        monkeypatch.setattr(group_select, "group_lasso_fit", counted)
+        monkeypatch.setattr(group_select, "_fit", counted)
         model = tsa_sis_group_lasso(data, ScreeningConfig(0.01, 0.05),
                                     method="bic", grid_size=12)
         assert model.screened
         assert len(fits) == 12
+        # Warm starts are copies: no later fit overwrote an earlier one.
+        for f, snap in zip(fits, snapshots):
+            assert f.beta_std.tobytes() == snap.tobytes()
         path_fit = next(f for f in fits if f.lambda_ == model.lambda_)
         assert model.fit.beta_std.tobytes() == path_fit.beta_std.tobytes()
+
+    @pytest.mark.parametrize("method, calls", [("bic", 1), ("cv", 6)])
+    def test_one_standardization_per_path(self, rng, monkeypatch, method,
+                                          calls):
+        # BIC: one full-data standardization for lambda_max and the whole
+        # path. CV: one per fold path plus the full-data one, which also
+        # serves the final fit.
+        data, _ = make_multistudy(rng, n=50, p=10, k=2, signal=0.6, s0=3)
+        count = []
+        standardize = group_select._standardize
+
+        def counted(*args):
+            count.append(1)
+            return standardize(*args)
+
+        monkeypatch.setattr(group_select, "_standardize", counted)
+        select_lambda(data, (0, 1, 2, 5), method=method, grid_size=12)
+        assert len(count) == calls
 
     def test_cv_fit_is_full_data_fit(self, rng):
         data, _ = make_multistudy(rng, n=50, p=10, k=2, signal=0.6, s0=3)
