@@ -19,7 +19,7 @@ import numpy as np
 from .errors import (BudgetExceededError, DegenerateColumnError, InputError,
                      SingularDesignError)
 from .screening import (MultiStudy, ScreeningConfig, Study, _chi2_thresholds,
-                        _step1_threshold, _two_step, tsa_sis)
+                        _step1_threshold, _two_step, compute_t_matrix)
 from .stats_core import (TStat, _cross_products, _t_from_products,
                          center_column, self_normalized_t)
 
@@ -146,8 +146,10 @@ def multi_pc_run(data: MultiStudy, config: ScreeningConfig, max_order: int,
     if budget < 1:
         raise InputError(f"budget must be positive, got {budget}")
 
-    stage1 = tsa_sis(data, config)
-    active = list(stage1.kept)
+    threshold = _step1_threshold(config.alpha1)
+    chi2_thresholds = np.array(_chi2_thresholds(config.alpha2, data.k))
+    active = np.flatnonzero(_two_step(compute_t_matrix(data), threshold,
+                                      chi2_thresholds)[2]).tolist()
     active_sets = [tuple(active)]
     if len(active) <= 1:
         return MultiPcState(stage=1, active_sets=tuple(active_sets),
@@ -155,9 +157,6 @@ def multi_pc_run(data: MultiStudy, config: ScreeningConfig, max_order: int,
     if max_order == 1:
         return MultiPcState(stage=1, active_sets=tuple(active_sets),
                             stopped_reason=StopReason.MAX_ORDER)
-
-    threshold = _step1_threshold(config.alpha1)
-    chi2_thresholds = np.array(_chi2_thresholds(config.alpha2, data.k))
 
     min_n = min(s.n for s in data.studies)
     stage = 1

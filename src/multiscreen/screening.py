@@ -2,18 +2,21 @@
 
 Three screeners operate on a :class:`MultiStudy`:
 
-* two-step aggregation: per-study self-normalized tests, then a chi-square
-  test on the sum of squared statistics from the studies whose individual
-  test did not reject;
-* one-step: keep a feature only when every study individually rejects;
-* min-correlation ranking: order features by the minimum absolute Pearson
-  correlation across studies and keep the top d.
+* two-step aggregation (:func:`tsa_sis`; :func:`tsa_sis_from_stats` on a
+  given (p, K) statistic matrix): per-study self-normalized tests, then a
+  chi-square test on the sum of squared statistics from the studies whose
+  individual test did not reject;
+* one-step (:func:`one_step_sis`): keep a feature only when every study
+  individually rejects;
+* min-correlation ranking (:func:`min_sis_rank`): order features by the
+  minimum absolute Pearson correlation across studies and keep the top d.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress, repeat
 
 import numpy as np
 
@@ -27,12 +30,8 @@ __all__ = [
     "ScreeningConfig",
     "FeatureScreenRecord",
     "ScreeningResult",
-    "Step1Output",
     "compute_t_matrix",
     "compute_correlation_matrix",
-    "step1_separate",
-    "step1_from_stats",
-    "step2_aggregate",
     "tsa_sis",
     "tsa_sis_from_stats",
     "tsa_kept_mask",
@@ -128,6 +127,7 @@ class ScreeningConfig:
             v = getattr(self, name)
             if not (np.ndim(v) == 0 and 0.0 < float(v) < 1.0):
                 raise InputError(f"{name} must lie strictly inside (0, 1), got {v!r}")
+            object.__setattr__(self, name, float(v))
 
 
 @dataclass(frozen=True)
@@ -157,24 +157,6 @@ class ScreeningResult:
     records: tuple[FeatureScreenRecord, ...]
     config: ScreeningConfig
     method: str = "tsa"
-
-
-@dataclass(frozen=True)
-class Step1Output:
-    """Per-feature first-step evidence: (l_hat, kappa_hat, t_stats) tuples."""
-
-    entries: tuple[tuple[tuple[int, ...], int, np.ndarray], ...]
-    alpha1: float
-    threshold: float
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __len__(self):
-        return len(self.entries)
-
-    def __getitem__(self, i):
-        return self.entries[i]
 
 
 # Feature columns per block: bounds the (n, chunk) temporaries of the
@@ -242,22 +224,22 @@ def compute_correlation_matrix(data: MultiStudy) -> np.ndarray:
     return _one_matrix(data, "corr")
 
 
-def _resolve_threshold(alpha1: float | None, threshold: float | None) -> tuple[float, float]:
-    """Returns (alpha1, threshold); either argument determines the other."""
-    if threshold is not None:
-        if not (np.ndim(threshold) == 0 and float(threshold) >= 0.0
-                and math.isfinite(float(threshold))):
-            raise InputError(f"threshold must be a finite nonnegative real, got {threshold!r}")
-        threshold = float(threshold)
-        # 2 * (1 - Phi(t)) without cancellation; clamp so the echoed config
-        # stays inside (0, 1) even for absurdly large thresholds.
-        implied = max(math.erfc(threshold / math.sqrt(2.0)), 1e-300)
-        return (implied if alpha1 is None else float(alpha1)), threshold
-    if alpha1 is None:
-        raise InputError("either alpha1 or an explicit threshold is required")
-    if not 0.0 < float(alpha1) < 1.0:
-        raise InputError(f"alpha1 must lie strictly inside (0, 1), got {alpha1!r}")
-    return float(alpha1), _step1_threshold(float(alpha1))
+def _levels(alpha1, alpha2, threshold) -> tuple[ScreeningConfig, float]:
+    """The config and step-1 threshold of one screen, whose step-1 test is
+    set by exactly one of alpha1 and an explicit threshold."""
+    if (alpha1 is None) == (threshold is None):
+        raise InputError("give exactly one of alpha1 and an explicit threshold")
+    if threshold is None:
+        config = ScreeningConfig(alpha1, alpha2)
+        return config, _step1_threshold(config.alpha1)
+    if not (np.ndim(threshold) == 0 and float(threshold) >= 0.0
+            and math.isfinite(float(threshold))):
+        raise InputError(f"threshold must be a finite nonnegative real, got {threshold!r}")
+    threshold = float(threshold)
+    # 2 * (1 - Phi(t)) without cancellation; clamp so the echoed config
+    # stays inside (0, 1) even for absurdly large thresholds.
+    implied = max(math.erfc(threshold / math.sqrt(2.0)), 1e-300)
+    return ScreeningConfig(implied, alpha2), threshold
 
 
 def _step1_threshold(alpha1: float) -> float:
@@ -268,34 +250,6 @@ def _step1_threshold(alpha1: float) -> float:
 def _step1_mask(t_mat: np.ndarray, threshold: float) -> np.ndarray:
     """True where |T| <= threshold: the study is in l_hat (ties go in)."""
     return np.abs(t_mat) <= threshold
-
-
-def step1_from_stats(t_mat: np.ndarray, alpha1: float | None = None,
-                     threshold: float | None = None) -> Step1Output:
-    """First screening step from an injected (p, K) statistic matrix.
-
-    A study lands in a feature's l_hat when |T| <= threshold (ties go in).
-    """
-    t_mat = np.asarray(t_mat, dtype=float)
-    if t_mat.ndim != 2:
-        raise InputError("statistic matrix must be 2-d (features x studies)")
-    alpha1, thr = _resolve_threshold(alpha1, threshold)
-    entries = []
-    for row, in_l in zip(t_mat, _step1_mask(t_mat, thr)):
-        l_hat = tuple(int(k) for k in np.nonzero(in_l)[0])
-        entries.append((l_hat, len(l_hat), row))
-    return Step1Output(entries=tuple(entries), alpha1=alpha1, threshold=thr)
-
-
-def step1_separate(data: MultiStudy, alpha1: float,
-                   threshold: float | None = None) -> Step1Output:
-    """First screening step: per-study tests for every feature.
-
-    No feature is removed here; the step only separates, per feature, the
-    studies with potential zero correlation from the rest.
-    """
-    return step1_from_stats(compute_t_matrix(data), alpha1=alpha1,
-                            threshold=threshold)
 
 
 def _chi2_thresholds(alpha2: float, max_df: int) -> list[float]:
@@ -309,7 +263,8 @@ def _two_step(t_mat: np.ndarray, threshold: float, chi2_table):
 
     Returns (kappa_hat, l_stat, keep); l_stat is the correctly rounded sum
     over l_hat. ``chi2_table`` (from :func:`_chi2_thresholds`) may be a
-    stack of tables, one keep row each.
+    stack of tables, one keep row each. An empty l_hat keeps the feature;
+    an aggregate exactly at the threshold drops it.
     """
     in_l = _step1_mask(t_mat, threshold)
     kappa = in_l.sum(axis=1)
@@ -318,51 +273,53 @@ def _two_step(t_mat: np.ndarray, threshold: float, chi2_table):
     return kappa, l_stat, keep
 
 
-def step2_aggregate(step1_output: Step1Output, alpha2: float) -> ScreeningResult:
-    """Second screening step: chi-square test on the aggregate of the
-    potential-zero studies. A feature with an empty l_hat is kept outright;
-    an aggregate statistic exactly at the threshold is dropped."""
-    if not 0.0 < float(alpha2) < 1.0:
-        raise InputError(f"alpha2 must lie strictly inside (0, 1), got {alpha2!r}")
-    rows = [t_row for _, _, t_row in step1_output]
-    t_mat = np.array(rows, dtype=float) if rows else np.empty((0, 0))
-    thresholds = _chi2_thresholds(float(alpha2), max(
-        (kappa for _, kappa, _ in step1_output), default=0))
-    _, l_stat, keep = _two_step(t_mat, step1_output.threshold, thresholds)
-    config = ScreeningConfig(alpha1=step1_output.alpha1, alpha2=float(alpha2))
-    return _result(step1_output, keep, config, "tsa", l_stat, thresholds)
-
-
-def _result(step1: Step1Output, keep: np.ndarray, config: ScreeningConfig,
-            method: str, l_stat=None, chi2_table=None) -> ScreeningResult:
-    """Records and kept/dropped sets from step-1 evidence and a keep mask;
-    the aggregate fields are set where kappa_hat > 0 and l_stat is given."""
+def _screen(t_mat: np.ndarray, config: ScreeningConfig, threshold: float,
+            method: str) -> ScreeningResult:
+    """Records and kept/dropped sets of the two-step rule ("tsa") or of the
+    one-step rule ("onestep": keep where kappa_hat == 0, no aggregate
+    fields) on a (p, K) statistic matrix."""
+    in_l = _step1_mask(t_mat, threshold)
+    if method == "tsa":
+        table = _chi2_thresholds(config.alpha2, t_mat.shape[1])
+        kappa, l_stat, keep = _two_step(t_mat, threshold, table)
+        aggregates = [(s, table[k]) if k else (None, None)
+                      for k, s in zip(kappa.tolist(), l_stat.tolist())]
+    else:
+        keep = ~in_l.any(axis=1)
+        aggregates = repeat((None, None))
+    l_hats = [tuple(compress(range(t_mat.shape[1]), mask))
+              for mask in in_l.tolist()]
     records = tuple(FeatureScreenRecord(
-        feature=j, t_stats=t_row, l_hat=l_hat, kappa_hat=kappa,
-        l_stat=float(l_stat[j]) if kappa and l_stat is not None else None,
-        chi2_threshold=chi2_table[kappa] if kappa and l_stat is not None
-        else None, kept=bool(keep[j]))
-        for j, (l_hat, kappa, t_row) in enumerate(step1))
-    return ScreeningResult(kept=tuple(int(j) for j in np.nonzero(keep)[0]),
-                           dropped=tuple(int(j) for j in np.nonzero(~keep)[0]),
+        feature=j, t_stats=row, l_hat=l_hat, kappa_hat=len(l_hat),
+        l_stat=agg[0], chi2_threshold=agg[1], kept=kept)
+        for j, (row, l_hat, agg, kept) in enumerate(
+            zip(t_mat, l_hats, aggregates, keep.tolist())))
+    return ScreeningResult(kept=tuple(np.flatnonzero(keep).tolist()),
+                           dropped=tuple(np.flatnonzero(~keep).tolist()),
                            records=records, config=config, method=method)
 
 
 def tsa_sis(data: MultiStudy, config: ScreeningConfig) -> ScreeningResult:
     """Two-step aggregation screening: step 1 then step 2."""
-    return step2_aggregate(step1_separate(data, config.alpha1), config.alpha2)
+    return tsa_sis_from_stats(compute_t_matrix(data), config.alpha2,
+                              alpha1=config.alpha1)
 
 
 def tsa_sis_from_stats(t_mat: np.ndarray, alpha2: float,
                        alpha1: float | None = None,
                        threshold: float | None = None) -> ScreeningResult:
-    """Two-step screening from an injected statistic matrix.
+    """Two-step screening from an injected (p, K) statistic matrix.
 
-    When an explicit first-step threshold is given, the config echoes the
-    implied two-sided level 2 * (1 - Phi(threshold)).
+    Exactly one of ``alpha1`` and an explicit ``threshold`` sets step 1; a
+    threshold's config echoes the implied level 2 * (1 - Phi(threshold)).
+    A study lands in a feature's l_hat when |T| <= threshold (ties go in).
     """
-    return step2_aggregate(step1_from_stats(t_mat, alpha1=alpha1,
-                                            threshold=threshold), alpha2)
+    t_mat = np.asarray(t_mat, dtype=float)
+    if t_mat.ndim != 2 or t_mat.shape[1] < 1 or np.isnan(t_mat).any():
+        raise InputError("statistic matrix must be 2-d (features x studies) "
+                         "with at least one study column and no NaN")
+    config, thr = _levels(alpha1, alpha2, threshold)
+    return _screen(t_mat, config, thr, "tsa")
 
 
 def tsa_kept_mask(t_mat: np.ndarray, threshold: float, alpha2: float) -> np.ndarray:
@@ -378,10 +335,8 @@ def one_step_sis(data: MultiStudy, alpha1: float) -> ScreeningResult:
     """Keep a feature only when every study individually rejects a zero
     correlation. Records carry step-1 evidence only (no aggregate fields);
     the config's alpha2 is a placeholder this rule never consults."""
-    step1 = step1_separate(data, alpha1)
-    keep = np.array([kappa == 0 for _, kappa, _ in step1], dtype=bool)
-    config = ScreeningConfig(alpha1=step1.alpha1, alpha2=0.05)
-    return _result(step1, keep, config, "onestep")
+    config, thr = _levels(alpha1, 0.05, None)
+    return _screen(compute_t_matrix(data), config, thr, "onestep")
 
 
 def min_sis_rank(data: MultiStudy) -> list[tuple[int, float]]:

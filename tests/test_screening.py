@@ -2,6 +2,7 @@
 minimum-correlation ranking."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -11,9 +12,11 @@ from multiscreen import (DegenerateColumnError, InputError, MultiStudy,
                          ScreeningConfig, Study, chi2_quantile,
                          compute_t_matrix, default_top_d, min_sis_rank,
                          normal_quantile, one_step_sis, self_normalized_t,
-                         step1_from_stats, step1_separate, step2_aggregate,
                          top_d_selection, tsa_sis, tsa_sis_from_stats)
-from multiscreen.screening import (_CHUNK, _stat_matrices,
+from multiscreen.screening import (_CHUNK, FeatureScreenRecord,
+                                   ScreeningResult, _chi2_thresholds,
+                                   _stat_matrices, _step1_mask,
+                                   _step1_threshold, _two_step,
                                    compute_correlation_matrix, tsa_kept_mask)
 from multiscreen.simulate import SimSetting, gen_instance
 from multiscreen.stats_core import _exact_colsum, center_column
@@ -29,9 +32,9 @@ TOY_T = np.array([
 
 class TestToyGolden:
     def test_step1_sets(self):
-        step1 = step1_from_stats(TOY_T, threshold=3.09)
-        l_hats = [entry[0] for entry in step1]
-        kappas = [entry[1] for entry in step1]
+        res = tsa_sis_from_stats(TOY_T, alpha2=0.05, threshold=3.09)
+        l_hats = [rec.l_hat for rec in res.records]
+        kappas = [rec.kappa_hat for rec in res.records]
         assert l_hats == [(), (1, 2, 3, 4), (0, 1, 2, 3, 4)]
         assert kappas == [0, 4, 5]
 
@@ -49,29 +52,29 @@ class TestToyGolden:
         assert res.dropped == (2,)
 
     def test_one_step_on_toy_keeps_only_strong(self):
-        step1 = step1_from_stats(TOY_T, threshold=3.09)
-        kept = [j for j, (_, kappa, _) in enumerate(step1) if kappa == 0]
+        res = tsa_sis_from_stats(TOY_T, alpha2=0.05, threshold=3.09)
+        kept = [rec.feature for rec in res.records if rec.kappa_hat == 0]
         assert kept == [0]
 
 
 class TestStep1:
     def test_threshold_boundary_is_inclusive(self):
         t = np.array([[2.0, -2.0, 1.99, 2.01]])
-        step1 = step1_from_stats(t, threshold=2.0)
-        assert step1[0][0] == (0, 1, 2)
+        res = tsa_sis_from_stats(t, alpha2=0.05, threshold=2.0)
+        assert res.records[0].l_hat == (0, 1, 2)
 
     def test_near_one_alpha1_empties_l_hat(self):
         t = np.array([[0.5, -0.2, 1.4]])
-        step1 = step1_from_stats(t, alpha1=1.0 - 1e-12)
+        rec = tsa_sis_from_stats(t, alpha2=0.05, alpha1=1.0 - 1e-12).records[0]
         # The threshold collapses toward zero, so every nonzero statistic
         # individually rejects.
-        assert step1[0][0] == ()
-        assert step1[0][1] == 0
+        assert rec.l_hat == ()
+        assert rec.kappa_hat == 0
 
     def test_no_feature_removed(self, rng):
         data, _ = make_multistudy(rng)
-        step1 = step1_separate(data, alpha1=0.01)
-        assert len(step1) == data.p
+        res = one_step_sis(data, alpha1=0.01)
+        assert [rec.feature for rec in res.records] == list(range(data.p))
 
     def test_t_stats_match_self_normalized(self, rng):
         data, _ = make_multistudy(rng, n=25, p=5, k=2)
@@ -90,7 +93,7 @@ class TestStep1:
                      Study(id="s2", x=x, y=data.studies[1].y)),
             feature_names=data.feature_names)
         with pytest.raises(DegenerateColumnError, match="g3"):
-            step1_separate(bad, alpha1=0.01)
+            one_step_sis(bad, alpha1=0.01)
 
 
 class TestStep2:
@@ -244,8 +247,9 @@ class TestTsaSis:
 class TestOneStep:
     def test_all_above_threshold_all_kept(self):
         t = np.full((4, 3), 9.0)
-        step1 = step1_from_stats(t, threshold=3.0)
-        assert all(kappa == 0 for _, kappa, _ in step1)
+        res = tsa_sis_from_stats(t, alpha2=0.05, threshold=3.0)
+        assert all(rec.kappa_hat == 0 for rec in res.records)
+        assert res.kept == (0, 1, 2, 3)
 
     def test_records_step1_only(self, rng):
         data, _ = make_multistudy(rng)
@@ -329,9 +333,37 @@ class TestValidation:
             MultiStudy(studies=(), feature_names=("f1",))
 
     def test_step2_alpha_bounds(self):
-        step1 = step1_from_stats(np.array([[1.0]]), alpha1=0.05)
-        with pytest.raises(InputError):
-            step2_aggregate(step1, alpha2=0.0)
+        with pytest.raises(InputError, match="alpha2 must lie strictly"):
+            tsa_sis_from_stats(np.array([[1.0]]), alpha2=0.0, alpha1=0.05)
+
+    def test_nan_statistic_rejected(self):
+        # |NaN| <= thr is False, so a NaN study would count as rejecting
+        # and an all-NaN row would be kept outright.
+        for t in (np.array([[np.nan, np.nan, np.nan]]),
+                  np.array([[1.0, 2.0], [0.5, np.nan]])):
+            with pytest.raises(InputError, match="NaN"):
+                tsa_sis_from_stats(t, alpha2=0.05, threshold=3.0)
+
+    def test_zero_study_columns_rejected(self):
+        # With no studies every l_hat is empty, so every feature would be
+        # kept outright.
+        with pytest.raises(InputError, match="study column"):
+            tsa_sis_from_stats(np.empty((3, 0)), alpha2=0.05, alpha1=0.01)
+
+    def test_alpha1_and_threshold_exclusive(self):
+        t = np.array([[1.0, 4.0]])
+        with pytest.raises(InputError, match="exactly one"):
+            tsa_sis_from_stats(t, alpha2=0.05, alpha1=0.01, threshold=5.0)
+        with pytest.raises(InputError, match="exactly one"):
+            tsa_sis_from_stats(t, alpha2=0.05)
+
+    def test_non_scalar_alpha1_rejected(self, rng):
+        data, _ = make_multistudy(rng, n=20, p=4, k=2)
+        with pytest.raises(InputError, match="alpha1"):
+            tsa_sis_from_stats(np.array([[1.0, 4.0]]), alpha2=0.05,
+                               alpha1=np.array([0.01, 0.02]))
+        with pytest.raises(InputError, match="alpha1"):
+            one_step_sis(data, alpha1=[0.01])
 
 
 # ---------------------------------------------------------------------------
@@ -464,3 +496,192 @@ class TestStatMatrices:
                 assert isinstance(want[name], list)
             else:
                 assert want[name].startswith(error)
+
+
+# ---------------------------------------------------------------------------
+# The screening-result builder against the step-1 / step-2 layer it
+# replaced, kept verbatim (with the threshold resolution it called) as the
+# reference.
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class _reference_Step1Output:
+    """Per-feature first-step evidence: (l_hat, kappa_hat, t_stats) tuples."""
+
+    entries: tuple[tuple[tuple[int, ...], int, np.ndarray], ...]
+    alpha1: float
+    threshold: float
+
+    def __iter__(self):
+        return iter(self.entries)
+
+    def __len__(self):
+        return len(self.entries)
+
+    def __getitem__(self, i):
+        return self.entries[i]
+
+
+def _reference_resolve_threshold(alpha1, threshold):
+    """Returns (alpha1, threshold); either argument determines the other."""
+    if threshold is not None:
+        if not (np.ndim(threshold) == 0 and float(threshold) >= 0.0
+                and math.isfinite(float(threshold))):
+            raise InputError(f"threshold must be a finite nonnegative real, got {threshold!r}")
+        threshold = float(threshold)
+        # 2 * (1 - Phi(t)) without cancellation; clamp so the echoed config
+        # stays inside (0, 1) even for absurdly large thresholds.
+        implied = max(math.erfc(threshold / math.sqrt(2.0)), 1e-300)
+        return (implied if alpha1 is None else float(alpha1)), threshold
+    if alpha1 is None:
+        raise InputError("either alpha1 or an explicit threshold is required")
+    if not 0.0 < float(alpha1) < 1.0:
+        raise InputError(f"alpha1 must lie strictly inside (0, 1), got {alpha1!r}")
+    return float(alpha1), _step1_threshold(float(alpha1))
+
+
+def _reference_step1_from_stats(t_mat, alpha1=None, threshold=None):
+    """First screening step from an injected (p, K) statistic matrix.
+
+    A study lands in a feature's l_hat when |T| <= threshold (ties go in).
+    """
+    t_mat = np.asarray(t_mat, dtype=float)
+    if t_mat.ndim != 2:
+        raise InputError("statistic matrix must be 2-d (features x studies)")
+    alpha1, thr = _reference_resolve_threshold(alpha1, threshold)
+    entries = []
+    for row, in_l in zip(t_mat, _step1_mask(t_mat, thr)):
+        l_hat = tuple(int(k) for k in np.nonzero(in_l)[0])
+        entries.append((l_hat, len(l_hat), row))
+    return _reference_Step1Output(entries=tuple(entries), alpha1=alpha1,
+                                  threshold=thr)
+
+
+def _reference_step2_aggregate(step1_output, alpha2):
+    """Second screening step: chi-square test on the aggregate of the
+    potential-zero studies. A feature with an empty l_hat is kept outright;
+    an aggregate statistic exactly at the threshold is dropped."""
+    if not 0.0 < float(alpha2) < 1.0:
+        raise InputError(f"alpha2 must lie strictly inside (0, 1), got {alpha2!r}")
+    rows = [t_row for _, _, t_row in step1_output]
+    t_mat = np.array(rows, dtype=float) if rows else np.empty((0, 0))
+    thresholds = _chi2_thresholds(float(alpha2), max(
+        (kappa for _, kappa, _ in step1_output), default=0))
+    _, l_stat, keep = _two_step(t_mat, step1_output.threshold, thresholds)
+    config = ScreeningConfig(alpha1=step1_output.alpha1, alpha2=float(alpha2))
+    return _reference_result(step1_output, keep, config, "tsa", l_stat,
+                             thresholds)
+
+
+def _reference_result(step1, keep, config, method, l_stat=None,
+                      chi2_table=None):
+    """Records and kept/dropped sets from step-1 evidence and a keep mask;
+    the aggregate fields are set where kappa_hat > 0 and l_stat is given."""
+    records = tuple(FeatureScreenRecord(
+        feature=j, t_stats=t_row, l_hat=l_hat, kappa_hat=kappa,
+        l_stat=float(l_stat[j]) if kappa and l_stat is not None else None,
+        chi2_threshold=chi2_table[kappa] if kappa and l_stat is not None
+        else None, kept=bool(keep[j]))
+        for j, (l_hat, kappa, t_row) in enumerate(step1))
+    return ScreeningResult(kept=tuple(int(j) for j in np.nonzero(keep)[0]),
+                           dropped=tuple(int(j) for j in np.nonzero(~keep)[0]),
+                           records=records, config=config, method=method)
+
+
+def _reference_one_step(t_mat, alpha1):
+    step1 = _reference_step1_from_stats(t_mat, alpha1=alpha1)
+    keep = np.array([kappa == 0 for _, kappa, _ in step1], dtype=bool)
+    config = ScreeningConfig(alpha1=step1.alpha1, alpha2=0.05)
+    return _reference_result(step1, keep, config, "onestep")
+
+
+def _typed(v):
+    """A value with its Python type, elementwise through tuples; arrays by
+    dtype, shape and bytes."""
+    if isinstance(v, np.ndarray):
+        return (np.ndarray, v.dtype.str, v.shape, v.tobytes())
+    if isinstance(v, tuple):
+        return (tuple, tuple(_typed(x) for x in v))
+    return (type(v), v)
+
+
+def _fields(res):
+    """Every field of a result and of each of its records, typed."""
+    return (_typed(res.kept), _typed(res.dropped), res.method,
+            _typed(res.config.alpha1), _typed(res.config.alpha2),
+            [tuple(_typed(getattr(rec, f)) for f in (
+                "feature", "t_stats", "l_hat", "kappa_hat", "l_stat",
+                "chi2_threshold", "kept")) for rec in res.records])
+
+
+def _random_stats(rng, thr):
+    """A (p, K) matrix mixing noise, strong rows (kappa_hat = 0), null rows
+    (kappa_hat = K), cells exactly at +-thr and infinite cells."""
+    p, k = int(rng.integers(1, 40)), int(rng.integers(1, 7))
+    t = rng.normal(scale=float(rng.uniform(0.5, 4.0)), size=(p, k))
+    t[rng.random(p) < 0.15] = thr + rng.uniform(0.1, 5.0, size=k)
+    t[rng.random(p) < 0.15] = rng.uniform(-thr, thr, size=k)
+    ties = rng.random((p, k)) < 0.1
+    t[ties] = thr * rng.choice([-1.0, 1.0], size=int(ties.sum()))
+    t[rng.random((p, k)) < 0.02] = np.inf
+    return t
+
+
+class TestBuilderMatchesReference:
+    def test_random_threshold_entry(self, rng):
+        for _ in range(200):
+            thr = float(rng.uniform(0.5, 4.0))
+            alpha2 = float(rng.uniform(1e-3, 0.5))
+            t = _random_stats(rng, thr)
+            want = _reference_step2_aggregate(
+                _reference_step1_from_stats(t, threshold=thr), alpha2)
+            got = tsa_sis_from_stats(t, alpha2=alpha2, threshold=thr)
+            assert _fields(got) == _fields(want)
+
+    def test_random_alpha1_entry(self, rng):
+        kappas = set()
+        for _ in range(200):
+            alpha1 = float(rng.uniform(1e-4, 0.2))
+            alpha2 = float(rng.uniform(1e-3, 0.5))
+            t = _random_stats(rng, _step1_threshold(alpha1))
+            want = _reference_step2_aggregate(
+                _reference_step1_from_stats(t, alpha1=alpha1), alpha2)
+            got = tsa_sis_from_stats(t, alpha2=alpha2, alpha1=alpha1)
+            assert _fields(got) == _fields(want)
+            kappas |= {(rec.kappa_hat == 0, rec.kappa_hat == t.shape[1])
+                       for rec in got.records}
+        assert kappas >= {(True, False), (False, True)}
+
+    def test_no_features(self):
+        for k in (1, 5):
+            t = np.empty((0, k))
+            want = _reference_step2_aggregate(
+                _reference_step1_from_stats(t, alpha1=0.01), 0.05)
+            got = tsa_sis_from_stats(t, alpha2=0.05, alpha1=0.01)
+            assert _fields(got) == _fields(want)
+            assert got.records == ()
+
+    def test_chi2_tie_row(self):
+        tie = np.array([[0.7104563186629204, 0.589707879099864,
+                         2.6386027249001796]])
+        want = _reference_step2_aggregate(
+            _reference_step1_from_stats(tie, threshold=3.0), 0.05)
+        got = tsa_sis_from_stats(tie, alpha2=0.05, threshold=3.0)
+        assert _fields(got) == _fields(want)
+        assert got.records[0].l_stat == 7.814727903251181
+        assert got.kept == ()
+
+    def test_data_entry_points(self, rng):
+        for _ in range(20):
+            data, _ = make_multistudy(rng, n=20, p=12,
+                                      k=int(rng.integers(1, 5)),
+                                      signal=float(rng.uniform(0, 1)))
+            alpha1 = float(rng.uniform(1e-3, 0.2))
+            alpha2 = float(rng.uniform(1e-3, 0.5))
+            t = compute_t_matrix(data)
+            want = _reference_step2_aggregate(
+                _reference_step1_from_stats(t, alpha1=alpha1), alpha2)
+            got = tsa_sis(data, ScreeningConfig(alpha1, alpha2))
+            assert _fields(got) == _fields(want)
+            assert _fields(one_step_sis(data, alpha1)) \
+                == _fields(_reference_one_step(t, alpha1))
