@@ -8,10 +8,12 @@ A manifest is a JSON document::
      "feature_columns": ["g1", "g2", ...]}        # optional
 
 Each data file is a CSV with a header row and one numeric row per
-observation, read as ``csv.reader`` and ``float()`` read it: numpy's C
-reader converts quote-free data lines with ``float()``'s own conversion,
-and any other file is read cell by cell. Data paths are resolved
-relative to the manifest location.
+observation, read as ``csv.reader`` and ``float()`` read it. A file is
+opened and decoded once, so one that is not UTF-8 is rejected before any
+cell is checked; then numpy's C reader converts quote-free data lines
+with ``float()``'s own conversion, and any other file is read from the
+same lines cell by cell. Data paths are resolved relative to the
+manifest location.
 When ``feature_columns`` is absent the feature set is the intersection of
 the studies' non-response columns, in first-study order, and a warning
 lists anything dropped.
@@ -107,77 +109,80 @@ def load_manifest(manifest_path) -> StudyManifest:
 def _read_table(path: Path, study_id: str) -> tuple[list[str], np.ndarray]:
     """The stripped header and the (rows, columns) values of a study file.
 
-    When no data line needs ``csv.reader`` (see ``_split_on_commas``), one
-    ``np.loadtxt`` call converts them, each cell by ``PyOS_string_to_double``
-    as ``float()`` does, and keeps the result if it has a row per line, a
-    column per name and only finite values. Any other file is read again
-    cell by cell, which raises the error for its first fault."""
+    The file is opened and decoded once; a byte that is not UTF-8 is
+    reported before any cell is checked. When no data line needs
+    ``csv.reader`` (see ``_split_on_commas``), one ``np.loadtxt`` call
+    converts them, each cell by ``PyOS_string_to_double`` as ``float()``
+    does, and keeps the result if it has a row per line, a column per name
+    and only finite values. Otherwise the same lines are read cell by cell
+    through ``csv.reader``, which raises the error for the first fault."""
     if not path.is_file():
         raise ManifestError(f"study {study_id!r}: data file not found: {path}")
-    limit = csv.field_size_limit()
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             lines = fh.readlines()
-        if lines and _split_on_commas(lines[0], limit):
-            names, body = lines[0].rstrip("\r\n").split(","), lines[1:]
-        else:
-            reader = csv.reader(lines)
-            names, body = next(reader, []), lines[reader.line_num:]
-        names = [h.strip() for h in names]
-        if (body and all(names) and len(set(names)) == len(names)
-                and all(_split_on_commas(line, limit) for line in body)):
+    except UnicodeDecodeError as exc:
+        raise ManifestError(
+            f"study {study_id!r}: {path} is not valid UTF-8 (byte "
+            f"0x{exc.object[exc.start]:02x}: {exc.reason})") from None
+    limit = csv.field_size_limit()
+    if lines and _split_on_commas(lines[0], limit):
+        header, offset = lines[0].rstrip("\r\n").split(","), 1
+    else:
+        reader = csv.reader(lines)
+        try:
+            header, offset = next(reader, None), reader.line_num
+        except csv.Error as exc:
+            raise ManifestError(f"study {study_id!r}: {path} line "
+                                f"{reader.line_num}: {exc}") from None
+        if header is None:
+            raise ManifestError(f"study {study_id!r}: {path} is empty")
+    header = [h.strip() for h in header]
+    if any(not h for h in header):
+        raise ManifestError(f"study {study_id!r}: {path} has an empty column name")
+    if len(set(header)) != len(header):
+        dupes = sorted(h for h, n in Counter(header).items() if n > 1)
+        raise ManifestError(
+            f"study {study_id!r}: duplicate column names in {path}: {dupes}")
+    body = lines[offset:]
+    if body and all(_split_on_commas(line, limit) for line in body):
+        try:
             values = np.loadtxt(body, delimiter=",", comments=None,
                                 quotechar=None, dtype=float, ndmin=2)
-            if (values.shape == (len(body), len(names))
+        except ValueError:
+            pass  # a cell numpy rejects: found again below
+        else:
+            if (values.shape == (len(body), len(header))
                     and np.isfinite(values).all()):
-                return names, values
-    except (ValueError, csv.Error):
-        pass  # not UTF-8, an unreadable header, or a cell numpy rejects
-    header: list[str] = []
+                return header, values
     rows: list[list[float]] = []
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        try:
-            try:
-                header = next(reader)
-            except StopIteration:
+    reader = csv.reader(body)
+    try:
+        for row_num, row in enumerate(reader, start=1):
+            if len(row) != len(header):
                 raise ManifestError(
-                    f"study {study_id!r}: {path} is empty") from None
-            header = [h.strip() for h in header]
-            if any(not h for h in header):
-                raise ManifestError(
-                    f"study {study_id!r}: {path} has an empty column name")
-            if len(set(header)) != len(header):
-                dupes = sorted(h for h, n in Counter(header).items() if n > 1)
-                raise ManifestError(
-                    f"study {study_id!r}: duplicate column names in {path}: {dupes}")
-            for row in reader:
-                if len(row) != len(header):
-                    _raise_first_fault(header, [*rows, row], path, study_id)
+                    f"study {study_id!r}: row {row_num} has {len(row)} cells, "
+                    f"expected {len(header)} ({path})")
+            parsed = []
+            for col_name, cell in zip(header, row):
                 try:
-                    rows.append(list(map(float, row)))
+                    value = float(cell)
                 except ValueError:
-                    _raise_first_fault(header, [*rows, row], path, study_id)
-        except csv.Error as exc:
-            # A fault in a row read before the unreadable one comes first,
-            # as it would were each cell checked as it is read.
-            _raise_first_fault(header, rows, path, study_id)
-            raise ManifestError(
-                f"study {study_id!r}: {path} line {reader.line_num}: {exc}"
-            ) from None
-        except UnicodeDecodeError as exc:
-            # The decoder reads ahead in blocks, so reader.line_num need
-            # not be the line that holds the bad byte.
-            _raise_first_fault(header, rows, path, study_id)
-            raise ManifestError(
-                f"study {study_id!r}: {path} is not valid UTF-8 (byte "
-                f"0x{exc.object[exc.start]:02x}: {exc.reason})") from None
+                    raise ManifestError(
+                        f"study {study_id!r}: malformed numeric {cell!r} at "
+                        f"row {row_num}, column {col_name} ({path})") from None
+                if not math.isfinite(value):
+                    raise ManifestError(
+                        f"study {study_id!r}: non-finite value at row "
+                        f"{row_num}, column {col_name} ({path})")
+                parsed.append(value)
+            rows.append(parsed)
+    except csv.Error as exc:
+        raise ManifestError(f"study {study_id!r}: {path} line "
+                            f"{offset + reader.line_num}: {exc}") from None
     if not rows:
         raise ManifestError(f"study {study_id!r}: {path} has no data rows")
-    values = np.asarray(rows, dtype=float)
-    if not np.isfinite(values).all():
-        _raise_first_fault(header, rows, path, study_id)
-    return header, values
+    return header, np.asarray(rows, dtype=float)
 
 
 def _split_on_commas(line: str, limit: int) -> bool:
@@ -187,29 +192,6 @@ def _split_on_commas(line: str, limit: int) -> bool:
     return (line[0] not in "\r\n" and '"' not in line and "\0" not in line
             and (len(line) <= limit
                  or max(map(len, line.rstrip("\r\n").split(","))) <= limit))
-
-
-def _raise_first_fault(header: list[str], rows: list, path: Path,
-                       study_id: str) -> None:
-    """Raise the error for the first bad row or cell of ``rows``, in
-    reading order, if there is one. Rows may hold floats already parsed
-    or the raw strings of the row that failed to parse."""
-    for row_num, row in enumerate(rows, start=1):
-        if len(row) != len(header):
-            raise ManifestError(
-                f"study {study_id!r}: row {row_num} has {len(row)} cells, "
-                f"expected {len(header)} ({path})")
-        for col_name, cell in zip(header, row):
-            try:
-                value = float(cell)
-            except ValueError:
-                raise ManifestError(
-                    f"study {study_id!r}: malformed numeric {cell!r} at "
-                    f"row {row_num}, column {col_name} ({path})") from None
-            if not math.isfinite(value):
-                raise ManifestError(
-                    f"study {study_id!r}: non-finite value at row "
-                    f"{row_num}, column {col_name} ({path})")
 
 
 def load_multistudy(manifest_path) -> MultiStudy:

@@ -124,10 +124,15 @@ class ScreeningConfig:
 
     def __post_init__(self):
         for name in ("alpha1", "alpha2"):
-            v = getattr(self, name)
-            if not (np.ndim(v) == 0 and 0.0 < float(v) < 1.0):
-                raise InputError(f"{name} must lie strictly inside (0, 1), got {v!r}")
-            object.__setattr__(self, name, float(v))
+            object.__setattr__(self, name, _level(name, getattr(self, name)))
+
+
+def _level(name: str, v) -> float:
+    """``v`` as a float strictly inside (0, 1): the check of every
+    significance level, in configs and simulation specs alike."""
+    if not (np.ndim(v) == 0 and 0.0 < float(v) < 1.0):
+        raise InputError(f"{name} must lie strictly inside (0, 1), got {v!r}")
+    return float(v)
 
 
 @dataclass(frozen=True)
@@ -239,6 +244,9 @@ def _levels(alpha1, alpha2, threshold) -> tuple[ScreeningConfig, float]:
     # 2 * (1 - Phi(t)) without cancellation; clamp so the echoed config
     # stays inside (0, 1) even for absurdly large thresholds.
     implied = max(math.erfc(threshold / math.sqrt(2.0)), 1e-300)
+    if implied >= 1.0:
+        raise InputError(f"threshold {threshold!r} is too small: its step-1 "
+                         "level 2 * (1 - Phi(threshold)) rounds to 1")
     return ScreeningConfig(implied, alpha2), threshold
 
 

@@ -22,8 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, MultiscreenError
-from .screening import (MultiStudy, Study, _chi2_thresholds, _min_rank,
-                        _stat_matrices, _step1_threshold, _top_d, _two_step)
+from .screening import (MultiStudy, Study, _chi2_thresholds, _level,
+                        _min_rank, _stat_matrices, _step1_threshold, _top_d,
+                        _two_step)
 from .stats_core import normal_quantile
 
 __all__ = [
@@ -426,9 +427,8 @@ class MethodSpec:
         if self.name not in ("tsa", "onestep", "minsis"):
             raise InputError(f"unknown method {self.name!r}")
         for field_name in ("alpha1", "alpha2"):
-            v = getattr(self, field_name)
-            if not 0.0 < v < 1.0:
-                raise InputError(f"{field_name} must lie inside (0, 1), got {v}")
+            object.__setattr__(self, field_name,
+                               _level(field_name, getattr(self, field_name)))
         if self.d is not None and self.d < 0:
             raise InputError(f"d must be >= 0, got {self.d}")
 
@@ -465,14 +465,10 @@ class LevelGrid:
     alpha2_list: tuple[float, ...]
 
     def __post_init__(self):
-        alpha1_list = tuple(float(a) for a in self.alpha1_list)
-        alpha2_list = tuple(float(a) for a in self.alpha2_list)
+        alpha1_list = tuple(_level("alpha1", a) for a in self.alpha1_list)
+        alpha2_list = tuple(_level("alpha2", a) for a in self.alpha2_list)
         if not alpha1_list or not alpha2_list:
             raise InputError("alpha lists must not be empty")
-        for a in alpha1_list + alpha2_list:
-            if not 0.0 < a < 1.0:
-                raise InputError(
-                    f"significance levels must lie inside (0, 1), got {a}")
         object.__setattr__(self, "alpha1_list", alpha1_list)
         object.__setattr__(self, "alpha2_list", alpha2_list)
 

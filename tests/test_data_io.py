@@ -3,6 +3,7 @@ export/reload round trip."""
 
 import csv
 import json
+import math
 import os
 import random
 import re
@@ -529,7 +530,28 @@ def _csv_reader_read_table(path: Path, study_id: str) -> tuple[list[str], np.nda
     return header, values
 
 
-_raise_first_fault = data_io._raise_first_fault
+def _raise_first_fault(header: list[str], rows: list, path: Path,
+                       study_id: str) -> None:
+    """Raise the error for the first bad row or cell of ``rows``, in
+    reading order, if there is one. Rows may hold floats already parsed
+    or the raw strings of the row that failed to parse."""
+    for row_num, row in enumerate(rows, start=1):
+        if len(row) != len(header):
+            raise ManifestError(
+                f"study {study_id!r}: row {row_num} has {len(row)} cells, "
+                f"expected {len(header)} ({path})")
+        for col_name, cell in zip(header, row):
+            try:
+                value = float(cell)
+            except ValueError:
+                raise ManifestError(
+                    f"study {study_id!r}: malformed numeric {cell!r} at "
+                    f"row {row_num}, column {col_name} ({path})") from None
+            if not math.isfinite(value):
+                raise ManifestError(
+                    f"study {study_id!r}: non-finite value at row "
+                    f"{row_num}, column {col_name} ({path})")
+
 
 FUZZ_TOKENS = ["1", "2", ".5", "e3", "-", ",", '"', "\n", "\r", "\r\n", " ",
                "x", "\0", "inf", "_"]
@@ -650,6 +672,14 @@ class TestUnreadableFiles:
                 f"a.csv line 4: field larger than field limit ({limit})")):
             load_multistudy(manifest)
 
+    def test_field_over_limit_after_multiline_header(self, tmp_path):
+        # _reference_read_table lets csv.Error out unwrapped, so this case
+        # is pinned against the csv.reader reference only.
+        path = write(tmp_path / "a.csv", f'"a\nb",c\n1,2\n3,{OVER_FIELD_LIMIT}\n')
+        outcome = _outcome(data_io._read_table, path)
+        assert outcome == _outcome(_csv_reader_read_table, path)
+        assert outcome[0] is ManifestError and "a.csv line 4: field larger" in outcome[1]
+
     def test_study_not_utf8(self, tmp_path):
         (tmp_path / "a.csv").write_bytes(b"g1,y\n1,2\n3,\xff4\n")
         manifest = make_manifest(tmp_path, [
@@ -658,6 +688,35 @@ class TestUnreadableFiles:
                            match=r"study 'A': .*a\.csv is not valid UTF-8 "
                                  r"\(byte 0xff"):
             load_multistudy(manifest)
+
+    def test_not_utf8_reported_before_any_cell(self, tmp_path):
+        # The bad byte lies past the decoder's first 8 KiB block, and after
+        # the malformed cell on row 2.
+        (tmp_path / "a.csv").write_bytes(
+            b"g1,y\n1,2\n3,x\n" + b"5,6\n" * 3_000 + b"7,\xff8\n")
+        manifest = make_manifest(tmp_path, [
+            {"study_id": "A", "data_path": "a.csv", "response_column": "y"}])
+        with pytest.raises(ManifestError,
+                           match=r"a\.csv is not valid UTF-8 \(byte 0xff"):
+            load_multistudy(manifest)
+
+    def test_each_study_file_opened_once(self, tmp_path, monkeypatch):
+        texts = {"plain.csv": "g1,y\n1,2\n3,4\n",
+                 "quoted.csv": 'g1,y\n1,"2"\n3,4\n',
+                 "bad_last_row.csv": "g1,y\n1,2\n3,4\n5,x\n"}
+        opened = Counter()
+
+        def counted(file, *args, **kwargs):
+            opened[Path(file).name] += 1
+            return open(file, *args, **kwargs)
+
+        monkeypatch.setattr(data_io, "open", counted, raising=False)
+        data_io._read_table(write(tmp_path / "plain.csv", texts["plain.csv"]), "A")
+        data_io._read_table(write(tmp_path / "quoted.csv", texts["quoted.csv"]), "B")
+        with pytest.raises(ManifestError, match="malformed numeric 'x' at row 3"):
+            data_io._read_table(
+                write(tmp_path / "bad_last_row.csv", texts["bad_last_row.csv"]), "C")
+        assert opened == Counter(dict.fromkeys(texts, 1))
 
     def test_manifest_not_utf8(self, tmp_path):
         path = tmp_path / "manifest.json"

@@ -357,6 +357,13 @@ class TestValidation:
         with pytest.raises(InputError, match="exactly one"):
             tsa_sis_from_stats(t, alpha2=0.05)
 
+    @pytest.mark.parametrize("threshold", [0.0, 1e-17])
+    def test_threshold_whose_level_rounds_to_one_rejected(self, threshold):
+        # erfc(threshold / sqrt 2) == 1.0: the error names the threshold
+        # given, not a level of 1.0 the caller never gave.
+        with pytest.raises(InputError, match=f"threshold {threshold!r} is too small"):
+            tsa_sis_from_stats([[1.0, 0.0]], alpha2=0.05, threshold=threshold)
+
     def test_non_scalar_alpha1_rejected(self, rng):
         data, _ = make_multistudy(rng, n=20, p=4, k=2)
         with pytest.raises(InputError, match="alpha1"):

@@ -419,6 +419,15 @@ class TestSensitivityGrid:
         with pytest.raises(InputError):
             LevelGrid([0.01], [1.5])
 
+    @pytest.mark.parametrize("make", [
+        lambda: MethodSpec(alpha1=[0.01]),
+        lambda: MethodSpec(alpha1=np.array([0.01, 0.02])),
+        lambda: LevelGrid([np.array([0.1, 0.2])], [0.05]),
+    ], ids=["spec_list", "spec_array", "grid_array"])
+    def test_non_scalar_level_rejected(self, make):
+        with pytest.raises(InputError, match="alpha1 must lie strictly inside"):
+            make()
+
 
 class TestReplicate:
     def test_one_pass_over_instances(self, monkeypatch):
