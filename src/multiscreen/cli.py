@@ -89,7 +89,7 @@ def _cmd_screen(args) -> int:
         "d": args.d,
     }
     if args.method == "minsis":
-        d = _top_d(data, args.d)
+        d = _top_d(min(s.n for s in data.studies), args.d)
         ranking = min_sis_rank(data)
         kept, dropped = top_d_selection(ranking, min(d, data.p), data.p)
         kept_set = set(kept)

@@ -15,6 +15,7 @@ Three screeners operate on a :class:`MultiStudy`:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from itertools import compress, repeat
 
@@ -127,12 +128,22 @@ class ScreeningConfig:
             object.__setattr__(self, name, _level(name, getattr(self, name)))
 
 
+def _real(v) -> float | None:
+    """``v`` as a float when it is one real number (a 0-d real array
+    included), else None: strings, None and complex numbers are not."""
+    if isinstance(v, numbers.Real) or (
+            np.ndim(v) == 0 and np.asarray(v).dtype.kind in "iuf"):
+        return float(v)
+    return None
+
+
 def _level(name: str, v) -> float:
     """``v`` as a float strictly inside (0, 1): the check of every
     significance level, in configs and simulation specs alike."""
-    if not (np.ndim(v) == 0 and 0.0 < float(v) < 1.0):
+    level = _real(v)
+    if level is None or not 0.0 < level < 1.0:
         raise InputError(f"{name} must lie strictly inside (0, 1), got {v!r}")
-    return float(v)
+    return level
 
 
 @dataclass(frozen=True)
@@ -175,37 +186,48 @@ def _stat_matrices(data: MultiStudy, names) -> dict:
     centering of every column. Each maps to its matrix or to the error of
     its first degenerate column or response, in study-major order."""
     out = {name: np.empty((data.p, data.k)) for name in names}
-    filling = set(out)
-    for ki, study in enumerate(data.studies):
-        cy, var_y = center_column(study.y[:, None])
-        if var_y[0] <= 0.0:
-            out.update(dict.fromkeys(filling, DegenerateColumnError(
-                f"response in study {study.id!r} has zero variance")))
-            return out
-        for j0 in range(0, data.p, _CHUNK):
-            cx, var_x = center_column(study.x[:, j0:j0 + _CHUNK])
-            cols = (slice(j0, j0 + cx.shape[1]), ki)
-            prods, sigma = _cross_products(cx, cy)
-            flat = np.flatnonzero(var_x <= 0.0)
-            if "corr" in filling and flat.size:
-                filling.remove("corr")
-                out["corr"] = DegenerateColumnError(
-                    f"feature {data.feature_names[j0 + flat[0]]!r} has zero "
-                    f"variance in study {study.id!r}")
-            elif "corr" in filling:
-                out["corr"][cols] = sigma / np.sqrt(var_x * var_y)
-            if "t" in filling:
-                try:
-                    out["t"][cols] = _t_from_products(
-                        prods, sigma, var_x, var_y, label=lambda i: (
-                            f"{data.feature_names[j0 + i]} "
-                            f"(study {study.id!r})"))[0]
-                except DegenerateColumnError as exc:
-                    filling.remove("t")
-                    out["t"] = exc
-            if not filling:
-                return out
+    for k, study in enumerate(data.studies):
+        _stat_columns(out, k, study, data.feature_names.__getitem__)
     return out
+
+
+def _stat_columns(out: dict, k: int, study: Study, feature) -> None:
+    """Column k of every (p, K) matrix in ``out`` that is still an array,
+    "t" or "corr" as in :func:`_stat_matrices`, from one centering of
+    ``study``'s columns. A matrix whose first degenerate column or response
+    lies in this study is replaced by that error, so calls over the studies
+    in order give :func:`_stat_matrices`' study-major errors. ``feature(j)``
+    names column j in the messages."""
+    filling = {name for name, mat in out.items() if isinstance(mat, np.ndarray)}
+    if not filling:
+        return
+    cy, var_y = center_column(study.y[:, None])
+    if var_y[0] <= 0.0:
+        out.update(dict.fromkeys(filling, DegenerateColumnError(
+            f"response in study {study.id!r} has zero variance")))
+        return
+    for j0 in range(0, study.p, _CHUNK):
+        cx, var_x = center_column(study.x[:, j0:j0 + _CHUNK])
+        cols = (slice(j0, j0 + cx.shape[1]), k)
+        prods, sigma = _cross_products(cx, cy)
+        flat = np.flatnonzero(var_x <= 0.0)
+        if "corr" in filling and flat.size:
+            filling.remove("corr")
+            out["corr"] = DegenerateColumnError(
+                f"feature {feature(j0 + flat[0])!r} has zero "
+                f"variance in study {study.id!r}")
+        elif "corr" in filling:
+            out["corr"][cols] = sigma / np.sqrt(var_x * var_y)
+        if "t" in filling:
+            try:
+                out["t"][cols] = _t_from_products(
+                    prods, sigma, var_x, var_y, label=lambda i: (
+                        f"{feature(j0 + i)} (study {study.id!r})"))[0]
+            except DegenerateColumnError as exc:
+                filling.remove("t")
+                out["t"] = exc
+        if not filling:
+            return
 
 
 def _one_matrix(data: MultiStudy, name: str) -> np.ndarray:
@@ -237,10 +259,10 @@ def _levels(alpha1, alpha2, threshold) -> tuple[ScreeningConfig, float]:
     if threshold is None:
         config = ScreeningConfig(alpha1, alpha2)
         return config, _step1_threshold(config.alpha1)
-    if not (np.ndim(threshold) == 0 and float(threshold) >= 0.0
-            and math.isfinite(float(threshold))):
+    value = _real(threshold)
+    if value is None or not (value >= 0.0 and math.isfinite(value)):
         raise InputError(f"threshold must be a finite nonnegative real, got {threshold!r}")
-    threshold = float(threshold)
+    threshold = value
     # 2 * (1 - Phi(t)) without cancellation; clamp so the echoed config
     # stays inside (0, 1) even for absurdly large thresholds.
     implied = max(math.erfc(threshold / math.sqrt(2.0)), 1e-300)
@@ -381,6 +403,6 @@ def default_top_d(n: int) -> int:
     return max(1, int(math.floor(n / math.log(n))))
 
 
-def _top_d(data: MultiStudy, d: int | None) -> int:
-    """d as given, else the default of the smallest study."""
-    return default_top_d(min(s.n for s in data.studies)) if d is None else d
+def _top_d(n_min: int, d: int | None) -> int:
+    """d as given, else the default of the smallest study, of n_min rows."""
+    return default_top_d(n_min) if d is None else d

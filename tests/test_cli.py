@@ -192,9 +192,9 @@ class TestRocCommand:
         import multiscreen.simulate as simulate
         calls = []
 
-        def counted(setting, rep):
+        def counted(setting, rep, **kwargs):
             calls.append(rep)
-            return gen_instance(setting, rep)
+            return gen_instance(setting, rep, **kwargs)
 
         monkeypatch.setattr(simulate, "gen_instance", counted)
         assert run(["roc", "--setting", "1", "--p", "60", "--b", "3",
@@ -236,10 +236,10 @@ class TestReplicationFailures:
     def test_messages_on_stderr(self, tmp_path, monkeypatch, capsys):
         import multiscreen.simulate as simulate
 
-        def flaky(setting, rep):
+        def flaky(setting, rep, **kwargs):
             if rep == 1:
                 raise DegenerateColumnError("column 'x3' is constant")
-            return gen_instance(setting, rep)
+            return gen_instance(setting, rep, **kwargs)
 
         monkeypatch.setattr(simulate, "gen_instance", flaky)
         base = ["--setting", "1", "--n", "25", "--p", "10", "--s0", "2",

@@ -3,6 +3,7 @@ minimum-correlation ranking."""
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from multiscreen.screening import (_CHUNK, FeatureScreenRecord,
                                    _stat_matrices, _step1_mask,
                                    _step1_threshold, _two_step,
                                    compute_correlation_matrix, tsa_kept_mask)
-from multiscreen.simulate import SimSetting, gen_instance
+from multiscreen.simulate import LevelGrid, MethodSpec, SimSetting, gen_instance
 from multiscreen.stats_core import _exact_colsum, center_column
 
 # |T| statistics of the three-feature toy instance, features x studies: a
@@ -371,6 +372,32 @@ class TestValidation:
                                alpha1=np.array([0.01, 0.02]))
         with pytest.raises(InputError, match="alpha1"):
             one_step_sis(data, alpha1=[0.01])
+
+    @pytest.mark.parametrize("value", [
+        None, "0.01", "abc", b"0.01", 0.01j, object(), np.array("0.01")],
+        ids=["none", "numeric_str", "str", "bytes", "complex", "object",
+             "str_array"])
+    @pytest.mark.parametrize("make, name", [
+        (lambda v: ScreeningConfig(alpha1=v), "alpha1"),
+        (lambda v: ScreeningConfig(alpha2=v), "alpha2"),
+        (lambda v: tsa_sis_from_stats([[1.0]], alpha2=v, alpha1=0.01), "alpha2"),
+        (lambda v: tsa_sis_from_stats([[1.0]], alpha2=0.05, alpha1=v), "alpha1"),
+        (lambda v: tsa_sis_from_stats([[1.0]], alpha2=0.05, threshold=v),
+         "threshold"),
+        (lambda v: MethodSpec(alpha2=v), "alpha2"),
+        (lambda v: LevelGrid([v], [0.05]), "alpha1"),
+    ], ids=["config_alpha1", "config_alpha2", "stats_alpha2", "stats_alpha1",
+            "stats_threshold", "spec_alpha2", "grid_alpha1"])
+    def test_level_that_is_not_a_real_number_rejected(self, make, name, value):
+        with pytest.raises(InputError, match=name):
+            make(value)
+
+    def test_real_levels_of_any_numeric_type_accepted(self):
+        for v in (0.01, np.float64(0.01), np.float32(0.25), np.array(0.01),
+                  Fraction(1, 100)):
+            assert ScreeningConfig(alpha1=v).alpha1 == float(v)
+        assert tsa_sis_from_stats([[1.0]], alpha2=0.05, threshold=np.int64(3)) \
+            .config.alpha1 == math.erfc(3 / math.sqrt(2))
 
 
 # ---------------------------------------------------------------------------

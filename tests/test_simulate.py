@@ -3,17 +3,26 @@ its three specs (screener summary, level grid, ROC curve)."""
 
 import hashlib
 import math
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import multiscreen
 import multiscreen.simulate as simulate
 from multiscreen import (DegenerateColumnError, InputError, LevelGrid,
-                         MethodSpec, MultiStudy, RocGrid, ScreeningConfig,
-                         SimSetting, Study, even_spaced_active, evaluate,
-                         gen_instance, min_sis_rank, one_step_sis, replicate,
+                         MethodSpec, MultiscreenError, RocGrid,
+                         ScreeningConfig, SimSetting, Study,
+                         compute_correlation_matrix, compute_t_matrix,
+                         even_spaced_active, evaluate, gen_instance,
+                         min_sis_rank, one_step_sis, replicate,
                          top_d_selection, tsa_sis)
+from multiscreen.screening import _stat_columns, _stat_matrices
 from multiscreen.simulate import (_mean_se, _rep_rng, _standard_normal,
                                   _uniform_open, default_d_grid)
 from multiscreen.stats_core import normal_quantile
@@ -182,6 +191,24 @@ class TestSimulatedBits:
         assert _sha256(s.x for s in data.studies) == x_digest
         assert _sha256(s.y for s in data.studies) == y_digest
 
+    # sha256 of replication 0's T matrix, then its correlation matrix, both
+    # (p, K) and unrounded.
+    MATRIX_GOLDEN = {
+        1: "eddf1d0d77e532f5030f996e34795f316bac7e34f81085fe478d14edefd8fcd8",
+        2: "ea622a11bd919c951a05f4145352364044bc3190f79ac7db8d06e263b970aa5a",
+    }
+
+    @pytest.mark.parametrize("setting_id", [1, 2])
+    def test_streamed_matrix_digests(self, setting_id):
+        # The replication pass fills the matrices study by study; they must
+        # hash as the public functions do on the whole instance.
+        setting = SimSetting.preset(setting_id, seed=20240811)
+        matrices, _ = simulate._streamed_matrices(setting, 0, ("t", "corr"))
+        data = gen_instance(setting, 0)[0]
+        assert _sha256([matrices["t"], matrices["corr"]]) \
+            == _sha256([compute_t_matrix(data), compute_correlation_matrix(data)]) \
+            == self.MATRIX_GOLDEN[setting_id]
+
     def test_normal_quantile_digest(self):
         u = _uniform_open(_rep_rng(20240811, 0), 100_000)
         assert _sha256([normal_quantile(u)]) == (
@@ -212,14 +239,15 @@ class TestSimulatedBits:
 
         def with_zeros(rng, size):
             z = _standard_normal(rng, size)
-            if size == (n, p):
+            if size == n * p:   # the design, drawn in one row-major block
+                z = z.reshape(n, p)
                 z[0, 1:3] = 1.5, -0.0
                 z[1, 2:4] = -1.0, 0.0
                 z[2, 0] = -0.0
                 z[3, 0:2] = 2.0, -0.0
                 z[4, 1:3] = -1.0, -0.0
                 drawn.append(z.copy())
-            return z
+            return z.reshape(size)
 
         monkeypatch.setattr(simulate, "_standard_normal", with_zeros)
         setting = SimSetting(n=n, p=p, K=1, s0=1, r_pool=(0.0,), seed=3)
@@ -230,6 +258,23 @@ class TestSimulatedBits:
         assert np.signbit(want[zeros]).tolist() == [
             False, False, True, False, True]
         assert np.array_equal(x.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("n, p", [
+        (50, 1),                        # every row in one block
+        (20, simulate._DRAW_LANES + 1),  # rows split over two blocks
+        (30, 1000),                     # 12-row blocks, a 6-row last stage
+    ])
+    def test_blocked_design_draw_equals_one_draw(self, n, p):
+        # At r = 0 with no zero draw, x is the design normals themselves.
+        setting = SimSetting(n=n, p=p, K=2, s0=1, r_pool=(0.0,), seed=4)
+        data, _, _ = gen_instance(setting, 0)
+        rng = _rep_rng(setting.seed, 0)
+        _uniform_open(rng, 1)
+        for study in data.studies:
+            _uniform_open(rng, 1)
+            z = _standard_normal(rng, (n, p))
+            assert np.array_equal(study.x.view(np.int64), z.view(np.int64))
+            _standard_normal(rng, n)
 
     def test_uniform_open_top_of_grid(self):
         k = [0, 2 ** 52 - 1, 2 ** 52, 2 ** 53 - 2, 2 ** 53 - 1]
@@ -432,28 +477,32 @@ class TestSensitivityGrid:
 class TestReplicate:
     def test_one_pass_over_instances(self, monkeypatch):
         # Every spec kind in one pass: each replication generates its
-        # instance once and makes one pass over its centered columns for
-        # both statistic matrices.
-        calls = dict.fromkeys(("gen_instance", "_stat_matrices"), 0)
-        asked = []
-        for name in calls:
-            def counted(*args, _name=name, _fn=getattr(simulate, name)):
-                calls[_name] += 1
-                if _name == "_stat_matrices":
-                    asked.append(sorted(args[1]))
-                return _fn(*args)
-            monkeypatch.setattr(simulate, name, counted)
+        # instance once and makes one pass over each study's centered
+        # columns for both statistic matrices.
+        draws, passes = [], []
+
+        def counted_draw(setting, rep, **kwargs):
+            draws.append(rep)
+            return gen_instance(setting, rep, **kwargs)
+
+        def counted_pass(out, k, study, feature):
+            passes.append((k, sorted(out)))
+            return _stat_columns(out, k, study, feature)
+
+        monkeypatch.setattr(simulate, "gen_instance", counted_draw)
+        monkeypatch.setattr(simulate, "_stat_columns", counted_pass)
         setting = small_setting(B=3)
         replicate(setting, [MethodSpec(), LevelGrid([0.01, 0.001], [0.05]),
                             RocGrid()])
-        assert calls == dict.fromkeys(calls, setting.B)
-        assert asked == [["corr", "t"]] * setting.B
+        assert draws == list(range(setting.B))
+        assert passes == [(k, ["corr", "t"]) for _ in range(setting.B)
+                          for k in range(setting.K)]
 
     def test_failure_reported_by_every_spec(self, monkeypatch):
-        def flaky(setting, rep):
+        def flaky(setting, rep, **kwargs):
             if rep == 1:
                 raise DegenerateColumnError("column 'x3' is constant")
-            return gen_instance(setting, rep)
+            return gen_instance(setting, rep, **kwargs)
 
         monkeypatch.setattr(simulate, "gen_instance", flaky)
         setting = small_setting(B=3)
@@ -469,17 +518,12 @@ class TestReplicate:
         # In rep 1 the response and x3 of the first study are +1, -1, ...:
         # their products are constant, so T fails there while every
         # correlation exists and the ranking screener still runs.
-        def alternating(setting, rep):
-            data, active, beta = gen_instance(setting, rep)
-            if rep == 1:
-                first = data.studies[0]
-                y = np.resize([1.0, -1.0], first.n)
-                x = first.x.copy()
-                x[:, 2] = y
-                data = MultiStudy(studies=(Study(id=first.id, x=x, y=y),)
-                                  + data.studies[1:],
-                                  feature_names=data.feature_names)
-            return data, active, beta
+        def alternating(setting, rep, *, on_study):
+            def altered(k, study):
+                if rep == 1 and k == 0:
+                    study = Study(study.id, *_alternating(study.x, study.y, 2))
+                on_study(k, study)
+            return gen_instance(setting, rep, on_study=altered)
 
         monkeypatch.setattr(simulate, "gen_instance", alternating)
         setting = small_setting(B=3)
@@ -493,3 +537,97 @@ class TestReplicate:
     def test_empty_specs(self):
         with pytest.raises(InputError):
             replicate(small_setting(B=1), [])
+
+
+def _alternating(x, y, j):
+    """Copies of (x, y) with the response and column j both +1, -1, ...:
+    their products are constant, so T is degenerate there; the correlation
+    is not."""
+    y = np.resize([1.0, -1.0], y.size)
+    x = x.copy()
+    x[:, j] = y
+    return x, y
+
+
+def _eager_replicate(setting, specs):
+    """The replication pass as it ran before studies were streamed, kept as
+    the reference: the whole instance from gen_instance, its matrices from
+    _stat_matrices, then every rule, and the specs' own reductions."""
+    rules = tuple(spec._rule(setting) for spec in specs)
+    per_rep = []
+    for rep in range(setting.B):
+        try:
+            data, active, _ = gen_instance(setting, rep)
+        except MultiscreenError as exc:
+            per_rep.append([("err", f"rep {rep}: {exc}")] * len(rules))
+            continue
+        matrices = _stat_matrices(data, {rule.matrix for rule in rules})
+        outcomes = []
+        for rule in rules:
+            mat = matrices[rule.matrix]
+            if isinstance(mat, Exception):
+                outcomes.append(("err", f"rep {rep}: {mat}"))
+                continue
+            try:
+                outcomes.append(("ok", rule(mat, data.p,
+                                            min(s.n for s in data.studies),
+                                            active)))
+            except MultiscreenError as exc:
+                outcomes.append(("err", f"rep {rep}: {exc}"))
+        per_rep.append(outcomes)
+    return [spec._reduce(setting, outcomes)
+            for spec, outcomes in zip(specs, zip(*per_rep))]
+
+
+class TestStreamedReplication:
+    @pytest.mark.parametrize("setting_id", [1, 2, 3, 4])
+    def test_equals_eager_reference(self, setting_id, monkeypatch):
+        # Rep 1's first study has a degenerate T column; rep 2 fails while
+        # its second study is drawn, after the first one was screened.
+        draw = simulate._draw_studies
+
+        def faulty(setting, rep, active):
+            for k, (x, y, betas) in enumerate(draw(setting, rep, active)):
+                if rep == 2 and k == 1:
+                    raise InputError("study 2 could not be drawn")
+                if rep == 1 and k == 0:
+                    x, y = _alternating(x, y, 4)
+                yield x, y, betas
+
+        monkeypatch.setattr(simulate, "_draw_studies", faulty)
+        setting = SimSetting.preset(setting_id, p=300, B=4, seed=5)
+        specs = [MethodSpec(), MethodSpec(name="onestep", alpha1=1e-3),
+                 MethodSpec(name="minsis"), MethodSpec(name="minsis", d=7),
+                 LevelGrid([1e-2, 1e-4], [0.05, 0.01]), RocGrid()]
+        streamed = replicate(setting, specs)
+        assert streamed == _eager_replicate(setting, specs)
+        tsa, *_, grid, curve = streamed
+        assert tsa.failures == (
+            tsa.failures[0], "rep 2: study 2 could not be drawn")
+        assert tsa.failures[0].startswith("rep 1: column \"x5 (study 'study1')\"")
+        assert grid.n_failed == 2
+        assert curve.failures == ("rep 2: study 2 could not be drawn",)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+def test_replication_holds_one_study_at_a_time():
+    # Setting 1 at p = 2e4: one study's x is 16 MB, the whole instance
+    # 80 MB. The child reports its own peak, so the other subprocesses of a
+    # test run do not count.
+    script = textwrap.dedent("""
+        import resource
+        from multiscreen import MethodSpec, RocGrid, SimSetting, replicate
+        replicate(SimSetting.preset(1, p=20_000, B=1, seed=20240811),
+                  [MethodSpec(), RocGrid()])
+        print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+    """)
+    src = str(Path(multiscreen.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "MKL_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(
+               [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    peak_mb = int(proc.stdout.split()[-1]) / 1024
+    assert peak_mb <= 100, f"replicate peaked at {peak_mb:.1f} MB"
