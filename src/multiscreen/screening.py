@@ -65,7 +65,7 @@ class Study:
             raise InputError(f"study {self.id!r}: need at least 3 observations")
         if x.shape[1] < 1:
             raise InputError(f"study {self.id!r}: need at least one feature")
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        if not (_all_finite(x) and np.all(np.isfinite(y))):
             raise InputError(f"study {self.id!r}: entries must be finite")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
@@ -77,6 +77,16 @@ class Study:
     @property
     def p(self) -> int:
         return self.x.shape[1]
+
+
+def _all_finite(a: np.ndarray) -> bool:
+    """Whether every entry of the 2-d float array ``a`` is finite, without
+    an entry-sized bool array: a column whose sum is finite holds no NaN or
+    ±inf, and only a column whose sum is not (an overflow included) is
+    checked entry by entry."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        bad = ~np.isfinite(a.sum(axis=0))
+    return not bad.any() or bool(np.isfinite(a[:, bad]).all())
 
 
 @dataclass(frozen=True)

@@ -1,16 +1,23 @@
 """Command-line surface: outputs, schema validity, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
 from importlib import resources
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
+import multiscreen
 from multiscreen import (DegenerateColumnError, MethodSpec, SimSetting,
                          gen_instance, replicate)
 from multiscreen.cli import main
-from multiscreen.data_io import write_multistudy
+from multiscreen.data_io import (write_csv_atomic, write_json_atomic,
+                                 write_multistudy)
 
 SCHEMA = json.loads(
     resources.files("multiscreen").joinpath("schemas/result.schema.json")
@@ -265,3 +272,48 @@ class TestDeterminismAcrossCommands:
             assert run(cmd + ["--out", o2]) == 0
             assert (o1 / "result.json").read_bytes() \
                 == (o2 / "result.json").read_bytes()
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="reads the peak from /proc/self/status")
+def test_screen_holds_the_data_once(tmp_path):
+    # 5 studies of 100 rows at p = 5 000 hold 20 MB of data. While each
+    # study's y kept its parsed table alive and result.json was encoded
+    # whole before writing, this child peaked at 93.4-94.0 MB; it now peaks
+    # at 62.8-63.4 MB (repeated runs, BLAS on one thread), so the 78 MB
+    # bound leaves about 15 MB on either side. The child reads its own
+    # high-water mark, VmHWM: its ru_maxrss would start from the RSS of
+    # the test process that spawned it. Integer cells keep the fixture
+    # quick to write.
+    rng = np.random.default_rng(5)
+    p = 5_000
+    header = ["response", *(f"g{j}" for j in range(p))]
+    entries = []
+    for k in range(5):
+        write_csv_atomic(tmp_path / f"s{k}.csv", header,
+                         rng.integers(-999, 1000, (100, p + 1)).tolist())
+        entries.append({"study_id": f"s{k}", "data_path": f"s{k}.csv",
+                        "response_column": "response"})
+    write_json_atomic(tmp_path / "manifest.json", {"entries": entries})
+    script = textwrap.dedent("""
+        import sys
+        from multiscreen.cli import main
+        assert main(["screen", "--manifest", sys.argv[1], "--method", "tsa",
+                     "--out", sys.argv[2]]) == 0
+        with open("/proc/self/status") as fh:
+            print(next(line.split()[1] for line in fh
+                       if line.startswith("VmHWM:")))
+    """)
+    src = str(Path(multiscreen.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "MKL_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(
+               [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path / "manifest.json"),
+         str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    peak_mb = int(proc.stdout.split()[-1]) / 1024
+    assert peak_mb <= 78, f"screen peaked at {peak_mb:.1f} MB"
+    assert len(load_result(tmp_path / "out")["result"]["features"]) == p

@@ -11,9 +11,9 @@ import stat
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from collections import Counter
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -308,6 +308,65 @@ def test_output_files_follow_umask(tmp_path, rng):
     assert not list(tmp_path.rglob("*.tmp"))
 
 
+class TestHeldOnce:
+    @pytest.fixture
+    def exported(self, tmp_path):
+        setting = SimSetting(n=100, p=300, K=3, s0=3, beta_low=0.4,
+                             beta_high=0.8, B=1, seed=7)
+        data, _, _ = gen_instance(setting, 0)
+        return data, write_multistudy(data, tmp_path)
+
+    def test_loaded_studies_hold_their_data_once(self, exported):
+        _, manifest = exported
+        tracemalloc.start()
+        try:
+            loaded = load_multistudy(manifest)
+            current, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        held = sum(s.x.nbytes + s.y.nbytes for s in loaded.studies)
+        # A y that views its parsed table keeps the whole table alive,
+        # which doubles what the load holds.
+        assert all(s.y.base is None for s in loaded.studies)
+        assert current <= 1.1 * held, (current, held)
+
+    def test_layout_and_order_kept(self, exported):
+        data, manifest = exported
+        loaded = load_multistudy(manifest)
+        assert [s.id for s in loaded.studies] == [s.id for s in data.studies]
+        for a, b in zip(data.studies, loaded.studies):
+            # numpy gathers the feature columns into a (p, n) buffer, so
+            # x is column-major.
+            assert b.x.strides == (8, 8 * b.n)
+            assert np.array_equal(a.x, b.x)
+            assert np.array_equal(a.y, b.y)
+
+
+class TestWriteJson:
+    def test_bytes_are_dumps_plus_newline(self, tmp_path):
+        payload = {
+            "gène": [None, True, 2 ** 70, -10 ** 30, -0.0, 5e-324,
+                     float("nan"), float("inf"), 1.5],
+            "\u65e5\u672c": {"z": [], "a": {}, "\U0001f9ec": "ä\n\"q\""},
+            "nested": [[{"k": [1, [2, [3.25]]]}]],
+        }
+        write_json_atomic(tmp_path / "result.json", payload)
+        expected = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        assert (tmp_path / "result.json").read_bytes() == expected.encode()
+
+    def test_failure_partway_leaves_the_old_file(self, tmp_path):
+        path = tmp_path / "result.json"
+        write_json_atomic(path, {"old": 1})
+        before = path.read_bytes()
+        records = [{"feature": j, "t": [0.5 * j] * 5} for j in range(2_000)]
+        # sort_keys puts "z" last, so the set is reached after every record.
+        payload = {"a": records, "z": {"deep": [1, {"bad": {1, 2}}]}}
+        with pytest.raises(TypeError, match="set"):
+            write_json_atomic(path, payload)
+        assert path.read_bytes() == before
+        assert not list(tmp_path.glob("*.tmp"))
+
+
 def test_alignment_compares_names_linearly(tmp_path, monkeypatch):
     # Counting string comparisons pins the cost of aligning a wide
     # manifest without timing it: a scan of the header list per feature
@@ -424,6 +483,8 @@ CRAFTED = {
     "short_row_after_nonfinite": "a,b\n1,inf\n3\n",
     "nonfinite_after_short_row": "a,b\n1,2\n3\n1,inf\n",
     "over_field_limit_after_nonfinite": f"a,b\n1,inf\n{OVER_FIELD_LIMIT},1\n",
+    "overflowing_column_sum": "a,b\n1e308,1\n1e308,2\n-1e308,3\n",
+    "infinities_cancel_in_column_sum": "a,b\n1,inf\n2,-inf\n",
     "single_column": "y\n1\n2.5\n-3\n",
     "quote_first_in_row_3": 'a,b\n1,2\n3,4\n"5",6\n7,8\n',
     "quoted_field_spans_two_lines": '"a\nb",c\n1,2\n3,4\n5,6\n',
@@ -467,15 +528,15 @@ class TestReaderMatchesReference:
         data, _ = make_multistudy(rng, n=12, p=4, k=3)
         manifest = write_multistudy(data, tmp_path)
         calls = []
+        all_finite = data_io._all_finite
 
-        def counted(*args, **kwargs):
+        def counted(values):
             calls.append(1)
-            return np.isfinite(*args, **kwargs)
+            return all_finite(values)
 
-        monkeypatch.setattr(data_io, "np",
-                            SimpleNamespace(**{**vars(np), "isfinite": counted}))
+        monkeypatch.setattr(data_io, "_all_finite", counted)
         load_multistudy(manifest)
-        assert len(calls) <= 3
+        assert len(calls) == 3
 
 
 def _csv_reader_read_table(path: Path, study_id: str) -> tuple[list[str], np.ndarray]:

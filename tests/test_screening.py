@@ -325,6 +325,22 @@ class TestValidation:
         with pytest.raises(InputError):
             Study(id="s", x=np.full((5, 3), np.nan), y=np.zeros(5))
 
+    @pytest.mark.parametrize("column, finite", [
+        ([1e308, 1e308, 0.0], True),  # the sum overflows, the entries do not
+        ([-1e308, -1e308, 5e-324], True),
+        ([1.0, np.nan, 2.0], False),
+        ([1.0, np.inf, 2.0], False),
+        ([-np.inf, 1.0, 2.0], False),
+        ([np.inf, -np.inf, 2.0], False),  # the sum is NaN
+    ])
+    def test_study_finiteness_by_column(self, column, finite):
+        x = np.column_stack([np.arange(3.0), column, np.ones(3)])
+        if finite:
+            assert Study(id="s", x=x, y=np.zeros(3)).p == 3
+        else:
+            with pytest.raises(InputError, match="finite"):
+                Study(id="s", x=x, y=np.zeros(3))
+
     def test_multistudy_alignment(self, rng):
         s1 = Study(id="a", x=rng.normal(size=(10, 3)), y=rng.normal(size=10))
         s2 = Study(id="b", x=rng.normal(size=(10, 4)), y=rng.normal(size=10))
