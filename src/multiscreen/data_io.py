@@ -282,9 +282,9 @@ def write_multistudy(data: MultiStudy, directory) -> Path:
     for study in data.studies:
         file_name = f"{study.id}.csv"
         header = [response, *data.feature_names]
-        rows = [[repr(float(study.y[i]))]
-                + [repr(float(v)) for v in study.x[i]]
-                for i in range(study.n)]
+        # A Python float's str is its shortest round-trip repr.
+        rows = ([y, *study.x[i].tolist()]
+                for i, y in enumerate(study.y.tolist()))
         write_csv_atomic(directory / file_name, header, rows)
         entries.append({"study_id": study.id, "data_path": file_name,
                         "response_column": response})

@@ -9,10 +9,9 @@ regressing both the feature and the response on the conditioning set.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations
+from itertools import combinations, groupby
 
 import numpy as np
 
@@ -100,31 +99,72 @@ def partial_t(study: Study, j: int, cond) -> TStat:
         raise InputError(f"feature {j} cannot condition on itself")
     if not cond:
         return self_normalized_t(study.x[:, j], study.y, label=j)
-    value, sigma, theta = _conditional_stats(study, [j], cond)
-    return TStat(value=float(value[0]), sigma_hat=float(sigma[0]),
-                 theta_hat=float(theta[0]), n=study.n)
+    value, sigma, theta = _conditional_stats([study], [j], cond)
+    return TStat(value=float(value[0, 0]), sigma_hat=float(sigma[0, 0]),
+                 theta_hat=float(theta[0, 0]), n=study.n)
 
 
-def _conditional_stats(study: Study, features: list[int],
-                       cond: tuple[int, ...]):
-    """Statistics of ``features`` given a non-empty sorted ``cond`` in one
-    study: the features and the response share one least-squares solve.
-    Returns the (value, sigma_hat, theta_hat) arrays, one entry per feature.
+def _conditional_stats(studies, features: list[int], cond: tuple[int, ...]):
+    """Statistics of ``features`` given a non-empty sorted ``cond`` in every
+    study. Returns the (value, sigma_hat, theta_hat) arrays, shape
+    (len(features), len(studies)).
 
-    Raises :class:`DegenerateColumnError` when a feature or the response
-    lies in the span of the conditioning set.
+    Each study's features and response share one least-squares solve. The
+    statistics of each run of consecutive studies with equal n then come
+    from one exact-sum pass over their residual blocks side by side, each
+    study's response multiplied into its own features. Every exact column
+    sum depends on its own column only, so the entries equal those of a
+    pass per study bit for bit.
+
+    The first failing study in study order raises its first fault:
+    :class:`SingularDesignError` for a rank-deficient set, then
+    :class:`DegenerateColumnError` for a feature or the response in the
+    span of the set, then one for a degenerate statistic.
     """
-    raw = np.column_stack([study.x[:, features], study.y])
-    centered, var = center_column(residualize(study.x, cond, raw))
-    flat = np.flatnonzero(var <= 1e-24 * np.maximum(raw.var(axis=0), 1e-300))
+    parts = [_equal_n_stats(list(run), features, cond)
+             for _, run in groupby(studies, key=lambda study: study.n)]
+    return tuple(np.hstack(stats) for stats in zip(*parts))
+
+
+def _equal_n_stats(run: list[Study], features: list[int],
+                   cond: tuple[int, ...]):
+    # The statistics of _conditional_stats for studies that share n, from
+    # one (n, len(run) * (m + 1)) block: each study's residual features,
+    # then its residual response. On a fault only the studies before the
+    # failing one are scored, so that an earlier study's degenerate
+    # statistic is raised first.
+    n, m, width = run[0].n, len(features), len(features) + 1
+    block, scale = np.empty((n, len(run) * width)), np.empty(len(run) * width)
+    fault, done = None, 0
+    for study in run:
+        raw = np.column_stack([study.x[:, features], study.y])
+        cols = slice(done * width, (done + 1) * width)
+        try:
+            block[:, cols] = residualize(study.x, cond, raw)
+        except SingularDesignError as exc:
+            fault = exc
+            break
+        scale[cols] = raw.var(axis=0)
+        done += 1
+    # The centered block replaces the residuals, so one copy is held.
+    block, var = center_column(block[:, :done * width])
+    flat = np.flatnonzero(
+        var <= 1e-24 * np.maximum(scale[:done * width], 1e-300))
     if flat.size:
-        i = flat[0]
-        what = f"feature {features[i]}" if i < len(features) else "response"
-        raise DegenerateColumnError(
+        done, i = divmod(int(flat[0]), width)
+        what = f"feature {features[i]}" if i < m else "response"
+        fault = DegenerateColumnError(
             f"{what} lies in the span of conditioning set {cond} "
-            f"(study {study.id!r})")
-    return _t_from_products(*_cross_products(centered[:, :-1], centered[:, -1:]),
-                            var[:-1], var[-1:], label=lambda i: features[i])
+            f"(study {run[done].id!r})")
+    block = block[:, :done * width].reshape(n, done, width)
+    var = var[:done * width].reshape(done, width)
+    stats = _t_from_products(
+        *_cross_products(block[:, :, :m], block[:, :, m:]),
+        var[:, :m].ravel(), np.repeat(var[:, m], m),
+        label=lambda i: features[i % m])
+    if fault is not None:
+        raise fault
+    return tuple(a.reshape(done, m).T for a in stats)
 
 
 def multi_pc_run(data: MultiStudy, config: ScreeningConfig, max_order: int,
@@ -140,6 +180,12 @@ def multi_pc_run(data: MultiStudy, config: ScreeningConfig, max_order: int,
     active features, so j is tested on the same sets as by a per-feature
     loop that stops at j's first failure; since a feature survives only
     by passing every set, the result does not depend on the order.
+
+    Each set costs one least-squares solve per study, then one statistic
+    pass across the studies and one two-step call. ``budget`` caps the
+    (feature, set) pairs a stage tests, counted as they are tested:
+    :class:`BudgetExceededError` is raised before the set that would pass
+    it.
     """
     if max_order < 1:
         raise InputError(f"max_order must be >= 1, got {max_order}")
@@ -167,18 +213,18 @@ def multi_pc_run(data: MultiStudy, config: ScreeningConfig, max_order: int,
             raise InputError(
                 f"stage {m} needs conditioning sets of size {order}, too "
                 f"large for the smallest study (n={min_n})")
-        pairs = len(active) * math.comb(len(active) - 1, order)
-        if pairs > budget:
-            raise BudgetExceededError(
-                f"stage {m} would test {pairs} (feature, set) pairs, "
-                f"exceeding the budget of {budget}")
+        pairs = 0
         survivors = list(active)
         for cond in combinations(active, order):
             tested = [j for j in survivors if j not in cond]
             if not tested:
                 continue
-            t_mat = np.column_stack([_conditional_stats(study, tested, cond)[0]
-                                     for study in data.studies])
+            pairs += len(tested)
+            if pairs > budget:
+                raise BudgetExceededError(
+                    f"stage {m} would test at least {pairs} (feature, set) "
+                    f"pairs, exceeding the budget of {budget}")
+            t_mat = _conditional_stats(data.studies, tested, cond)[0]
             verdict = dict(zip(tested, _two_step(t_mat, threshold,
                                                  chi2_thresholds)[2]))
             survivors = [j for j in survivors if verdict.get(j, True)]

@@ -516,8 +516,9 @@ def _exact_colsum(a: np.ndarray) -> np.ndarray:
 
 
 def _cross_products(cx: np.ndarray, cy: np.ndarray):
-    """(cx * cy, its exact 1/n column means sigma_hat) for centered cx, cy."""
-    prods = cx * cy
+    """(cx * cy, its exact 1/n column means sigma_hat) for centered cx, cy:
+    (n, ...) blocks that broadcast, their product flattened to (n, m)."""
+    prods = (cx * cy).reshape(cx.shape[0], -1)
     return prods, _exact_colsum(prods) / cx.shape[0]
 
 

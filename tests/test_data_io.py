@@ -205,6 +205,22 @@ class TestRoundTrip:
             assert np.array_equal(a.x, b.x)
             assert np.array_equal(a.y, b.y)
 
+    def test_cells_are_shortest_repr(self, tmp_path):
+        # Each cell is written as repr(float(v)) of the numpy value.
+        x = np.array([[-0.0, 5e-324, 1e300], [1.0, 0.1, -2.5e-7],
+                      [-1e300, 3.0, np.nextafter(1.0, 2.0)]])
+        y = np.array([0.1, -0.0, 1e300 / 3])
+        data = MultiStudy(studies=(Study(id="s1", x=x, y=y),),
+                          feature_names=("a", "b", "c"))
+        write_multistudy(data, tmp_path / "out")
+        rows = [[repr(float(y[i]))] + [repr(float(v)) for v in x[i]]
+                for i in range(3)]
+        write_csv_atomic(tmp_path / "want.csv", ["response", "a", "b", "c"],
+                         rows)
+        got = (tmp_path / "out" / "s1.csv").read_bytes()
+        assert got == (tmp_path / "want.csv").read_bytes()
+        assert b"-0.0,5e-324,1e+300" in got
+
     def test_unequal_sample_sizes_round_trip(self, tmp_path, rng):
         from conftest import make_multistudy
         data, _ = make_multistudy(rng, n=12, p=4, k=3, unequal_n=True)

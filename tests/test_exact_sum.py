@@ -4,19 +4,25 @@ The kernel is pinned to ``math.fsum`` column by column, and every block
 statistic to a per-column ``math.fsum`` reference written out here.
 """
 
+import hashlib
 import math
+from itertools import permutations
 
 import numpy as np
 import pytest
 
+import multiscreen.multi_pc as multi_pc
+import multiscreen.screening as screening
 import multiscreen.stats_core as stats_core
 from conftest import make_multistudy
-from multiscreen import (DegenerateColumnError, MultiStudy, SimSetting, Study,
+from multiscreen import (DegenerateColumnError, MultiStudy, ScreeningConfig,
+                         SimSetting, SingularDesignError, Study,
                          compute_correlation_matrix, compute_t_matrix,
-                         gen_instance, residualize)
+                         gen_instance, multi_pc_run, residualize)
 from multiscreen.multi_pc import _conditional_stats
 from multiscreen.screening import _CHUNK
-from multiscreen.stats_core import _ROW_CHUNK, _exact_colsum
+from multiscreen.stats_core import (_ROW_CHUNK, _cross_products, _exact_colsum,
+                                    _t_from_products, center_column)
 
 
 def fsum_columns(a):
@@ -186,14 +192,23 @@ class TestBlockStatistics:
                           ref_correlation_matrix(data))
 
     def test_conditional_stats_match_reference(self):
+        # Two studies of 50 rows share one pass; studies of 40, 40 and 55
+        # rows make one pass over the first two and one over the third.
         rng = np.random.default_rng(7)
-        data, _ = make_multistudy(rng, n=50, p=12, k=2, s0=3)
-        for study in data.studies:
+        equal_n = make_multistudy(rng, n=50, p=12, k=2, s0=3)[0].studies
+        unequal_n = []
+        for ki, n in enumerate((40, 40, 55)):
+            x = rng.normal(size=(n, 12))
+            unequal_n.append(Study(id=f"s{ki + 1}", x=x,
+                                   y=x[:, :3].sum(axis=1) + rng.normal(size=n)))
+        for studies in (equal_n, unequal_n):
             for cond in [(0,), (2, 5), (1, 4, 9)]:
-                features = [j for j in range(data.p) if j not in cond]
-                got = _conditional_stats(study, features, cond)
-                for g, w in zip(got, ref_conditional(study, features, cond)):
-                    assert_bits_equal(g, w)
+                features = [j for j in range(12) if j not in cond]
+                got = _conditional_stats(studies, features, cond)
+                for ki, study in enumerate(studies):
+                    want = ref_conditional(study, features, cond)
+                    for g, w in zip(got, want):
+                        assert_bits_equal(g[:, ki], w)
 
     def test_first_degenerate_column_in_study_major_order(self):
         rng = np.random.default_rng(8)
@@ -242,3 +257,129 @@ def test_t_matrix_makes_no_per_column_sums(monkeypatch):
     chunks = math.ceil(data.p / _CHUNK)
     # Two sums to center the response and four per chunk of features.
     assert calls == {"kernel": data.k * (2 + 4 * chunks), "column_fsum": 0}
+
+
+# The statistics of one conditioning set in all studies at once, against
+# the per-study pass they replaced.
+
+def per_study_stats(study, features, cond):
+    # multi_pc._conditional_stats as it was when it scored one study per
+    # call, verbatim.
+    raw = np.column_stack([study.x[:, features], study.y])
+    centered, var = center_column(residualize(study.x, cond, raw))
+    flat = np.flatnonzero(var <= 1e-24 * np.maximum(raw.var(axis=0), 1e-300))
+    if flat.size:
+        i = flat[0]
+        what = f"feature {features[i]}" if i < len(features) else "response"
+        raise DegenerateColumnError(
+            f"{what} lies in the span of conditioning set {cond} "
+            f"(study {study.id!r})")
+    return _t_from_products(*_cross_products(centered[:, :-1], centered[:, -1:]),
+                            var[:-1], var[-1:], label=lambda i: features[i])
+
+
+def per_study_t_matrix(studies, tested, cond):
+    # The stage loop's T matrix of one set from per-study calls, verbatim.
+    return np.column_stack([per_study_stats(study, tested, cond)[0]
+                            for study in studies])
+
+
+@pytest.fixture(scope="module")
+def bench_fixture():
+    # The benchmark's manifest instance: setting 2, seed 20240811, rep 0.
+    return gen_instance(SimSetting.preset(2, seed=20240811), 0)[0]
+
+
+@pytest.mark.parametrize("alpha1, alpha2", [
+    (1e-4, 0.05), (1e-3, 0.01), (1e-2, 0.15), (1e-4, 1e-3)])
+def test_stage_two_t_matrices_keep_their_bits(bench_fixture, monkeypatch,
+                                              alpha1, alpha2):
+    calls = []
+
+    def recorded(studies, features, cond):
+        stats = _conditional_stats(studies, features, cond)
+        calls.append((studies, list(features), cond, stats[0]))
+        return stats
+
+    monkeypatch.setattr(multi_pc, "_conditional_stats", recorded)
+    state = multi_pc_run(bench_fixture, ScreeningConfig(alpha1, alpha2),
+                         max_order=2)
+    assert state.stage == 2 and calls
+    got, want = hashlib.sha256(), hashlib.sha256()
+    for studies, tested, cond, t_mat in calls:
+        got.update(np.ascontiguousarray(t_mat).tobytes())
+        want.update(per_study_t_matrix(studies, tested, cond).tobytes())
+    assert got.hexdigest() == want.hexdigest()
+
+
+def test_stage_two_makes_four_sums_per_set(bench_fixture, monkeypatch):
+    # One exact-sum pass per set serves every study: two sums to center,
+    # one for sigma_hat and one for theta_hat. Stage 1's statistic matrix
+    # and the two-step rule of each set make the other calls.
+    kernel, two_step = stats_core._exact_colsum, screening._two_step
+    calls = {"kernel": 0, "two_step": 0, "sets": 0, "solves": 0}
+
+    def counted_kernel(a):
+        calls["kernel"] += 1
+        return kernel(a)
+
+    def counted(key, fn):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(stats_core, "_exact_colsum", counted_kernel)
+    monkeypatch.setattr(screening, "_exact_colsum", counted_kernel)
+    monkeypatch.setattr(multi_pc, "_two_step", counted("two_step", two_step))
+    monkeypatch.setattr(multi_pc, "_conditional_stats",
+                        counted("sets", _conditional_stats))
+    monkeypatch.setattr(multi_pc, "residualize",
+                        counted("solves", residualize))
+    multi_pc_run(bench_fixture, ScreeningConfig(1e-4, 0.05), max_order=2)
+    stage1 = calls["kernel"] - calls["two_step"] - 4 * calls["sets"]
+    assert calls["sets"] == 94 and calls["two_step"] == 95
+    assert stage1 == bench_fixture.k * (2 + 4 * math.ceil(1000 / _CHUNK))
+    assert calls["kernel"] <= 650
+    assert calls["solves"] == 5 * 94
+
+
+def planted_studies(faults, sizes=(40, 40, 40, 48)):
+    # Studies with features 0..5; ``faults`` maps a study index to the fault
+    # planted there for the conditioning set (0, 1).
+    rng = np.random.default_rng(13)
+    studies = []
+    for ki, n in enumerate(sizes):
+        x = rng.normal(size=(n, 6))
+        y = x[:, 2] + rng.normal(size=n)
+        kind = faults.get(ki)
+        if kind == "singular":
+            x[:, 1] = 2.0 * x[:, 0]
+        elif kind == "span":
+            x[:, 4] = x[:, 0] - x[:, 1]
+        elif kind == "statistic":
+            # Rows of a 4 x 4 Hadamard matrix: feature 3 equals the response
+            # and both are orthogonal to the intercept and the set, so their
+            # cross-products are constant.
+            x[:, 0] = np.tile([1.0, 1.0, -1.0, -1.0], n // 4)
+            x[:, 1] = np.tile([1.0, -1.0, -1.0, 1.0], n // 4)
+            x[:, 3] = y = np.tile([1.0, -1.0, 1.0, -1.0], n // 4)
+        studies.append(Study(id=f"s{ki + 1}", x=x, y=y))
+    return studies
+
+
+@pytest.mark.parametrize("where", [(1, 2), (2, 3)])
+@pytest.mark.parametrize("kinds", list(permutations(
+    ("singular", "span", "statistic"), 2)))
+def test_first_failing_study_raises_its_first_fault(kinds, where):
+    studies = planted_studies(dict(zip(where, kinds)))
+    features, cond = [2, 3, 4, 5], (0, 1)
+    expected = {"singular": (SingularDesignError, "rank deficient"),
+                "span": (DegenerateColumnError, "lies in the span"),
+                "statistic": (DegenerateColumnError, "degenerate self")}
+    kind, match = expected[kinds[0]]
+    with pytest.raises(kind, match=match) as want:
+        per_study_t_matrix(studies, features, cond)
+    with pytest.raises(kind, match=match) as got:
+        _conditional_stats(studies, features, cond)
+    assert str(got.value) == str(want.value)

@@ -209,6 +209,31 @@ class TestMultiPcRun:
         with pytest.raises(BudgetExceededError):
             multi_pc_run(data, config, max_order=2, budget=3)
 
+    def test_budget_counts_the_pairs_tested(self, monkeypatch):
+        # A feature leaves a stage at its first failing set, so a stage
+        # tests fewer pairs than its worst case |A| * C(|A| - 1, order).
+        # A budget equal to the tested count runs; one below it raises.
+        import multiscreen.multi_pc as multi_pc
+        data, _ = make_multistudy(np.random.default_rng(2), n=40, p=12, k=3,
+                                  signal=1.0, s0=2)
+        config = ScreeningConfig(0.2, 0.5)
+        active = len(tsa_sis(data, config).kept)
+        tested = []
+        stats = multi_pc._conditional_stats
+
+        def counted(studies, features, cond):
+            tested.append(len(features))
+            return stats(studies, features, cond)
+
+        monkeypatch.setattr(multi_pc, "_conditional_stats", counted)
+        state = multi_pc_run(data, config, max_order=2)
+        pairs = sum(tested)
+        assert state.stage == 2 and pairs < active * (active - 1)
+        assert multi_pc_run(data, config, max_order=2, budget=pairs) == state
+        with pytest.raises(BudgetExceededError,
+                           match=f"^stage 2 .* budget of {pairs - 1}$"):
+            multi_pc_run(data, config, max_order=2, budget=pairs - 1)
+
     def test_one_solve_per_set_and_study(self, rng, monkeypatch):
         # Stage 2 conditions on each stage-1 feature once per study; every
         # feature tested on that set shares the one least-squares solve.

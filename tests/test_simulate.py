@@ -609,17 +609,20 @@ class TestStreamedReplication:
         assert curve.failures == ("rep 2: study 2 could not be drawn",)
 
 
-@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="reads the peak from /proc/self/status")
 def test_replication_holds_one_study_at_a_time():
     # Setting 1 at p = 2e4: one study's x is 16 MB, the whole instance
-    # 80 MB. The child reports its own peak, so the other subprocesses of a
-    # test run do not count.
+    # 80 MB. The child reads its own high-water mark, VmHWM, so neither the
+    # test process that spawned it nor the other subprocesses of a test run
+    # count: its ru_maxrss would start from the RSS of the test process.
     script = textwrap.dedent("""
-        import resource
         from multiscreen import MethodSpec, RocGrid, SimSetting, replicate
         replicate(SimSetting.preset(1, p=20_000, B=1, seed=20240811),
                   [MethodSpec(), RocGrid()])
-        print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+        with open("/proc/self/status") as fh:
+            print(next(line.split()[1] for line in fh
+                       if line.startswith("VmHWM:")))
     """)
     src = str(Path(multiscreen.__file__).resolve().parents[1])
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
