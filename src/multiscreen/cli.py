@@ -34,7 +34,9 @@ def _env_threads() -> int:
         value = int(raw)
     except ValueError:
         raise InputError(f"MULTISCREEN_THREADS must be an integer, got {raw!r}")
-    return max(1, value)
+    if value < 1:
+        raise InputError(f"MULTISCREEN_THREADS must be at least 1, got {raw!r}")
+    return value
 
 
 def _jf(v):

@@ -16,7 +16,6 @@ never changes the output.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -273,16 +272,22 @@ def _draw_studies(setting: SimSetting, rep: int, active: tuple[int, ...]):
                 flat[a:a + lanes] = _standard_normal(
                     rng, min(lanes, flat.size - a))
             xt[:, i:i + staged.shape[0]] = staged.T
-        # The recursion runs on the contiguous rows of x.T. IEEE addition
-        # commutes, so c * z_j + r * col_{j-1} has the bits of the
-        # docstring's recursion. At r = 0 it multiplies by 1.0 and adds
-        # +-0.0, which leaves every nonzero entry as it is, so it is skipped
-        # unless a draw is zero (-0.0 + 0.0 is +0.0).
+        # The recursion runs on the contiguous rows of x.T, iterated rather
+        # than indexed, with r as a 0-d array so no call converts it and the
+        # outputs passed by position: per row, call overhead is most of the
+        # cost. IEEE addition commutes, so c * z_j + r * col_{j-1} has the
+        # bits of the docstring's recursion. At r = 0 it multiplies by 1.0
+        # and adds +-0.0, which leaves every nonzero entry as it is, so it is
+        # skipped unless a draw is zero (-0.0 + 0.0 is +0.0).
         if r != 0.0 or not xt.all():
             xt[1:] *= math.sqrt(1.0 - r * r)
-            for j in range(1, p):
-                np.multiply(xt[j - 1], r, out=step)
-                xt[j] += step
+            r_arr = np.array(r)
+            multiply, add = np.multiply, np.add
+            prev = xt[0]
+            for row in xt[1:]:
+                multiply(prev, r_arr, step)
+                add(row, step, row)
+                prev = row
         eps = setting.noise_sd * _standard_normal(rng, n)
         # xt[active].T has the layout of x[:, active] taken from a
         # C-contiguous x (a transposed (s0, n) block), so the product runs
@@ -601,11 +606,15 @@ def replicate(setting: SimSetting, specs, threads: int = 1) -> list:
     specs = tuple(specs)
     if not specs:
         raise InputError("specs must not be empty")
+    if threads < 1:
+        raise InputError(f"threads must be at least 1, got {threads}")
     rules = tuple(spec._rule(setting) for spec in specs)
     args = [(setting, rep, rules) for rep in range(setting.B)]
-    if threads <= 1:
+    if threads == 1:
         per_rep = [_replicate(a) for a in args]
     else:
+        # Imported here: a serial run never loads multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=threads) as pool:
             per_rep = list(pool.map(_replicate, args, chunksize=1))
     return [spec._reduce(setting, outcomes)

@@ -466,6 +466,15 @@ def chi2_quantile(p: float, df: int) -> float:
 # at most 2**(52 - k) in units of u, so the block's column sum of the q
 # (a limb sum) is exact in any order. The remainder is split again with e
 # lowered by 53 - k until it is zero.
+#
+# One pass suffices for a column whose smallest nonzero |x| is at least
+# 2**(e + 2k - 53) (frexp exponent E >= e - (52 - 2k), E >= e - 40 at
+# n <= 128): its x and q, and so its remainders, are multiples of
+# 2**(E - 53), and every partial sum of the remainders is at most
+# 2**(e + 2k - 52), an integer of at most 2**53 in those units. The column
+# sum of the remainders is then exact in any order and becomes the last
+# term. Exact zeros leave zero remainders and do not count. A block with a
+# column that fails the test runs the loop to a zero remainder.
 _ROW_CHUNK = 4096
 # Columns with n * max|x| at or above this bound go through math.fsum (which
 # may raise OverflowError on them); below it no partial sum can overflow.
@@ -483,35 +492,50 @@ def _exact_colsum(a: np.ndarray) -> np.ndarray:
     k = max(2, (rows - 1).bit_length() - 1)
     # Two buffers serve every limb: fresh temporaries cost several times more.
     r, q = np.empty((rows, m)), np.empty((rows, m))
-    big = np.zeros(m, dtype=bool)
+    big = []
     terms = []
     for i in range(0, n, rows):
-        rb, qb = r[:n - i], q[:n - i]
-        np.copyto(rb, a[i:i + rows])
-        top = np.abs(rb, out=qb).max(axis=0)
-        hit = ~(top < _SAFE_TOTAL / n)   # also NaN and inf
-        if hit.any():
-            big |= hit
-            rb[:, hit] = 0.0
-            top[hit] = 0.0
-        sigma = np.ldexp(1.5, np.frexp(top)[1] + k)
+        x, rb, qb = a[i:i + rows], r[:n - i], q[:n - i]
+        top = np.abs(x, out=qb).max(axis=0)
+        if not top.max() < _SAFE_TOTAL / n:   # also NaN and inf
+            hit = ~(top < _SAFE_TOTAL / n)
+            big.append(hit)
+            np.copyto(rb, x)
+            x = rb
+            x[:, hit] = qb[:, hit] = top[hit] = 0.0
+        unit = np.ldexp(1.0, np.frexp(top)[1] + k)
+        sigma = 1.5 * unit
+        low = qb.min(axis=0)
+        floor = unit * 2.0 ** (k - 53)
+        one_pass = (low >= floor).all()
+        if not one_pass and not low.all():
+            zero = low == 0.0   # exact zeros do not count
+            cols = qb[:, zero]
+            low[zero] = np.min(cols, axis=0, where=cols > 0.0,
+                               initial=math.inf)
+            one_pass = (low >= floor).all()
+        # The first pass reads the block itself; later ones its remainders.
         while True:
-            np.add(rb, sigma, out=qb)
+            np.add(x, sigma, out=qb)
             qb -= sigma
             terms.append(qb.sum(axis=0))
-            rb -= qb
+            if one_pass:
+                terms.append(np.subtract(x, qb, out=qb).sum(axis=0))
+                break
+            x = np.subtract(x, qb, out=rb)
             if not rb.any():
                 break
             sigma *= 2.0 ** (k - 53)
-    terms = np.array(terms)
     # With at most two nonzero terms one IEEE addition is the correctly
     # rounded sum (and +0.0 for a zero total, as math.fsum returns).
-    out = terms.sum(axis=0) + 0.0
+    out = sum(terms, 0.0)
     if len(terms) > 2:
+        terms = np.array(terms)
         for j in np.flatnonzero(np.count_nonzero(terms, axis=0) > 2):
             out[j] = math.fsum(terms[:, j].tolist())
-    for j in np.flatnonzero(big):
-        out[j] = math.fsum(a[:, j].tolist())
+    if big:
+        for j in np.flatnonzero(np.logical_or.reduce(big)):
+            out[j] = math.fsum(a[:, j].tolist())
     return out
 
 
@@ -549,6 +573,9 @@ def _t_from_products(prods: np.ndarray, sigma: np.ndarray, var_x: np.ndarray,
 def center_column(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Center each column of an (n, m) block by its exact-sum mean; returns
     (centered block, 1/n variances)."""
+    # A transposed view (the streamed study's x) is copied once: the kernel
+    # and the centered block, which would keep its layout, then read rows.
+    a = np.ascontiguousarray(a)
     n = a.shape[0]
     centered = a - _exact_colsum(a) / n
     variance = _exact_colsum(centered * centered) / n

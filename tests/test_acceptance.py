@@ -38,6 +38,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 from test_group_select import ista_oracle, objective, standardize
 from conftest import make_multistudy
@@ -91,6 +92,7 @@ def test_criterion_1_toy_golden():
            f"{res.records[2].l_stat:.2f}) runtime={best * 1e3:.3f}ms")
 
 
+@pytest.mark.slow
 def test_criterion_2_benchmark_spot_values():
     setting = SimSetting.preset(1, B=200, seed=SEED)
     (grid,) = replicate(setting, [LevelGrid([0.0001, 0.001], [0.05])],
@@ -106,6 +108,7 @@ def test_criterion_2_benchmark_spot_values():
            f"(targets 0.864/0.943 +-0.05)")
 
 
+@pytest.mark.slow
 def test_criterion_3_weak_signal_dominance():
     setting = SimSetting.preset(1, B=100, seed=SEED)
     tsa, curve = replicate(setting, [MethodSpec(), RocGrid()],
@@ -138,6 +141,7 @@ def expected_weakest_t(setting):
     return math.sqrt(setting.n) * lo / math.sqrt(var_y + lo * lo)
 
 
+@pytest.mark.slow
 def test_criterion_3_strong_signal_corner():
     # Shortfall at the benchmark size n=100: see the module docstring.
     alpha1_list = (0.01, 0.001, 0.0001)
@@ -169,6 +173,7 @@ def test_criterion_3_strong_signal_corner():
            f"best={minsis_corner:.3f} at d={best_d} (both need >= 0.99)")
 
 
+@pytest.mark.slow
 def test_criterion_4_sure_screening_coverage():
     setting = SimSetting.preset(2, B=100, seed=SEED)
     (summary,) = replicate(setting, [MethodSpec()], threads=THREADS)

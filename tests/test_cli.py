@@ -178,6 +178,20 @@ class TestSimulateCommand:
     def test_bad_setting_exits_2(self, tmp_path):
         assert run(["simulate", "--setting", "9", "--out", tmp_path / "x"]) == 2
 
+    def test_threads_below_one_exits_2(self, tmp_path, capsys):
+        assert run(["simulate", "--setting", "1", "--threads", "-4",
+                    "--out", tmp_path / "x"]) == 2
+        assert "threads must be at least 1, got -4" in capsys.readouterr().err
+        assert not (tmp_path / "x" / "result.json").exists()
+
+    def test_env_threads_below_one_exits_2(self, tmp_path, capsys,
+                                           monkeypatch):
+        monkeypatch.setenv("MULTISCREEN_THREADS", "-4")
+        assert run(["simulate", "--setting", "1", "--out", tmp_path / "x"]) == 2
+        assert ("MULTISCREEN_THREADS must be at least 1, got '-4'"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "x").exists()
+
 
 class TestRocCommand:
     def test_runs_byte_identical(self, tmp_path):
@@ -274,6 +288,7 @@ class TestDeterminismAcrossCommands:
                 == (o2 / "result.json").read_bytes()
 
 
+@pytest.mark.slow
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
                     reason="reads the peak from /proc/self/status")
 def test_screen_holds_the_data_once(tmp_path):
@@ -317,3 +332,16 @@ def test_screen_holds_the_data_once(tmp_path):
     peak_mb = int(proc.stdout.split()[-1]) / 1024
     assert peak_mb <= 78, f"screen peaked at {peak_mb:.1f} MB"
     assert len(load_result(tmp_path / "out")["result"]["features"]) == p
+
+
+def test_serial_import_leaves_out_the_process_pool():
+    # Only replicate with threads > 1 imports the process pool.
+    src = str(Path(multiscreen.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    script = ("import sys, multiscreen.cli; "
+              "print('concurrent.futures.process' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]

@@ -82,11 +82,16 @@ class TestExactColsum:
     def test_subnormals(self):
         rng = np.random.default_rng(4)
         tiny = np.nextafter(0.0, 1.0)
-        a = rng.integers(-2 ** 52, 2 ** 52, size=(50, 8)).astype(float) * tiny
-        a[:, 0] *= 2.0 ** -40
-        a[:, 1] = tiny
-        a[::2, 2] = 1.0
-        assert_matches_fsum(a)
+        for n in (50, 129):
+            a = rng.integers(-2 ** 52, 2 ** 52, size=(n, 8)).astype(float) \
+                * tiny
+            a[:, 0] *= 2.0 ** -40
+            a[:, 1] = tiny
+            a[::2, 2] = 1.0
+            a[:, 3] = rng.standard_normal(n) * 2.0 ** -1020
+            a[::3, 4] = 0.0
+            a[0, 5] = 2.0 ** -1000
+            assert_matches_fsum(a)
 
     def test_zero_columns_give_positive_zero(self):
         a = np.array([[0.0, -0.0, 1.0], [-0.0, -0.0, -1.0], [0.0, -0.0, 0.0]])
@@ -94,11 +99,15 @@ class TestExactColsum:
         assert [math.copysign(1.0, v) for v in got] == [1.0, 1.0, 1.0]
         assert_matches_fsum(a)
 
-    @pytest.mark.parametrize("n", [1, 2, _ROW_CHUNK, _ROW_CHUNK + 1, 9000])
+    @pytest.mark.parametrize("n", [1, 2, 3, 128, 129, _ROW_CHUNK,
+                                   _ROW_CHUNK + 1, 9000])
     def test_row_counts(self, n):
         rng = np.random.default_rng(n)
-        a = rng.standard_normal((n, 3)) * np.array([1.0, 1e-20, 1e200])
+        a = rng.standard_normal((n, 5)) * np.array([1.0, 1e-20, 1e200, 1.0,
+                                                    1.0])
         a[::7, 0] *= 1e25
+        a[rng.random(n) < 0.3, 3] = 0.0
+        a[:, 4] = -0.0
         assert_matches_fsum(a)
 
     def test_row_permutations(self):
@@ -120,6 +129,113 @@ class TestExactColsum:
     def test_empty_blocks(self):
         assert _exact_colsum(np.empty((0, 3))).tolist() == [0.0, 0.0, 0.0]
         assert _exact_colsum(np.empty((4, 0))).shape == (0,)
+
+    def test_nan_inf_and_huge_columns_in_one_block(self):
+        rng = np.random.default_rng(9)
+        a = rng.standard_normal((40, 6))
+        a[3, 1] = np.nan
+        a[7, 2] = np.inf
+        a[:3, 3] = [1e308, -1e308, 1e300]
+        a[:, 4] *= 2.0 ** 995
+        got = _exact_colsum(a)
+        assert np.isnan(got[1]) and got[2] == math.inf
+        assert_matches_fsum(np.delete(a, 1, axis=1))
+
+
+# The one-pass exit: after one extraction the remainders of a chunk with k
+# from its row count are summed directly when, in every column, the
+# smallest nonzero |x| lies at most 52 - 2k binary orders below the largest.
+
+class CountingNumpy:
+    """numpy for stats_core, counting np.subtract calls: the kernel makes
+    one per extraction pass."""
+
+    def __init__(self):
+        self.passes = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def subtract(self, *args, **kwargs):
+        self.passes += 1
+        return np.subtract(*args, **kwargs)
+
+
+def passes_and_sums(monkeypatch, a):
+    counting = CountingNumpy()
+    monkeypatch.setattr(stats_core, "np", counting)
+    got = _exact_colsum(a)
+    monkeypatch.undo()
+    return counting.passes, got
+
+
+def span_block(rng, n, span, m=5):
+    # Full 53-bit mantissas with frexp exponents in [1 - span, 1]; rows 0
+    # and 1 hold both ends in every column.
+    mant = 1.0 + rng.integers(0, 2 ** 52, (n, m)) * 2.0 ** -52
+    exps = rng.integers(-span, 1, (n, m))
+    exps[0], exps[1] = 0, -span
+    return np.ldexp(mant, exps) * rng.choice([-1.0, 1.0], (n, m))
+
+
+def row_bits(n):
+    return max(2, (min(n, _ROW_CHUNK) - 1).bit_length() - 1)
+
+
+@pytest.mark.parametrize("n", [2, 3, 100, 128, 129, 4097])
+def test_one_pass_exactly_within_52_minus_2k_orders(monkeypatch, n):
+    rng = np.random.default_rng(n)
+    k, chunks = row_bits(n), math.ceil(n / _ROW_CHUNK)
+    for span, one_pass in ((52 - 2 * k, True), (53 - 2 * k, False)):
+        for scale in (1.0, 2.0 ** -600, 2.0 ** 600):
+            a = span_block(rng, n, span) * scale
+            passes, got = passes_and_sums(monkeypatch, a)
+            assert_bits_equal(got, fsum_columns(a))
+            # The last chunk of n = 4097 is one row: one pass of its own.
+            assert (passes == chunks) == one_pass
+
+
+def test_exact_zeros_do_not_block_one_pass(monkeypatch):
+    rng = np.random.default_rng(12)
+    a = span_block(rng, 100, 40, m=6)
+    a[rng.random(a.shape) < 0.25] = 0.0
+    a[2:, 0] = -0.0
+    a[:, 5] = 0.0
+    passes, got = passes_and_sums(monkeypatch, a)
+    assert passes == 1
+    assert_bits_equal(got, fsum_columns(a))
+
+
+def test_two_term_ties_in_one_pass(monkeypatch):
+    # x1 + x2 lies halfway between two doubles, so the one IEEE addition of
+    # the two terms breaks the tie; x2 is within 48 orders of x1.
+    rng = np.random.default_rng(13)
+    x1 = 1.0 + rng.integers(0, 2 ** 52, 64) * 2.0 ** -52
+    x2 = rng.integers(16, 2 ** 20, 64) * 2.0 ** -52 + 2.0 ** -53
+    for a in (np.array([x1, x2]), np.array([x1, -x2]),
+              np.array([x1, np.zeros(64), x2]) * 2.0 ** -1000):
+        passes, got = passes_and_sums(monkeypatch, a)
+        assert passes == 1
+        assert_bits_equal(got, fsum_columns(a))
+
+
+def test_remainders_past_53_bits_run_the_loop():
+    # n = 8 (k = 2): six remainders of 3 * 2**-52, and a smallest value 49
+    # = 53 - 2k orders below the largest whose remainder is 2**-101. The
+    # remainders' exact sum needs 54 bits and lies on a tie of the total,
+    # so summing them in one pass would round the total down.
+    a = np.array([1.0 + 3 * 2.0 ** -52] * 6 + [1.0, 2.0 ** -49 + 2.0 ** -101])
+    for col in (a, a[::-1], -a, a * 2.0 ** -900):
+        assert_matches_fsum(col[:, None])
+    assert _exact_colsum(a[:, None])[0] == 7.0 + 7 * 2.0 ** -50
+
+
+def test_one_pass_at_the_remainder_bound():
+    # n = 8 (k = 2): seven remainders of u / 2 = 2**-50 and one of 2**-100,
+    # 48 orders apart: their sum, 7 * 2**50 + 1 units of 2**-100, is exact.
+    a = np.array([1.0 + 2.0 ** -50] * 7 + [2.0 ** -48 + 2.0 ** -100])
+    assert_matches_fsum(a[:, None])
+    assert_matches_fsum(np.column_stack([a, -a, a[::-1] * 2.0 ** 900]))
 
 
 # Per-column references: the statistics as sums of one column each.

@@ -126,6 +126,23 @@ class TestGenInstance:
         target = r ** np.abs(np.subtract.outer(np.arange(8), np.arange(8)))
         assert np.max(np.abs(sample - target)) < 4.0 / math.sqrt(4000)
 
+    def test_ar1_recursion_oracle(self):
+        # r = 0 leaves the normals z as drawn; the same seed at r = 0.6 draws
+        # the same z, which the recursion then combines column by column in
+        # Python floats.
+        base = dict(n=5, p=7, K=2, s0=2, fix_r=True, B=1, seed=21)
+        z_data = gen_instance(SimSetting(r_pool=(0.0,), **base), 0)[0]
+        x_data = gen_instance(SimSetting(r_pool=(0.6,), **base), 0)[0]
+        r, c = 0.6, math.sqrt(1.0 - 0.6 * 0.6)
+        for z_study, x_study in zip(z_data.studies, x_data.studies):
+            for i, z in enumerate(z_study.x.tolist()):
+                want = [z[0]]
+                for z_j in z[1:]:
+                    want.append(c * z_j + r * want[-1])
+                got = x_study.x[i]
+                assert np.array_equal(got.view(np.int64),
+                                      np.array(want).view(np.int64))
+
     def test_normals_follow_inverse_cdf_route(self):
         # Marginals of the design should be standard normal; a coarse
         # moment check guards the generator wiring.
@@ -475,6 +492,11 @@ class TestSensitivityGrid:
 
 
 class TestReplicate:
+    @pytest.mark.parametrize("threads", [0, -4])
+    def test_threads_below_one_rejected(self, threads):
+        with pytest.raises(InputError, match=f"got {threads}"):
+            replicate(small_setting(B=1), [MethodSpec()], threads=threads)
+
     def test_one_pass_over_instances(self, monkeypatch):
         # Every spec kind in one pass: each replication generates its
         # instance once and makes one pass over each study's centered
@@ -609,6 +631,7 @@ class TestStreamedReplication:
         assert curve.failures == ("rep 2: study 2 could not be drawn",)
 
 
+@pytest.mark.slow
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
                     reason="reads the peak from /proc/self/status")
 def test_replication_holds_one_study_at_a_time():
