@@ -1,9 +1,12 @@
 """Batch command-line interface.
 
-Every subcommand writes a machine-readable ``result.json`` (validating
-against the schema shipped in ``multiscreen/schemas``) plus human-readable
-CSV tables into ``--out``. Exit codes: 0 success, 2 input/usage error,
-3 numerical failure. All randomness is seeded from the command line.
+Every subcommand returns its result and its human-readable CSV tables;
+``main`` then writes the tables and a machine-readable ``result.json``
+(validating against the schema shipped in ``multiscreen/schemas``) into
+``--out``, so a command that fails writes nothing. ``result.json`` records
+every parsed flag but ``--out`` and ``--seed`` as its ``config``. Exit
+codes: 0 success, 2 input/usage error, 3 numerical failure. All randomness
+is seeded from the command line.
 """
 
 from __future__ import annotations
@@ -26,6 +29,11 @@ from .simulate import LevelGrid, MethodSpec, RocGrid, SimSetting, replicate
 
 _DEF_ALPHA1 = 1e-4
 _DEF_ALPHA2 = 0.05
+# Parsed flags that result.json does not record under "config".
+_UNRECORDED = ("command", "func", "out", "seed")
+# Simulation flag -> SimSetting field.
+_SIM_FIELDS = {"n": "n", "p": "p", "k": "K", "s0": "s0", "b": "B",
+               "seed": "seed"}
 
 
 def _env_threads() -> int:
@@ -47,16 +55,18 @@ def _jf(v):
     return v if math.isfinite(v) else None
 
 
-def _write_result(out_dir: str, command: str, config: dict, seed,
-                  result: dict) -> None:
-    payload = {
-        "command": command,
-        "config": config,
-        "seed": seed,
+def _write_outputs(args, result: dict, tables: dict) -> None:
+    """Write each CSV table, then ``result.json``, into ``args.out``."""
+    for name, (header, rows) in tables.items():
+        write_csv_atomic(os.path.join(args.out, name), header, rows)
+    flags = vars(args)
+    write_json_atomic(os.path.join(args.out, "result.json"), {
+        "command": args.command,
+        "config": {k: v for k, v in flags.items() if k not in _UNRECORDED},
+        "seed": flags.get("seed"),
         "versions": {"multiscreen": __version__, "numpy": np.__version__},
         "result": result,
-    }
-    write_json_atomic(os.path.join(out_dir, "result.json"), payload)
+    })
 
 
 def _records_payload(data, screening):
@@ -79,17 +89,10 @@ def _records_payload(data, screening):
     }
 
 
-def _cmd_screen(args) -> int:
+def _cmd_screen(args):
     if args.d is not None and args.method != "minsis":
         raise InputError("--d is only valid with --method minsis")
     data = load_multistudy(args.manifest)
-    config = {
-        "manifest": args.manifest,
-        "alpha1": args.alpha1,
-        "alpha2": args.alpha2,
-        "method": args.method,
-        "d": args.d,
-    }
     if args.method == "minsis":
         d = _top_d(min(s.n for s in data.studies), args.d)
         ranking = min_sis_rank(data)
@@ -107,36 +110,26 @@ def _cmd_screen(args) -> int:
             "kept": [data.feature_names[j] for j in kept],
             "dropped": [data.feature_names[j] for j in dropped],
         }
+        header = ["feature", "index", "rank", "score", "kept"]
         rows = [[data.feature_names[j], j, rank, repr(float(score)),
                  j in kept_set] for j, rank, score in sorted(ranked)]
-        write_csv_atomic(os.path.join(args.out, "records.csv"),
-                         ["feature", "index", "rank", "score", "kept"], rows)
     else:
         screening = tsa_sis(data, ScreeningConfig(args.alpha1, args.alpha2)) \
             if args.method == "tsa" else one_step_sis(data, args.alpha1)
         result = _records_payload(data, screening)
+        header = ["feature", "index", "t_stats", "l_hat", "kappa_hat",
+                  "l_stat", "chi2_threshold", "kept"]
         rows = [[data.feature_names[rec.feature], rec.feature,
                  ";".join(repr(float(t)) for t in rec.t_stats),
                  ";".join(str(k) for k in rec.l_hat), rec.kappa_hat,
                  "" if rec.l_stat is None else repr(rec.l_stat),
                  "" if rec.chi2_threshold is None else repr(rec.chi2_threshold),
                  rec.kept] for rec in screening.records]
-        write_csv_atomic(os.path.join(args.out, "records.csv"),
-                         ["feature", "index", "t_stats", "l_hat", "kappa_hat",
-                          "l_stat", "chi2_threshold", "kept"], rows)
-    _write_result(args.out, "screen", config, None, result)
-    return 0
+    return result, {"records.csv": (header, rows)}
 
 
-def _cmd_multipc(args) -> int:
+def _cmd_multipc(args):
     data = load_multistudy(args.manifest)
-    config = {
-        "manifest": args.manifest,
-        "alpha1": args.alpha1,
-        "alpha2": args.alpha2,
-        "max_order": args.max_order,
-        "budget": args.budget,
-    }
     state = multi_pc_run(data, ScreeningConfig(args.alpha1, args.alpha2),
                          max_order=args.max_order, budget=args.budget)
     result = {
@@ -148,21 +141,11 @@ def _cmd_multipc(args) -> int:
     }
     rows = [[m + 1, data.feature_names[j]]
             for m, stage in enumerate(state.active_sets) for j in stage]
-    write_csv_atomic(os.path.join(args.out, "active_sets.csv"),
-                     ["stage", "feature"], rows)
-    _write_result(args.out, "multipc", config, None, result)
-    return 0
+    return result, {"active_sets.csv": (["stage", "feature"], rows)}
 
 
-def _cmd_select(args) -> int:
+def _cmd_select(args):
     data = load_multistudy(args.manifest)
-    config = {
-        "manifest": args.manifest,
-        "alpha1": args.alpha1,
-        "alpha2": args.alpha2,
-        "tune": args.tune,
-        "grid": args.grid,
-    }
     model = tsa_sis_group_lasso(data, ScreeningConfig(args.alpha1, args.alpha2),
                                 method=args.tune, grid_size=args.grid)
     result = {
@@ -205,39 +188,30 @@ def _cmd_select(args) -> int:
             summary_rows.append([fit.study_id, repr(float(fit.intercept)),
                                  repr(float(fit.intercept_se)),
                                  repr(float(fit.r2)), repr(float(fit.adj_r2))])
-    write_csv_atomic(os.path.join(args.out, "coefficients.csv"),
-                     ["study", "feature", "estimate", "se"], coef_rows)
-    write_csv_atomic(os.path.join(args.out, "fit_summary.csv"),
-                     ["study", "intercept", "intercept_se", "r2", "adj_r2"],
-                     summary_rows)
-    _write_result(args.out, "select", config, None, result)
-    return 0
-
-
-def _setting_from_args(args) -> SimSetting:
-    overrides = {}
-    for attr, field_name in (("n", "n"), ("p", "p"), ("k", "K"),
-                             ("s0", "s0"), ("b", "B"), ("seed", "seed")):
-        value = getattr(args, attr, None)
-        if value is not None:
-            overrides[field_name] = value
-    return SimSetting.preset(args.setting, **overrides)
+    return result, {
+        "coefficients.csv": (["study", "feature", "estimate", "se"],
+                             coef_rows),
+        "fit_summary.csv": (["study", "intercept", "intercept_se", "r2",
+                             "adj_r2"], summary_rows),
+    }
 
 
 def _run_specs(args, specs):
-    """The command's setting and its one pass over the replications. Each
-    failed replication's message goes to stderr, not into result.json."""
-    setting = _setting_from_args(args)
+    """The command's one pass over the replications of its setting. The
+    thread count and the setting's dimensions it used are written back onto
+    ``args``. Each failed replication's message goes to stderr, not into
+    result.json."""
+    if args.threads is None:
+        args.threads = _env_threads()
+    setting = SimSetting.preset(args.setting, **{
+        field: getattr(args, flag) for flag, field in _SIM_FIELDS.items()
+        if getattr(args, flag) is not None})
     results = replicate(setting, specs, threads=args.threads)
     for message in dict.fromkeys(m for r in results for m in r.failures):
         print(f"warning: {message}", file=sys.stderr)
-    return setting, results
-
-
-def _sim_config(args, setting, **levels) -> dict:
-    return {"setting": args.setting, "n": setting.n, "p": setting.p,
-            "k": setting.K, "s0": setting.s0, "b": setting.B, **levels,
-            "threads": args.threads}
+    for flag, field in _SIM_FIELDS.items():
+        setattr(args, flag, getattr(setting, field))
+    return results
 
 
 def _summary_result(summary) -> dict:
@@ -257,34 +231,28 @@ def _summary_result(summary) -> dict:
     }
 
 
-def _cmd_simulate(args) -> int:
-    setting, (summary,) = _run_specs(
+def _cmd_simulate(args):
+    (summary,) = _run_specs(
         args, [MethodSpec("tsa", args.alpha1, args.alpha2)])
-    config = _sim_config(args, setting, alpha1=args.alpha1,
-                         alpha2=args.alpha2)
-    result = _summary_result(summary)
-    write_csv_atomic(os.path.join(args.out, "metrics.csv"),
-                     ["rep", "sensitivity", "specificity", "fp", "fn"],
-                     [[i, repr(m.sensitivity), repr(m.specificity), m.fp, m.fn]
-                      for i, m in enumerate(summary.per_rep)])
-    write_csv_atomic(os.path.join(args.out, "summary.csv"),
-                     ["mean_sensitivity", "se_sensitivity",
-                      "mean_specificity", "se_specificity", "mean_fp",
-                      "mean_fn", "b", "n_failed"],
-                     [[repr(summary.mean_sensitivity),
-                       repr(summary.se_sensitivity),
-                       repr(summary.mean_specificity),
-                       repr(summary.se_specificity),
-                       repr(summary.mean_fp), repr(summary.mean_fn),
-                       summary.b, summary.n_failed]])
-    _write_result(args.out, "simulate", config, setting.seed, result)
-    return 0
+    return _summary_result(summary), {
+        "metrics.csv": (["rep", "sensitivity", "specificity", "fp", "fn"],
+                        [[i, repr(m.sensitivity), repr(m.specificity), m.fp,
+                          m.fn] for i, m in enumerate(summary.per_rep)]),
+        "summary.csv": (["mean_sensitivity", "se_sensitivity",
+                         "mean_specificity", "se_specificity", "mean_fp",
+                         "mean_fn", "b", "n_failed"],
+                        [[repr(summary.mean_sensitivity),
+                          repr(summary.se_sensitivity),
+                          repr(summary.mean_specificity),
+                          repr(summary.se_specificity),
+                          repr(summary.mean_fp), repr(summary.mean_fn),
+                          summary.b, summary.n_failed]]),
+    }
 
 
-def _cmd_roc(args) -> int:
-    setting, (curve, tsa) = _run_specs(
+def _cmd_roc(args):
+    curve, tsa = _run_specs(
         args, [RocGrid(), MethodSpec("tsa", _DEF_ALPHA1, _DEF_ALPHA2)])
-    config = _sim_config(args, setting)
     result = {
         "b": curve.b,
         "n_failed": curve.n_failed,
@@ -302,18 +270,13 @@ def _cmd_roc(args) -> int:
              repr(float(pt.one_minus_specificity))] for pt in curve.points]
     rows.append(["tsa", "", repr(float(tsa.mean_sensitivity)),
                  repr(float(1.0 - tsa.mean_specificity))])
-    write_csv_atomic(os.path.join(args.out, "roc.csv"),
-                     ["method", "d", "sensitivity", "one_minus_specificity"],
-                     rows)
-    _write_result(args.out, "roc", config, setting.seed, result)
-    return 0
+    return result, {"roc.csv": (["method", "d", "sensitivity",
+                                 "one_minus_specificity"], rows)}
 
 
-def _cmd_sensitivity(args) -> int:
-    setting, (grid,) = _run_specs(
+def _cmd_sensitivity(args):
+    (grid,) = _run_specs(
         args, [LevelGrid(args.alpha1_list, args.alpha2_list)])
-    config = _sim_config(args, setting, alpha1_list=list(grid.alpha1_list),
-                         alpha2_list=list(grid.alpha2_list))
     cells = []
     for i, a1 in enumerate(grid.alpha1_list):
         for j, a2 in enumerate(grid.alpha2_list):
@@ -329,16 +292,14 @@ def _cmd_sensitivity(args) -> int:
     rows = [[f"{a1:g}"] + [f"{sens:.3f}/{spec:.3f}" for sens, spec in
                            zip(grid.mean_sensitivity[i], grid.mean_specificity[i])]
             for i, a1 in enumerate(grid.alpha1_list)]
-    write_csv_atomic(os.path.join(args.out, "sensitivity.csv"), header, rows)
-    write_csv_atomic(
-        os.path.join(args.out, "cells.csv"),
-        ["alpha1", "alpha2", "sensitivity", "specificity",
-         "se_sensitivity", "se_specificity"],
-        [[c["alpha1"], c["alpha2"], repr(c["sensitivity"]),
-          repr(c["specificity"]), repr(c["se_sensitivity"]),
-          repr(c["se_specificity"])] for c in cells])
-    _write_result(args.out, "sensitivity", config, setting.seed, result)
-    return 0
+    return result, {
+        "sensitivity.csv": (header, rows),
+        "cells.csv": (["alpha1", "alpha2", "sensitivity", "specificity",
+                       "se_sensitivity", "se_specificity"],
+                      [[c["alpha1"], c["alpha2"], repr(c["sensitivity"]),
+                        repr(c["specificity"]), repr(c["se_sensitivity"]),
+                        repr(c["se_specificity"])] for c in cells]),
+    }
 
 
 def _add_sim_args(sub):
@@ -415,15 +376,12 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    if getattr(args, "threads", None) is None and hasattr(args, "threads"):
-        try:
-            args.threads = _env_threads()
-        except InputError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
     try:
-        os.makedirs(args.out, exist_ok=True)
-        return args.func(args)
+        if not args.out or (os.path.exists(args.out)
+                            and not os.path.isdir(args.out)):
+            raise InputError(f"--out must name a directory, got {args.out!r}")
+        result, tables = args.func(args)
+        _write_outputs(args, result, tables)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -433,6 +391,7 @@ def main(argv=None) -> int:
     except MultiscreenError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 if __name__ == "__main__":

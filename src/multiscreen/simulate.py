@@ -589,8 +589,8 @@ class RocGrid:
         oks, failures = _split(outcomes)
         points = []
         for gi, d in enumerate(self._grid(setting)):
-            sens = math.fsum(s[gi] for s, _ in oks) / len(oks) if oks else math.nan
-            fpr = math.fsum(f[gi] for _, f in oks) / len(oks) if oks else math.nan
+            sens = _mean_se([s[gi] for s, _ in oks])[0]
+            fpr = _mean_se([f[gi] for _, f in oks])[0]
             points.append(RocPoint(d=d, sensitivity=sens,
                                    one_minus_specificity=fpr))
         return RocCurve(points=tuple(points), b=setting.B,

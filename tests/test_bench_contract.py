@@ -1,8 +1,8 @@
 """The benchmark's contract with the package, checked in the unit suite
 rather than only in a benchmark run: the tracer (bench/tracing.py) patches
-package functions by name, and the mc-screen digests and the select-path
-penalty, penalty grid, sets and BICs stored in bench/reference.json must
-hold."""
+package functions by name, and the mc-screen and manifest-analysis digests
+and the select-path penalty, penalty grid, sets and BICs stored in
+bench/reference.json must hold."""
 
 import importlib
 import json
@@ -68,6 +68,23 @@ def test_select_path_outputs_match_reference(tmp_path):
     workloads.write_fixture("full", tmp_path / "fixture")
     cmds = workloads.commands("select-path", "full", 0, tmp_path)
     assert [tag for tag, _, _ in cmds] == list(expected)
+    for tag, argv, _ in cmds:
+        assert cli_main(list(argv)) == 0, tag
+        out_dir = Path(argv[argv.index("--out") + 1])
+        assert workloads.check(argv, out_dir, expected[tag]) == [], tag
+
+
+def test_manifest_analysis_outputs_match_reference(tmp_path, monkeypatch):
+    # result.json records the --manifest string, so the run directory must
+    # be the relative one bench/run.py uses from the repository root.
+    workloads = _bench_module("workloads")
+    reference = json.loads((BENCH / "reference.json").read_text())
+    expected = reference["full"]["manifest-analysis"]
+    monkeypatch.chdir(tmp_path)
+    run_dir = Path(".bench_runs") / "manifest-analysis"
+    workloads.write_fixture("full", run_dir / "fixture")
+    cmds = workloads.commands("manifest-analysis", "full", 0, run_dir)
+    assert sorted(tag for tag, _, _ in cmds) == sorted(expected)
     for tag, argv, _ in cmds:
         assert cli_main(list(argv)) == 0, tag
         out_dir = Path(argv[argv.index("--out") + 1])

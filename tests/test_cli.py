@@ -182,7 +182,7 @@ class TestSimulateCommand:
         assert run(["simulate", "--setting", "1", "--threads", "-4",
                     "--out", tmp_path / "x"]) == 2
         assert "threads must be at least 1, got -4" in capsys.readouterr().err
-        assert not (tmp_path / "x" / "result.json").exists()
+        assert not (tmp_path / "x").exists()
 
     def test_env_threads_below_one_exits_2(self, tmp_path, capsys,
                                            monkeypatch):
@@ -191,6 +191,70 @@ class TestSimulateCommand:
         assert ("MULTISCREEN_THREADS must be at least 1, got '-4'"
                 in capsys.readouterr().err)
         assert not (tmp_path / "x").exists()
+
+
+class TestOutputs:
+    # config records every parsed flag but --out and --seed, so these sets
+    # pin the parser's destinations.
+    CONFIG_KEYS = {
+        "screen": {"manifest", "alpha1", "alpha2", "method", "d"},
+        "multipc": {"manifest", "alpha1", "alpha2", "max_order", "budget"},
+        "select": {"manifest", "alpha1", "alpha2", "tune", "grid"},
+        "simulate": {"setting", "n", "p", "k", "s0", "b", "alpha1", "alpha2",
+                     "threads"},
+        "roc": {"setting", "n", "p", "k", "s0", "b", "threads"},
+        "sensitivity": {"setting", "n", "p", "k", "s0", "b", "alpha1_list",
+                        "alpha2_list", "threads"},
+    }
+    SIM_ARGS = ["--setting", "1", "--n", "25", "--p", "10", "--s0", "2",
+                "--b", "2", "--seed", "6"]
+
+    @pytest.mark.parametrize("command", list(CONFIG_KEYS))
+    def test_config_records_every_flag(self, command, dataset_dir, tmp_path):
+        manifest, _ = dataset_dir
+        extra = self.SIM_ARGS if command in ("simulate", "roc", "sensitivity") \
+            else ["--manifest", manifest]
+        out = tmp_path / "out"
+        assert run([command] + extra + ["--out", out]) == 0
+        payload = load_result(out)
+        assert set(payload["config"]) == self.CONFIG_KEYS[command]
+        assert payload["seed"] == (6 if "--seed" in extra else None)
+
+    def test_simulate_records_resolved_dimensions(self, tmp_path,
+                                                  monkeypatch):
+        monkeypatch.delenv("MULTISCREEN_THREADS", raising=False)
+        out = tmp_path / "out"
+        assert run(["simulate", "--setting", "1", "--p", "10", "--s0", "2",
+                    "--out", out]) == 0
+        preset = SimSetting.preset(1)
+        assert load_result(out)["config"] == {
+            "setting": 1, "n": preset.n, "p": 10, "k": preset.K, "s0": 2,
+            "b": preset.B, "alpha1": 1e-4, "alpha2": 0.05, "threads": 1}
+
+    # A --threads below 1 is checked the same way in TestSimulateCommand.
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--setting", "1", "--b", "0"],
+        ["screen", "--manifest", "missing.json"],
+    ], ids=["b0", "manifest"])
+    def test_rejected_command_leaves_no_out(self, argv, tmp_path,
+                                            monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert run(argv + ["--out", "x"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("name", ["taken", ""], ids=["file", "empty"])
+    def test_out_not_a_directory_exits_2_first(self, name, tmp_path,
+                                               monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "taken").write_text("keep\n")
+        # The missing manifest is never read: --out is checked first.
+        assert run(["screen", "--manifest", "missing.json",
+                    "--out", name]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: --out must name a directory, got ")
+        assert sorted(os.listdir(tmp_path)) == ["taken"]
+        assert (tmp_path / "taken").read_text() == "keep\n"
 
 
 class TestRocCommand:
