@@ -7,11 +7,18 @@ Every subcommand returns its result and its human-readable CSV tables;
 every parsed flag but ``--out`` and ``--seed`` as its ``config``. Exit
 codes: 0 success, 2 input/usage error, 3 numerical failure. All randomness
 is seeded from the command line.
+
+CSV cells are Python values written with ``str()``: a float as its
+shortest repr, a non-finite one as ``nan`` or ``inf``. A handler returns
+its result ready for JSON: every float that can be non-finite has gone
+through ``_json``, which makes it null.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import itertools
 import math
 import os
 import sys
@@ -47,12 +54,19 @@ def _env_threads() -> int:
     return value
 
 
-def _jf(v):
-    """JSON-safe float: non-finite becomes null."""
-    if v is None:
-        return None
-    v = float(v)
-    return v if math.isfinite(v) else None
+def _json(value):
+    """The JSON form of a result value: a dataclass becomes an object of
+    its fields, a dict, list or tuple is converted element by element, and
+    a non-finite float becomes null."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, (list, tuple)):
+        return [_json(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _json(v) for k, v in value.items()}
+    if dataclasses.is_dataclass(value):
+        return _json(vars(value))
+    return value
 
 
 def _write_outputs(args, result: dict, tables: dict) -> None:
@@ -73,11 +87,11 @@ def _records_payload(data, screening):
     features = [{
         "index": rec.feature,
         "name": data.feature_names[rec.feature],
-        "t_stats": [float(t) for t in rec.t_stats],
+        "t_stats": rec.t_stats.tolist(),
         "l_hat": list(rec.l_hat),
         "kappa_hat": rec.kappa_hat,
-        "l_stat": _jf(rec.l_stat),
-        "chi2_threshold": _jf(rec.chi2_threshold),
+        "l_stat": _json(rec.l_stat),
+        "chi2_threshold": _json(rec.chi2_threshold),
         "kept": rec.kept,
     } for rec in screening.records]
     return {
@@ -105,14 +119,14 @@ def _cmd_screen(args):
             "method": "minsis",
             "d": d,
             "ranking": [{"index": j, "name": data.feature_names[j],
-                         "score": _jf(score), "rank": rank,
+                         "score": _json(score), "rank": rank,
                          "kept": j in kept_set} for j, rank, score in ranked],
             "kept": [data.feature_names[j] for j in kept],
             "dropped": [data.feature_names[j] for j in dropped],
         }
         header = ["feature", "index", "rank", "score", "kept"]
-        rows = [[data.feature_names[j], j, rank, repr(float(score)),
-                 j in kept_set] for j, rank, score in sorted(ranked)]
+        rows = [[data.feature_names[j], j, rank, score, j in kept_set]
+                for j, rank, score in sorted(ranked)]
     else:
         screening = tsa_sis(data, ScreeningConfig(args.alpha1, args.alpha2)) \
             if args.method == "tsa" else one_step_sis(data, args.alpha1)
@@ -120,10 +134,10 @@ def _cmd_screen(args):
         header = ["feature", "index", "t_stats", "l_hat", "kappa_hat",
                   "l_stat", "chi2_threshold", "kept"]
         rows = [[data.feature_names[rec.feature], rec.feature,
-                 ";".join(repr(float(t)) for t in rec.t_stats),
-                 ";".join(str(k) for k in rec.l_hat), rec.kappa_hat,
-                 "" if rec.l_stat is None else repr(rec.l_stat),
-                 "" if rec.chi2_threshold is None else repr(rec.chi2_threshold),
+                 ";".join(map(str, rec.t_stats.tolist())),
+                 ";".join(map(str, rec.l_hat)), rec.kappa_hat,
+                 "" if rec.l_stat is None else rec.l_stat,
+                 "" if rec.chi2_threshold is None else rec.chi2_threshold,
                  rec.kept] for rec in screening.records]
     return result, {"records.csv": (header, rows)}
 
@@ -148,47 +162,39 @@ def _cmd_select(args):
     data = load_multistudy(args.manifest)
     model = tsa_sis_group_lasso(data, ScreeningConfig(args.alpha1, args.alpha2),
                                 method=args.tune, grid_size=args.grid)
+    names = [data.feature_names[j] for j in model.selected]
     result = {
         "screened": [data.feature_names[j] for j in model.screened],
-        "selected": [data.feature_names[j] for j in model.selected],
-        "lambda": _jf(model.lambda_),
+        "selected": names,
+        "lambda": model.lambda_,
         "empty_screen": model.empty_screen,
-        "tuning": list(model.diagnostics) if model.diagnostics else [],
+        "tuning": model.diagnostics or [],
     }
     if model.fit is not None:
         result["fit"] = {
             "converged": model.fit.converged,
             "iterations": model.fit.iterations,
-            "kkt_residual": _jf(model.fit.kkt_residual),
-            "objective": _jf(model.fit.objective_trace[-1]),
+            "kkt_residual": model.fit.kkt_residual,
+            "objective": model.fit.objective_trace[-1],
             "warning": model.fit.warning,
         }
     coef_rows = []
     summary_rows = []
-    if model.selected:
-        refits = ols_refit(data, model.selected)
+    if names:
         result["ols"] = []
-        for fit in refits:
-            coef = {}
-            for pos, j in enumerate(model.selected):
-                name = data.feature_names[j]
-                coef[name] = {"estimate": _jf(fit.coef[pos]),
-                              "se": _jf(fit.coef_se[pos])}
-                coef_rows.append([fit.study_id, name,
-                                  repr(float(fit.coef[pos])),
-                                  repr(float(fit.coef_se[pos]))])
+        for fit in ols_refit(data, model.selected):
+            coef = list(zip(names, fit.coef.tolist(), fit.coef_se.tolist()))
+            coef_rows += [[fit.study_id, *row] for row in coef]
+            summary = {"intercept": fit.intercept,
+                       "intercept_se": fit.intercept_se,
+                       "r2": fit.r2, "adj_r2": fit.adj_r2}
+            summary_rows.append([fit.study_id, *summary.values()])
             result["ols"].append({
-                "study_id": fit.study_id,
-                "intercept": _jf(fit.intercept),
-                "intercept_se": _jf(fit.intercept_se),
-                "r2": _jf(fit.r2),
-                "adj_r2": _jf(fit.adj_r2),
-                "coefficients": coef,
+                "study_id": fit.study_id, **summary,
+                "coefficients": {name: {"estimate": est, "se": se}
+                                 for name, est, se in coef},
             })
-            summary_rows.append([fit.study_id, repr(float(fit.intercept)),
-                                 repr(float(fit.intercept_se)),
-                                 repr(float(fit.r2)), repr(float(fit.adj_r2))])
-    return result, {
+    return _json(result), {
         "coefficients.csv": (["study", "feature", "estimate", "se"],
                              coef_rows),
         "fit_summary.csv": (["study", "intercept", "intercept_se", "r2",
@@ -214,159 +220,115 @@ def _run_specs(args, specs):
     return results
 
 
-def _summary_result(summary) -> dict:
-    return {
-        "b": summary.b,
-        "n_failed": summary.n_failed,
-        "mean_sensitivity": _jf(summary.mean_sensitivity),
-        "se_sensitivity": _jf(summary.se_sensitivity),
-        "mean_specificity": _jf(summary.mean_specificity),
-        "se_specificity": _jf(summary.se_specificity),
-        "mean_fp": _jf(summary.mean_fp),
-        "mean_fn": _jf(summary.mean_fn),
-        "failures": list(summary.failures),
-        "per_rep": [{"sensitivity": _jf(m.sensitivity),
-                     "specificity": _jf(m.specificity),
-                     "fp": m.fp, "fn": m.fn} for m in summary.per_rep],
-    }
-
-
 def _cmd_simulate(args):
     (summary,) = _run_specs(
         args, [MethodSpec("tsa", args.alpha1, args.alpha2)])
-    return _summary_result(summary), {
+    header = ["mean_sensitivity", "se_sensitivity", "mean_specificity",
+              "se_specificity", "mean_fp", "mean_fn", "b", "n_failed"]
+    return _json(summary), {
         "metrics.csv": (["rep", "sensitivity", "specificity", "fp", "fn"],
-                        [[i, repr(m.sensitivity), repr(m.specificity), m.fp,
-                          m.fn] for i, m in enumerate(summary.per_rep)]),
-        "summary.csv": (["mean_sensitivity", "se_sensitivity",
-                         "mean_specificity", "se_specificity", "mean_fp",
-                         "mean_fn", "b", "n_failed"],
-                        [[repr(summary.mean_sensitivity),
-                          repr(summary.se_sensitivity),
-                          repr(summary.mean_specificity),
-                          repr(summary.se_specificity),
-                          repr(summary.mean_fp), repr(summary.mean_fn),
-                          summary.b, summary.n_failed]]),
+                        [[i, *dataclasses.astuple(m)]
+                         for i, m in enumerate(summary.per_rep)]),
+        "summary.csv": (header, [[getattr(summary, name) for name in header]]),
     }
 
 
 def _cmd_roc(args):
     curve, tsa = _run_specs(
         args, [RocGrid(), MethodSpec("tsa", _DEF_ALPHA1, _DEF_ALPHA2)])
+    sens, fpr = tsa.mean_sensitivity, 1.0 - tsa.mean_specificity
     result = {
         "b": curve.b,
         "n_failed": curve.n_failed,
-        "min_sis": [{"d": pt.d, "sensitivity": _jf(pt.sensitivity),
-                     "one_minus_specificity": _jf(pt.one_minus_specificity)}
-                    for pt in curve.points],
-        "tsa_point": {
-            "alpha1": _DEF_ALPHA1, "alpha2": _DEF_ALPHA2,
-            "sensitivity": _jf(tsa.mean_sensitivity),
-            "one_minus_specificity": _jf(1.0 - tsa.mean_specificity),
-            "n_failed": tsa.n_failed,
-        },
+        "min_sis": curve.points,
+        "tsa_point": {"alpha1": _DEF_ALPHA1, "alpha2": _DEF_ALPHA2,
+                      "sensitivity": sens, "one_minus_specificity": fpr,
+                      "n_failed": tsa.n_failed},
     }
-    rows = [["minsis", pt.d, repr(float(pt.sensitivity)),
-             repr(float(pt.one_minus_specificity))] for pt in curve.points]
-    rows.append(["tsa", "", repr(float(tsa.mean_sensitivity)),
-                 repr(float(1.0 - tsa.mean_specificity))])
-    return result, {"roc.csv": (["method", "d", "sensitivity",
-                                 "one_minus_specificity"], rows)}
+    rows = [["minsis", *dataclasses.astuple(pt)] for pt in curve.points]
+    rows.append(["tsa", "", sens, fpr])
+    return _json(result), {"roc.csv": (["method", "d", "sensitivity",
+                                        "one_minus_specificity"], rows)}
 
 
 def _cmd_sensitivity(args):
     (grid,) = _run_specs(
         args, [LevelGrid(args.alpha1_list, args.alpha2_list)])
-    cells = []
-    for i, a1 in enumerate(grid.alpha1_list):
-        for j, a2 in enumerate(grid.alpha2_list):
-            cells.append({
-                "alpha1": a1, "alpha2": a2,
-                "sensitivity": _jf(grid.mean_sensitivity[i, j]),
-                "specificity": _jf(grid.mean_specificity[i, j]),
-                "se_sensitivity": _jf(grid.se_sensitivity[i, j]),
-                "se_specificity": _jf(grid.se_specificity[i, j]),
-            })
-    result = {"b": grid.b, "n_failed": grid.n_failed, "cells": cells}
-    header = ["alpha1"] + [f"alpha2={a2:g}" for a2 in grid.alpha2_list]
-    rows = [[f"{a1:g}"] + [f"{sens:.3f}/{spec:.3f}" for sens, spec in
-                           zip(grid.mean_sensitivity[i], grid.mean_specificity[i])]
-            for i, a1 in enumerate(grid.alpha1_list)]
-    return result, {
-        "sensitivity.csv": (header, rows),
-        "cells.csv": (["alpha1", "alpha2", "sensitivity", "specificity",
-                       "se_sensitivity", "se_specificity"],
-                      [[c["alpha1"], c["alpha2"], repr(c["sensitivity"]),
-                        repr(c["specificity"]), repr(c["se_sensitivity"]),
-                        repr(c["se_specificity"])] for c in cells]),
+    header = ["alpha1", "alpha2", "sensitivity", "specificity",
+              "se_sensitivity", "se_specificity"]
+    stats = np.stack([grid.mean_sensitivity, grid.mean_specificity,
+                      grid.se_sensitivity, grid.se_specificity], axis=-1)
+    rows = [[*levels, *cell] for levels, cell in zip(
+        itertools.product(grid.alpha1_list, grid.alpha2_list),
+        stats.reshape(-1, 4).tolist())]
+    result = {"b": grid.b, "n_failed": grid.n_failed,
+              "cells": [dict(zip(header, row)) for row in rows]}
+    table = [[f"{a1:g}"] + [f"{sens:.3f}/{spec:.3f}" for sens, spec in
+                            zip(grid.mean_sensitivity[i], grid.mean_specificity[i])]
+             for i, a1 in enumerate(grid.alpha1_list)]
+    return _json(result), {
+        "sensitivity.csv": (["alpha1"] + [f"alpha2={a2:g}"
+                                          for a2 in grid.alpha2_list], table),
+        "cells.csv": (header, rows),
     }
 
 
-def _add_sim_args(sub):
-    sub.add_argument("--setting", type=int, required=True, choices=[1, 2, 3, 4])
-    for dim in ("--n", "--p", "--k", "--s0"):
-        sub.add_argument(dim, type=int, default=None)
-    sub.add_argument("--b", type=int, default=None, help="replication count")
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--threads", type=int, default=None,
-                     help="worker processes (default: MULTISCREEN_THREADS or 1)")
-    sub.add_argument("--out", required=True)
-
-
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand. A flag that several commands share
+    is declared once, in a parent parser."""
+    manifest = argparse.ArgumentParser(add_help=False)
+    manifest.add_argument("--manifest", required=True)
+    levels = argparse.ArgumentParser(add_help=False)
+    levels.add_argument("--alpha1", type=float, default=_DEF_ALPHA1)
+    levels.add_argument("--alpha2", type=float, default=_DEF_ALPHA2)
+    sim = argparse.ArgumentParser(add_help=False)
+    sim.add_argument("--setting", type=int, required=True, choices=[1, 2, 3, 4])
+    for dim in ("--n", "--p", "--k", "--s0"):
+        sim.add_argument(dim, type=int)
+    sim.add_argument("--b", type=int, help="replication count")
+    sim.add_argument("--seed", type=int, default=0)
+    sim.add_argument("--threads", type=int,
+                     help="worker processes (default: MULTISCREEN_THREADS or 1)")
+
     parser = argparse.ArgumentParser(
         prog="multiscreen",
         description="Multi-study variable screening and selection")
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True)
 
-    screen = subs.add_parser("screen", help="screen features in a dataset")
-    screen.add_argument("--manifest", required=True)
-    screen.add_argument("--alpha1", type=float, default=_DEF_ALPHA1)
-    screen.add_argument("--alpha2", type=float, default=_DEF_ALPHA2)
+    def command(name, func, help, *parents):
+        sub = subs.add_parser(name, help=help, parents=parents)
+        sub.add_argument("--out", required=True)
+        sub.set_defaults(func=func)
+        return sub
+
+    screen = command("screen", _cmd_screen, "screen features in a dataset",
+                     manifest, levels)
     screen.add_argument("--method", choices=["tsa", "onestep", "minsis"],
                         default="tsa")
-    screen.add_argument("--d", type=int, default=None,
+    screen.add_argument("--d", type=int,
                         help="kept-set size (minsis only; default floor(n/log n))")
-    screen.add_argument("--out", required=True)
-    screen.set_defaults(func=_cmd_screen)
 
-    multipc = subs.add_parser("multipc", help="staged partial-correlation selection")
-    multipc.add_argument("--manifest", required=True)
-    multipc.add_argument("--alpha1", type=float, default=_DEF_ALPHA1)
-    multipc.add_argument("--alpha2", type=float, default=_DEF_ALPHA2)
+    multipc = command("multipc", _cmd_multipc,
+                      "staged partial-correlation selection", manifest, levels)
     multipc.add_argument("--max-order", type=int, default=2)
     multipc.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    multipc.add_argument("--out", required=True)
-    multipc.set_defaults(func=_cmd_multipc)
 
-    select = subs.add_parser("select", help="screen, tune, and fit the group model")
-    select.add_argument("--manifest", required=True)
-    select.add_argument("--alpha1", type=float, default=_DEF_ALPHA1)
-    select.add_argument("--alpha2", type=float, default=_DEF_ALPHA2)
+    select = command("select", _cmd_select,
+                     "screen, tune, and fit the group model", manifest, levels)
     select.add_argument("--tune", choices=["bic", "cv"], default="bic")
     select.add_argument("--grid", type=int, default=50)
-    select.add_argument("--out", required=True)
-    select.set_defaults(func=_cmd_select)
 
-    simulate = subs.add_parser("simulate", help="run screening replications")
-    _add_sim_args(simulate)
-    simulate.add_argument("--alpha1", type=float, default=_DEF_ALPHA1)
-    simulate.add_argument("--alpha2", type=float, default=_DEF_ALPHA2)
-    simulate.set_defaults(func=_cmd_simulate)
-
-    roc = subs.add_parser("roc", help="ranking-screener ROC plus the two-step point")
-    _add_sim_args(roc)
-    roc.set_defaults(func=_cmd_roc)
-
-    sensitivity = subs.add_parser("sensitivity",
-                                  help="sweep the two significance levels")
-    _add_sim_args(sensitivity)
+    command("simulate", _cmd_simulate, "run screening replications",
+            sim, levels)
+    command("roc", _cmd_roc,
+            "ranking-screener ROC plus the two-step point", sim)
+    sensitivity = command("sensitivity", _cmd_sensitivity,
+                          "sweep the two significance levels", sim)
     sensitivity.add_argument("--alpha1-list", type=float, nargs="+",
                              default=[0.01, 0.001, 0.0001])
     sensitivity.add_argument("--alpha2-list", type=float, nargs="+",
                              default=[0.15, 0.05, 0.01, 0.001])
-    sensitivity.set_defaults(func=_cmd_sensitivity)
     return parser
 
 
@@ -382,9 +344,6 @@ def main(argv=None) -> int:
             raise InputError(f"--out must name a directory, got {args.out!r}")
         result, tables = args.func(args)
         _write_outputs(args, result, tables)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

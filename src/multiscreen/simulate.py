@@ -16,7 +16,7 @@ never changes the output.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from .errors import InputError, MultiscreenError
 from .screening import (MultiStudy, Study, _chi2_thresholds, _level,
                         _min_rank, _stat_columns, _step1_threshold, _top_d,
                         _two_step)
-from .stats_core import normal_quantile
+from .stats_core import _NQ_BLOCK, _exact_colsum, normal_quantile
 
 __all__ = [
     "SimSetting",
@@ -225,7 +225,7 @@ def _fixed_r_values(setting: SimSetting) -> tuple[float, ...]:
 # least _STAGE_ROWS rows (whole calls) that is copied into the transposed
 # workspace at once: one row at a time, that copy writes one value per cache
 # line, and at p = 2e4 the design draw took about a quarter longer.
-_DRAW_LANES = 12_288
+_DRAW_LANES = _NQ_BLOCK
 _STAGE_ROWS = 16
 
 
@@ -355,8 +355,7 @@ def evaluate(kept, truth, p: int) -> RepMetrics:
 # Rules: picklable evaluations the replication worker applies to one
 # instance. ``matrix`` names the statistic matrix a rule reads ("t" or
 # "corr", as ``screening._stat_matrices`` names them); calling a rule with
-# (matrix, p, n_min, active), n_min the smallest study's n, returns its
-# payload.
+# that (p, K) matrix and the active indices returns its payload.
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -369,22 +368,22 @@ class _StepRule:
     chi2_tables: tuple[tuple[float, ...], ...]
     matrix = "t"
 
-    def __call__(self, t_mat, p, n_min, active) -> list[RepMetrics]:
-        return [evaluate(np.nonzero(keep)[0], active, p)
+    def __call__(self, t_mat, active) -> list[RepMetrics]:
+        return [evaluate(np.nonzero(keep)[0], active, t_mat.shape[0])
                 for threshold in self.thresholds
                 for keep in _two_step(t_mat, threshold, self.chi2_tables)[2]]
 
 
 @dataclass(frozen=True)
 class _TopD:
-    """The ranking screener keeping the top d (default floor(n/log n))."""
+    """The ranking screener keeping the top d (at most p)."""
 
-    d: int | None
+    d: int
     matrix = "corr"
 
-    def __call__(self, corr, p, n_min, active) -> list[RepMetrics]:
+    def __call__(self, corr, active) -> list[RepMetrics]:
         order, _ = _min_rank(corr)
-        return [evaluate(order[:min(_top_d(n_min, self.d), p)], active, p)]
+        return [evaluate(order[:self.d], active, corr.shape[0])]
 
 
 @dataclass(frozen=True)
@@ -394,8 +393,9 @@ class _Roc:
     d_grid: tuple[int, ...]
     matrix = "corr"
 
-    def __call__(self, corr, p, n_min, active):
+    def __call__(self, corr, active):
         order, _ = _min_rank(corr)
+        p = corr.shape[0]
         truth = np.zeros(p, dtype=bool)
         truth[list(active)] = True
         d = np.array(self.d_grid, dtype=int)
@@ -440,7 +440,7 @@ def _replicate(args):
     for ev in evaluations:
         mat = matrices[ev.matrix]
         out.append(("err", f"rep {rep}: {mat}") if isinstance(mat, Exception)
-                   else _attempt(rep, ev, mat, setting.p, setting.n, active))
+                   else _attempt(rep, ev, mat, active))
     return out
 
 
@@ -450,15 +450,19 @@ def _split(outcomes) -> tuple[list, tuple[str, ...]]:
             tuple(payload for tag, payload in outcomes if tag == "err"))
 
 
-def _mean_se(values) -> tuple[float, float]:
-    b = len(values)
-    if b == 0:
-        return math.nan, math.nan
-    mean = math.fsum(values) / b
+def _mean_se(rows, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Column means and standard errors of the mean of b rows of ``width``
+    values, each sum correctly rounded (``_exact_colsum``, equal to
+    ``math.fsum``): NaN means when b < 1, NaN standard errors when b < 2."""
+    b = len(rows)
+    values = np.array(rows, dtype=float).reshape(b, width)
+    if b < 1:
+        return np.full(width, math.nan), np.full(width, math.nan)
+    mean = _exact_colsum(values) / b
     if b < 2:
-        return mean, math.nan
-    var = math.fsum((v - mean) * (v - mean) for v in values) / (b - 1)
-    return mean, math.sqrt(var / b)
+        return mean, np.full(width, math.nan)
+    dev = values - mean
+    return mean, np.sqrt(_exact_colsum(dev * dev) / (b - 1) / b)
 
 
 _D_GRID_POINTS = 200
@@ -500,24 +504,24 @@ class MethodSpec:
 
     def _rule(self, setting: SimSetting):
         if self.name == "minsis":
-            return _TopD(self.d)
+            return _TopD(min(_top_d(setting.n, self.d), setting.p))
         table = tuple(_chi2_thresholds(self.alpha2, setting.K)) \
             if self.name == "tsa" else (math.inf,) * (setting.K + 1)
         return _StepRule((_step1_threshold(self.alpha1),), (table,))
 
     def _reduce(self, setting: SimSetting, outcomes) -> ReplicationSummary:
         payloads, failures = _split(outcomes)
-        metrics = [payload[0] for payload in payloads]
-        mean_sens, se_sens = _mean_se([m.sensitivity for m in metrics])
-        mean_spec, se_spec = _mean_se([m.specificity for m in metrics])
+        metrics = tuple(payload[0] for payload in payloads)
+        mean, se = _mean_se([astuple(m) for m in metrics], 4)
+        (mean_sens, mean_spec, mean_fp, mean_fn), (se_sens, se_spec, _, _) \
+            = mean.tolist(), se.tolist()
         return ReplicationSummary(b=setting.B, n_failed=len(failures),
                                   mean_sensitivity=mean_sens,
                                   se_sensitivity=se_sens,
                                   mean_specificity=mean_spec,
                                   se_specificity=se_spec,
-                                  mean_fp=_mean_se([m.fp for m in metrics])[0],
-                                  mean_fn=_mean_se([m.fn for m in metrics])[0],
-                                  per_rep=tuple(metrics), failures=failures)
+                                  mean_fp=mean_fp, mean_fn=mean_fn,
+                                  per_rep=metrics, failures=failures)
 
 
 @dataclass(frozen=True)
@@ -547,17 +551,15 @@ class LevelGrid:
         payloads, failures = _split(outcomes)
         shape = (len(self.alpha1_list), len(self.alpha2_list), 2)
         # Per replication, (sensitivity, specificity) of each cell.
-        oks = [np.array([(m.sensitivity, m.specificity) for m in payload])
-               .reshape(shape) for payload in payloads]
-        cells = np.empty(shape + (2,))   # last axis: mean, standard error
-        for i, j, c in np.ndindex(shape):
-            cells[i, j, c] = _mean_se([o[i, j, c] for o in oks])
+        mean, se = _mean_se([[(m.sensitivity, m.specificity) for m in payload]
+                             for payload in payloads], math.prod(shape))
+        mean, se = mean.reshape(shape), se.reshape(shape)
         return SensitivityGrid(alpha1_list=self.alpha1_list,
                                alpha2_list=self.alpha2_list,
-                               mean_sensitivity=cells[:, :, 0, 0],
-                               mean_specificity=cells[:, :, 1, 0],
-                               se_sensitivity=cells[:, :, 0, 1],
-                               se_specificity=cells[:, :, 1, 1],
+                               mean_sensitivity=mean[:, :, 0],
+                               mean_specificity=mean[:, :, 1],
+                               se_sensitivity=se[:, :, 0],
+                               se_specificity=se[:, :, 1],
                                b=setting.B, n_failed=len(failures),
                                failures=failures)
 
@@ -587,13 +589,11 @@ class RocGrid:
 
     def _reduce(self, setting: SimSetting, outcomes) -> RocCurve:
         oks, failures = _split(outcomes)
-        points = []
-        for gi, d in enumerate(self._grid(setting)):
-            sens = _mean_se([s[gi] for s, _ in oks])[0]
-            fpr = _mean_se([f[gi] for _, f in oks])[0]
-            points.append(RocPoint(d=d, sensitivity=sens,
-                                   one_minus_specificity=fpr))
-        return RocCurve(points=tuple(points), b=setting.B,
+        d_grid = self._grid(setting)
+        mean, _ = _mean_se([np.concatenate(ok) for ok in oks], 2 * len(d_grid))
+        sens, fpr = np.split(mean, 2)
+        points = tuple(map(RocPoint, d_grid, sens.tolist(), fpr.tolist()))
+        return RocCurve(points=points, b=setting.B,
                         n_failed=len(failures), failures=failures)
 
 

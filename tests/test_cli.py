@@ -1,5 +1,7 @@
 """Command-line surface: outputs, schema validity, exit codes, determinism."""
 
+import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -15,7 +17,7 @@ import pytest
 import multiscreen
 from multiscreen import (DegenerateColumnError, MethodSpec, SimSetting,
                          gen_instance, replicate)
-from multiscreen.cli import main
+from multiscreen.cli import build_parser, main
 from multiscreen.data_io import (write_csv_atomic, write_json_atomic,
                                  write_multistudy)
 
@@ -32,6 +34,16 @@ def dataset_dir(tmp_path_factory):
     data, active, _ = gen_instance(setting, 0)
     manifest = write_multistudy(data, tmp)
     return manifest, active
+
+
+@pytest.fixture(scope="module")
+def digest_manifest(tmp_path_factory):
+    data, _, _ = gen_instance(SimSetting.preset(2, p=150, K=3, seed=7), 0)
+    return write_multistudy(data, tmp_path_factory.mktemp("digest"))
+
+
+def _sha256(raw: bytes) -> str:
+    return hashlib.sha256(raw).hexdigest()
 
 
 def run(args):
@@ -256,6 +268,194 @@ class TestOutputs:
         assert sorted(os.listdir(tmp_path)) == ["taken"]
         assert (tmp_path / "taken").read_text() == "keep\n"
 
+    # Every subcommand's options as (type, default, required, choices,
+    # nargs), so a flag cannot be dropped, renamed or retyped unseen.
+    _SIM = {
+        "--setting": ("int", None, True, [1, 2, 3, 4], None),
+        "--n": ("int", None, False, None, None),
+        "--p": ("int", None, False, None, None),
+        "--k": ("int", None, False, None, None),
+        "--s0": ("int", None, False, None, None),
+        "--b": ("int", None, False, None, None),
+        "--seed": ("int", 0, False, None, None),
+        "--threads": ("int", None, False, None, None),
+        "--out": (None, None, True, None, None),
+    }
+    _MANIFEST = {
+        "--manifest": (None, None, True, None, None),
+        "--alpha1": ("float", 0.0001, False, None, None),
+        "--alpha2": ("float", 0.05, False, None, None),
+        "--out": (None, None, True, None, None),
+    }
+    OPTIONS = {
+        "screen": {**_MANIFEST,
+                   "--method": (None, "tsa", False,
+                                ["tsa", "onestep", "minsis"], None),
+                   "--d": ("int", None, False, None, None)},
+        "multipc": {**_MANIFEST,
+                    "--max-order": ("int", 2, False, None, None),
+                    "--budget": ("int", 1000000, False, None, None)},
+        "select": {**_MANIFEST,
+                   "--tune": (None, "bic", False, ["bic", "cv"], None),
+                   "--grid": ("int", 50, False, None, None)},
+        "simulate": {**_SIM,
+                     "--alpha1": ("float", 0.0001, False, None, None),
+                     "--alpha2": ("float", 0.05, False, None, None)},
+        "roc": _SIM,
+        "sensitivity": {**_SIM,
+                        "--alpha1-list": ("float", [0.01, 0.001, 0.0001],
+                                          False, None, "+"),
+                        "--alpha2-list": ("float", [0.15, 0.05, 0.01, 0.001],
+                                          False, None, "+")},
+    }
+
+    def test_parser_options(self):
+        subs = next(a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction))
+        got = {name: {a.option_strings[0]: (
+            getattr(a.type, "__name__", a.type), a.default, a.required,
+            a.choices, a.nargs) for a in sub._actions
+            if a.option_strings[0] != "-h"}
+            for name, sub in subs.choices.items()}
+        assert got == self.OPTIONS
+
+    # Small runs of every command: the simulation commands at B = 1 and 2,
+    # the manifest commands on the digest_manifest instance.
+    _MC = ["--setting", "4", "--p", "40"]
+    _LEVELS = ["--alpha1-list", "0.01", "--alpha2-list", "0.05", "0.01"]
+    DIGEST_RUNS = {
+        "simulate-b1": ["simulate", *_MC, "--b", "1"],
+        "simulate-b2": ["simulate", *_MC, "--b", "2"],
+        "roc-b1": ["roc", *_MC, "--b", "1"],
+        "roc-b2": ["roc", *_MC, "--b", "2"],
+        "sensitivity-b1": ["sensitivity", *_MC, "--b", "1", *_LEVELS],
+        "sensitivity-b2": ["sensitivity", *_MC, "--b", "2", *_LEVELS],
+        "roc-p1": ["roc", "--setting", "4", "--p", "1", "--s0", "1",
+                   "--b", "2"],
+        "screen-tsa": ["screen", "--method", "tsa"],
+        "screen-onestep": ["screen", "--method", "onestep"],
+        "screen-minsis": ["screen", "--method", "minsis"],
+        "screen-minsis-d7": ["screen", "--method", "minsis", "--d", "7"],
+        "multipc-order3": ["multipc", "--max-order", "3"],
+        "select-bic": ["select", "--tune", "bic", "--grid", "8"],
+        "select-cv": ["select", "--tune", "cv", "--grid", "8"],
+    }
+    # SHA-256 of every CSV a run writes and of
+    # json.dumps(payload["result"], sort_keys=True). Like the
+    # TestSimulatedBits digests, these hold for one numpy build and one
+    # SIMD dispatch. The B = 1 cells.csv holds nan standard errors.
+    DIGESTS = {
+        "simulate-b1": {
+            "metrics.csv":
+                "9596117fac5884073f8ffcb60386ac493ce7e5a2d6bac6d5a8118db0d3e32549",
+            "summary.csv":
+                "0c39b64921e6a501172246efc0f6ffe93514d51a78300204a653938b0a434ce5",
+            "result":
+                "51cb3f098f1720c4702cb6cd57e1963d7fbca5568a8658828bc6dab739cd96a6",
+        },
+        "simulate-b2": {
+            "metrics.csv":
+                "967d7567ecd9c7819ef8f5546115c4366a1bab8715791772c5f429dda21b0c3f",
+            "summary.csv":
+                "f4d972b29cd908a432d2e3e66803a99e06a20e0d39082f817a4d422a9c0333e0",
+            "result":
+                "a2f88fdd8fc235aac0085dcf5d625ec529ae9d790d76535cd92bd657bc6f3c74",
+        },
+        "roc-b1": {
+            "roc.csv":
+                "814ecea93f81097d89575ae02eaf3632b260f73aa87f821506a21e0b85938f73",
+            "result":
+                "d4ea32af5d25005892af85e3a5ecd7764da18b4bb47a80aaa99b548ff85fc401",
+        },
+        "roc-b2": {
+            "roc.csv":
+                "0b5feba6d1df462b8db56f5f06d979fc10231dae384bb935868f4c6d8f1a250d",
+            "result":
+                "d4b4224bda56fdb16c86c0a4f6ed4a69b20843e0b59635ab214338fa8d8ffa22",
+        },
+        "sensitivity-b1": {
+            "cells.csv":
+                "491543b704723ccc78d34408236beb914ad7bc3cff91161b6df481dba339f9a4",
+            "sensitivity.csv":
+                "80eed5274bbf6b516016e72ca03118398b8c2b270fb448ccd0ff5fc52a55cdd4",
+            "result":
+                "808f22ed8b39bf27e38b02c8082d90bb834fd37db634dacb90cc789f36d0efd8",
+        },
+        "sensitivity-b2": {
+            "cells.csv":
+                "a60d58b02dbfdc5546db0a721cfd39614d187b5b5c64195bd334b34bade8a63e",
+            "sensitivity.csv":
+                "cbf3a94e0740815e2d9785f61cce2acf5a198fcfb4750311fd62c343af95a6ec",
+            "result":
+                "16a9038630ab19d2ede3c2e915c2a074c3a694f41f4495cb492ed951a059af33",
+        },
+        "roc-p1": {
+            "roc.csv":
+                "cd85bd1c3bfd3a857f2ee43ce364a04779201086683bd52c7efbc8dc086772d4",
+            "result":
+                "856c996a6866d9eb159fb8afab3ea90c904eb7b2363d049fe65434694169c8f1",
+        },
+        "screen-tsa": {
+            "records.csv":
+                "abb3fbe879a9b5e4060d2aaa60f316c06c052b459e8adbfbba9f1c7be3edd0f5",
+            "result":
+                "e50f8253f89d7ccf31b769ba38562d6daaae4455dc7f6be2c6eb2fa30ad9a775",
+        },
+        "screen-onestep": {
+            "records.csv":
+                "2a68ceecb77714e140643b818c61244644fc1c0fe91cd6894913d390b796382d",
+            "result":
+                "77c13eb46a604e49028870bf40803f7219f218c2fb84cba319530cb07a5eae52",
+        },
+        "screen-minsis": {
+            "records.csv":
+                "7e78a399835c9f0bc2b0fa4ff7c21a7ddba20ce1447314ffe2bc7fafd8e6e329",
+            "result":
+                "36aa859f386b5b93e706bd7d1d23702899338fccb2056a832c84de70a9e306bc",
+        },
+        "screen-minsis-d7": {
+            "records.csv":
+                "e30eba437f6413466a771c48addf42d925558429c46baa7afd21f3fe6e529df2",
+            "result":
+                "6415d76634558ac6b32c3611d246559e78d287f6aa3d6dca49a1e4f3c2b3bfcd",
+        },
+        "multipc-order3": {
+            "active_sets.csv":
+                "8f82cc5937652635356beaacfb0e58f0dc239d755347a0c92ea725de6db3d5a1",
+            "result":
+                "7a4af83580ba720702689ccf609625b34e002fdd84fa3761fc7372d45f77bf7e",
+        },
+        "select-bic": {
+            "coefficients.csv":
+                "1894a38451938cab3c1eac52bdb7ceffab1f5307bc3e75d3594c8bdd3ca8385e",
+            "fit_summary.csv":
+                "ab69e5a5d6782b1f6af8529c13362908d520a5e3b58f61593e17dbea599784c2",
+            "result":
+                "ca949d7ee2bc54d8009798970a909288833b02a6c5fe8a0a636f9bfe63c48b7f",
+        },
+        "select-cv": {
+            "coefficients.csv":
+                "1894a38451938cab3c1eac52bdb7ceffab1f5307bc3e75d3594c8bdd3ca8385e",
+            "fit_summary.csv":
+                "ab69e5a5d6782b1f6af8529c13362908d520a5e3b58f61593e17dbea599784c2",
+            "result":
+                "6652a40b62002f368a893e11dfba8ac6089bf8431382beed9f847c9f75ef0d61",
+        },
+    }
+
+    def test_output_files_match_digests(self, digest_manifest, tmp_path):
+        got = {}
+        for run_id, argv in self.DIGEST_RUNS.items():
+            if argv[0] in ("screen", "multipc", "select"):
+                argv = [argv[0], "--manifest", digest_manifest, *argv[1:]]
+            out = tmp_path / run_id
+            assert run(argv + ["--out", out]) == 0, run_id
+            got[run_id] = {path.name: _sha256(path.read_bytes())
+                           for path in sorted(out.glob("*.csv"))}
+            got[run_id]["result"] = _sha256(json.dumps(
+                load_result(out)["result"], sort_keys=True).encode())
+        assert got == self.DIGESTS
+
 
 class TestRocCommand:
     def test_runs_byte_identical(self, tmp_path):
@@ -307,6 +507,19 @@ class TestSensitivityCommand:
         assert len(table) == 3
         assert all("/" in cell for cell in table[1].split(",")[1:])
         assert (out / "cells.csv").exists()
+
+    def test_one_replication_has_nan_standard_errors(self, tmp_path):
+        out = tmp_path / "out"
+        assert run(["sensitivity", "--setting", "4", "--p", "40", "--b", "1",
+                    "--alpha1-list", "0.01", "--alpha2-list", "0.05", "0.01",
+                    "--out", out]) == 0
+        rows = (out / "cells.csv").read_text().splitlines()
+        assert rows[0].endswith(",se_sensitivity,se_specificity")
+        assert len(rows) == 3
+        assert all(row.endswith(",nan,nan") for row in rows[1:])
+        for cell in load_result(out)["result"]["cells"]:
+            assert cell["se_sensitivity"] is None
+            assert cell["se_specificity"] is None
 
     def test_default_grid_is_twelve_cells(self, tmp_path):
         out = tmp_path / "out"

@@ -348,7 +348,24 @@ class TestRunReplications:
         v = [0.9771884089134876, 0.9909711011774934, 0.4156490514794686]
         mean = math.fsum(v) / 3
         exact = math.fsum(float(Fraction(x - mean) ** 2) for x in v)
-        assert _mean_se(v) == (mean, math.sqrt(exact / 2 / 3))
+        means, ses = _mean_se([[x, -x] for x in v], 2)
+        assert means.tolist() == [mean, -mean]
+        assert ses.tolist() == [math.sqrt(exact / 2 / 3)] * 2
+        # One replication has no standard error; none has no mean either.
+        means, ses = _mean_se([v], 3)
+        assert means.tolist() == v
+        assert np.isnan(ses).all() and ses.shape == (3,)
+        means, ses = _mean_se([], 3)
+        assert np.isnan(means).all() and means.shape == (3,)
+        assert np.isnan(ses).all() and ses.shape == (3,)
+        # Each column equals the fsum loop over its values.
+        rows = np.random.default_rng(0).normal(size=(7, 5)) * [1, 1e-9, 1e9,
+                                                                1, 3]
+        means, ses = _mean_se(rows.tolist(), 5)
+        for col, m, se in zip(rows.T.tolist(), means, ses):
+            mean = math.fsum(col) / 7
+            var = math.fsum((x - mean) * (x - mean) for x in col) / 6
+            assert (m, se) == (mean, math.sqrt(var / 7))
 
     def test_strong_signals_found(self):
         setting = small_setting(B=6)
@@ -591,9 +608,7 @@ def _eager_replicate(setting, specs):
                 outcomes.append(("err", f"rep {rep}: {mat}"))
                 continue
             try:
-                outcomes.append(("ok", rule(mat, data.p,
-                                            min(s.n for s in data.studies),
-                                            active)))
+                outcomes.append(("ok", rule(mat, active)))
             except MultiscreenError as exc:
                 outcomes.append(("err", f"rep {rep}: {exc}"))
         per_rep.append(outcomes)
