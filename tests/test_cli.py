@@ -572,10 +572,14 @@ def test_screen_holds_the_data_once(tmp_path):
     # 5 studies of 100 rows at p = 5 000 hold 20 MB of data. While each
     # study's y kept its parsed table alive and result.json was encoded
     # whole before writing, this child peaked at 93.4-94.0 MB; it now peaks
-    # at 62.8-63.4 MB (repeated runs, BLAS on one thread), so the 78 MB
-    # bound leaves about 15 MB on either side. The child reads its own
-    # high-water mark, VmHWM: its ru_maxrss would start from the RSS of
-    # the test process that spawned it. Integer cells keep the fixture
+    # at 58.6-59.3 MB (repeated runs, BLAS on one thread; 62.8-63.4 MB
+    # with older numpy), so the 78 MB bound leaves about 15 MB on either
+    # side. The child reads its own high-water mark, VmHWM: its ru_maxrss
+    # would start from the RSS of the test process that spawned it. With
+    # two or more usable CPUs the files are parsed in forked readers, and
+    # the child's RUSAGE_CHILDREN ru_maxrss is the largest reader's peak:
+    # 29.5-29.6 MB, the RSS it shares with the child at fork included (0
+    # when the child reads serially). Integer cells keep the fixture
     # quick to write.
     rng = np.random.default_rng(5)
     p = 5_000
@@ -595,6 +599,8 @@ def test_screen_holds_the_data_once(tmp_path):
         with open("/proc/self/status") as fh:
             print(next(line.split()[1] for line in fh
                        if line.startswith("VmHWM:")))
+        import resource
+        print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
     """)
     src = str(Path(multiscreen.__file__).resolve().parents[1])
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
@@ -606,19 +612,29 @@ def test_screen_holds_the_data_once(tmp_path):
          str(tmp_path / "out")],
         env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    peak_mb = int(proc.stdout.split()[-1]) / 1024
+    peak_kb, reader_peak_kb = map(int, proc.stdout.split()[-2:])
+    peak_mb, reader_peak_mb = peak_kb / 1024, reader_peak_kb / 1024
     assert peak_mb <= 78, f"screen peaked at {peak_mb:.1f} MB"
+    assert reader_peak_mb <= 40, f"a reader peaked at {reader_peak_mb:.1f} MB"
     assert len(load_result(tmp_path / "out")["result"]["features"]) == p
 
 
-def test_serial_import_leaves_out_the_process_pool():
-    # Only replicate with threads > 1 imports the process pool.
+def test_serial_import_leaves_out_the_process_pool(dataset_dir):
+    # Only replicate with threads > 1 imports the process pool; loading a
+    # manifest forks its readers with os.fork and imports neither
+    # multiprocessing nor concurrent.futures.
     src = str(Path(multiscreen.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
-    script = ("import sys, multiscreen.cli; "
-              "print('concurrent.futures.process' in sys.modules)")
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, timeout=60)
+    manifest, _ = dataset_dir
+    script = textwrap.dedent("""
+        import sys, multiscreen.cli
+        print('concurrent.futures.process' in sys.modules)
+        multiscreen.cli.load_multistudy(sys.argv[1])
+        print(sorted(m for m in sys.modules
+                     if m.split(".")[0] in ("multiprocessing", "concurrent")))
+    """)
+    proc = subprocess.run([sys.executable, "-c", script, str(manifest)],
+                          env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False"]
+    assert proc.stdout.split("\n")[:2] == ["False", "[]"]

@@ -31,6 +31,13 @@ def write(path, text):
     return path
 
 
+def use_cpus(monkeypatch, n):
+    """Make the loader see ``n`` usable CPUs: it reads serially for 1 and
+    in min(K, n) forked processes otherwise."""
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(n)), raising=False)
+
+
 def make_manifest(tmp_path, entries, feature_columns=None):
     doc = {"entries": entries}
     if feature_columns is not None:
@@ -325,6 +332,7 @@ def test_output_files_follow_umask(tmp_path, rng):
 
 
 class TestHeldOnce:
+    # Each test loads serially (one usable CPU) and in forked readers (two).
     @pytest.fixture
     def exported(self, tmp_path):
         setting = SimSetting(n=100, p=300, K=3, s0=3, beta_low=0.4,
@@ -332,30 +340,34 @@ class TestHeldOnce:
         data, _, _ = gen_instance(setting, 0)
         return data, write_multistudy(data, tmp_path)
 
-    def test_loaded_studies_hold_their_data_once(self, exported):
+    def test_loaded_studies_hold_their_data_once(self, exported, monkeypatch):
         _, manifest = exported
-        tracemalloc.start()
-        try:
-            loaded = load_multistudy(manifest)
-            current, _ = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        held = sum(s.x.nbytes + s.y.nbytes for s in loaded.studies)
-        # A y that views its parsed table keeps the whole table alive,
-        # which doubles what the load holds.
-        assert all(s.y.base is None for s in loaded.studies)
-        assert current <= 1.1 * held, (current, held)
+        for cpus in (1, 2):
+            use_cpus(monkeypatch, cpus)
+            tracemalloc.start()
+            try:
+                loaded = load_multistudy(manifest)
+                current, _ = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            held = sum(s.x.nbytes + s.y.nbytes for s in loaded.studies)
+            # A y that views its parsed table keeps the whole table alive,
+            # which doubles what the load holds.
+            assert all(s.y.base is None for s in loaded.studies)
+            assert current <= 1.1 * held, (cpus, current, held)
 
-    def test_layout_and_order_kept(self, exported):
+    def test_layout_and_order_kept(self, exported, monkeypatch):
         data, manifest = exported
-        loaded = load_multistudy(manifest)
-        assert [s.id for s in loaded.studies] == [s.id for s in data.studies]
-        for a, b in zip(data.studies, loaded.studies):
-            # numpy gathers the feature columns into a (p, n) buffer, so
-            # x is column-major.
-            assert b.x.strides == (8, 8 * b.n)
-            assert np.array_equal(a.x, b.x)
-            assert np.array_equal(a.y, b.y)
+        for cpus in (1, 2):
+            use_cpus(monkeypatch, cpus)
+            loaded = load_multistudy(manifest)
+            assert [s.id for s in loaded.studies] == [s.id for s in data.studies]
+            for a, b in zip(data.studies, loaded.studies):
+                # numpy gathers the feature columns into a (p, n) buffer, so
+                # x is column-major.
+                assert b.x.strides == (8, 8 * b.n)
+                assert np.array_equal(a.x, b.x)
+                assert np.array_equal(a.y, b.y)
 
 
 class TestWriteJson:
@@ -410,6 +422,8 @@ def test_alignment_compares_names_linearly(tmp_path, monkeypatch):
         return [CountedName(h) for h in header], values
 
     monkeypatch.setattr(data_io, "_read_table", counted_read_table)
+    # The count is taken in this process, so the files are read here.
+    use_cpus(monkeypatch, 1)
     reloaded = load_multistudy(manifest)
     assert reloaded.feature_names == names
     assert comparisons[0] <= 4 * p * k
@@ -551,6 +565,8 @@ class TestReaderMatchesReference:
             return all_finite(values)
 
         monkeypatch.setattr(data_io, "_all_finite", counted)
+        # The calls are counted in this process, so the files are read here.
+        use_cpus(monkeypatch, 1)
         load_multistudy(manifest)
         assert len(calls) == 3
 
@@ -846,3 +862,161 @@ def test_non_ascii_names_round_trip_under_ascii_locale(tmp_path):
     proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def _load_error(manifest):
+    with pytest.raises(Exception) as raised:
+        load_multistudy(manifest)
+    return raised.type, str(raised.value)
+
+
+def assert_no_child_left():
+    # waitpid(-1) raises ChildProcessError once this process has no child,
+    # running or unreaped.
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+forked = pytest.mark.skipif(not hasattr(os, "fork"),
+                            reason="the forked readers need os.fork")
+
+GOOD = "g1,g2,y\n1,2,3\n4,5,6\n7,8,9\n"
+# Study files by role; a manifest lists studies A, B, C, ... in order.
+FAULTS = {
+    "missing_file": None,
+    "malformed": "g1,g2,y\n1,2,3\n4,x,6\n",
+    "not_utf8": b"g1,g2,y\n1,2,3\n4,\xff5,6\n",
+    "no_response": "g1,g2,z\n1,2,3\n4,5,6\n",
+    "ragged": "g1,g2,y\n1,2,3\n4,5\n",
+}
+
+
+def write_studies(tmp_path, roles):
+    entries = []
+    for i, role in enumerate(roles):
+        name = f"s{i}.csv"
+        text = GOOD if role == "good" else FAULTS[role]
+        if isinstance(text, str):
+            write(tmp_path / name, text)
+        elif text is not None:
+            (tmp_path / name).write_bytes(text)
+        entries.append({"study_id": "ABCDEFG"[i], "data_path": name,
+                        "response_column": "y"})
+    return make_manifest(tmp_path, entries)
+
+
+class TestForkedReaders:
+    @pytest.mark.parametrize("roles, expected", [
+        (("good", "missing_file", "good"), "study 'B': data file not found"),
+        (("good", "good", "malformed"), "study 'C': malformed numeric 'x'"),
+        (("good", "not_utf8", "malformed"),
+         "study 'B': .*s1.csv is not valid UTF-8"),
+        (("no_response", "good", "malformed"), "study 'A': response column"),
+        (("good", "malformed", "no_response"), "study 'B': malformed"),
+        (("good", "good", "good", "no_response", "ragged"),
+         "study 'D': response column"),
+        (("good", "good", "good", "ragged", "missing_file"),
+         "study 'D': row 2 has 2 cells"),
+    ])
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_first_failing_entry_raises_the_serial_error(
+            self, tmp_path, monkeypatch, roles, expected, cpus):
+        manifest = write_studies(tmp_path, roles)
+        use_cpus(monkeypatch, 1)
+        serial = _load_error(manifest)
+        assert serial[0] is ManifestError and re.match(expected, serial[1])
+        use_cpus(monkeypatch, cpus)
+        assert _load_error(manifest) == serial
+        assert_no_child_left()
+
+    def test_one_usable_cpu_reads_serially(self, tmp_path, monkeypatch):
+        manifest = write_studies(tmp_path, ["good"] * 3)
+
+        def no_fork():
+            raise AssertionError("forked with one usable CPU")
+
+        monkeypatch.setattr(os, "fork", no_fork, raising=False)
+        use_cpus(monkeypatch, 1)
+        assert load_multistudy(manifest).k == 3
+
+    @forked
+    def test_forked_and_serial_loads_are_bit_identical(self, tmp_path,
+                                                       monkeypatch):
+        # The benchmark's manifest instance: setting 2, seed 20240811, rep 0.
+        data, _, _ = gen_instance(SimSetting.preset(2, seed=20240811), 0)
+        manifest = write_multistudy(data, tmp_path)
+        loads = {}
+        for cpus in (1, 2, 5):
+            use_cpus(monkeypatch, cpus)
+            loads[cpus] = load_multistudy(manifest)
+        assert_no_child_left()
+        serial = loads.pop(1)
+        assert serial.feature_names == data.feature_names
+        for loaded in loads.values():
+            assert loaded.feature_names == serial.feature_names
+            for a, b in zip(serial.studies, loaded.studies):
+                assert a.id == b.id
+                for u, v in ((a.x, b.x), (a.y, b.y)):
+                    assert v.dtype == np.dtype(np.float64)
+                    assert v.strides == u.strides
+                    assert v.tobytes() == u.tobytes()
+
+    @forked
+    def test_no_child_outlives_a_load(self, tmp_path, monkeypatch):
+        use_cpus(monkeypatch, 2)
+        # Tables of 120 kB fill a pipe, so children block while writing.
+        rng = np.random.default_rng(3)
+        header = ["y", *(f"g{j}" for j in range(49))]
+        entries = []
+        for i in range(6):
+            write_csv_atomic(tmp_path / f"s{i}.csv", header,
+                             rng.normal(size=(300, 50)).tolist())
+            entries.append({"study_id": f"s{i}", "data_path": f"s{i}.csv",
+                            "response_column": "y"})
+        manifest = make_manifest(tmp_path, entries)
+        assert load_multistudy(manifest).k == 6
+        assert_no_child_left()
+
+        # The caller raises while every child still has tables to send;
+        # the traceback, held here, keeps the loader's frame alive.
+        entries[0]["response_column"] = "absent"
+        manifest = make_manifest(tmp_path, entries)
+        with pytest.raises(ManifestError,
+                           match="study 's0': response column") as raised:
+            load_multistudy(manifest)
+        assert_no_child_left()
+        del raised
+
+        # A child's own error.
+        entries[0]["response_column"] = "y"
+        manifest = make_manifest(tmp_path, entries)
+        write(tmp_path / "s3.csv", "y,g0\n1,x\n")
+        with pytest.raises(ManifestError, match="study 's3': malformed"):
+            load_multistudy(manifest)
+        assert_no_child_left()
+
+        # A child that dies while reading.
+        read_table = data_io._read_table
+
+        def dies_on_s4(path, study_id):
+            if study_id == "s4":
+                os._exit(9)
+            return read_table(path, study_id)
+
+        write_csv_atomic(tmp_path / "s3.csv", header, [[1.0] * 50] * 3)
+        monkeypatch.setattr(data_io, "_read_table", dies_on_s4)
+        with pytest.raises(RuntimeError,
+                           match="study 's4': the process reading .* ended"):
+            load_multistudy(manifest)
+        assert_no_child_left()
+
+    @forked
+    def test_generator_closed_mid_iteration_reaps_children(self, tmp_path,
+                                                           monkeypatch):
+        use_cpus(monkeypatch, 3)
+        manifest = load_manifest(write_studies(tmp_path, ["good"] * 5))
+        tables = data_io._read_tables(manifest.entries)
+        header, values = next(tables)
+        assert header == ["g1", "g2", "y"] and values.shape == (3, 3)
+        tables.close()
+        assert_no_child_left()
