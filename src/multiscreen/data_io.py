@@ -14,10 +14,10 @@ cell is checked; then numpy's C reader converts quote-free data lines
 with ``float()``'s own conversion, and any other file is read from the
 same lines cell by cell. Data paths are resolved relative to the
 manifest location.
-On Linux the K files are parsed by up to min(K, usable CPUs) forked
-reader processes, and serially elsewhere or with one usable CPU, with the
-same values and errors either way. A reader calls no BLAS and leaves by
-``os._exit``; Python ≥ 3.12 warns when it forks a multi-threaded process.
+On Linux the K files are parsed by up to min(K, usable CPUs) reader
+processes of ``_forked.forked_map``, and in this process elsewhere or with
+one usable CPU, with the same values and errors either way. A reader calls
+no BLAS; Python ≥ 3.12 warns when it forks a multi-threaded process.
 When ``feature_columns`` is absent the feature set is the intersection of
 the studies' non-response columns, in first-study order, and a warning
 lists anything dropped.
@@ -30,8 +30,6 @@ import io
 import json
 import math
 import os
-import pickle
-import signal
 import warnings
 from collections import Counter
 from contextlib import closing
@@ -40,6 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._forked import ChildEnded, forked_map, usable_cpus
 from .errors import InputError, ManifestError
 from .screening import MultiStudy, Study, _all_finite
 
@@ -202,115 +201,28 @@ def _split_on_commas(line: str, limit: int) -> bool:
 
 
 def _read_tables(entries):
-    """Yield ``_read_table``'s outcome for each entry in manifest order:
-    its (header, values), or the exception it raised, raised at that
-    entry's turn, so the caller's checks of earlier entries come first.
-
-    With W = min(K, usable CPUs) ≥ 2, forked child w parses entries
-    w, w + W, … and writes each table to its own pipe, which this process
-    reads back in order into an ``np.empty`` of the table's shape.
-    Closing the generator, or an exception, kills and reaps every child;
-    a child that ends early raises ``RuntimeError``. With W < 2, or where
-    ``os.fork`` or ``os.sched_getaffinity`` is missing, the entries are
-    read serially in this process."""
-    workers = 1
-    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
-        workers = min(len(entries), len(os.sched_getaffinity(0)))
-    if workers < 2:
-        for entry in entries:
-            yield _read_table(entry.data_path, entry.study_id)
-        return
-    readers, pids = [], []
+    """Yield ``_read_table``'s (header, values) for each entry in order,
+    from ``forked_map`` on the usable CPUs: an entry's error is raised at
+    its turn, after the caller's checks of the entries before it."""
     try:
-        for w in range(workers):
-            r, write_fd = os.pipe()
-            readers.append(open(r, "rb", buffering=0))
-            try:
-                pid = os.fork()
-                if pid == 0:
-                    _serve_tables(write_fd, entries[w::workers], readers)
-            finally:
-                os.close(write_fd)
-            pids.append(pid)
-        for i, entry in enumerate(entries):
-            yield _receive_table(readers[i % workers], entry)
-    finally:
-        for fh in readers:
-            fh.close()
-        for pid in pids:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-
-
-def _serve_tables(write_fd: int, entries, readers) -> None:
-    """The body of a reader process; it never returns. It closes every
-    pipe's read end, so a write fails rather than blocks once the parent
-    is gone, sends each entry's table and stops after the first
-    exception, and leaves by ``os._exit`` without running the parent's
-    clean-up code. It calls no BLAS."""
-    status = 1
-    try:
-        for fh in readers:
-            fh.close()
-        with open(write_fd, "wb") as out:
-            for entry in entries:
-                if not _send_table(out, entry):
-                    break
-        status = 0
-    finally:
-        os._exit(status)
-
-
-def _send_table(out, entry: ManifestEntry) -> bool:
-    # A length-prefixed pickle of (header, shape), then the raw bytes of
-    # the C-ordered float64 table; or the pickled exception, and False.
-    try:
-        header, values = _read_table(entry.data_path, entry.study_id)
-    except Exception as exc:
-        out.write(_framed(exc))
-        return False
-    out.write(_framed((header, values.shape)))
-    out.write(values.data)
-    return True
-
-
-def _framed(obj) -> bytes:
-    blob = pickle.dumps(obj)
-    return len(blob).to_bytes(8, "little") + blob
-
-
-def _receive_table(fh, entry: ManifestEntry) -> tuple[list[str], np.ndarray]:
-    size = int.from_bytes(_read_exactly(fh, bytearray(8), entry), "little")
-    outcome = pickle.loads(_read_exactly(fh, bytearray(size), entry))
-    if isinstance(outcome, BaseException):
-        raise outcome
-    header, shape = outcome
-    return header, _read_exactly(fh, np.empty(shape), entry)
-
-
-def _read_exactly(fh, buf, entry: ManifestEntry):
-    # Fills ``buf`` from the pipe ``fh`` and returns it.
-    view = memoryview(buf).cast("B")
-    while view:
-        got = fh.readinto(view)
-        if not got:
-            raise RuntimeError(
-                f"study {entry.study_id!r}: the process reading "
-                f"{entry.data_path} ended before sending its table")
-        view = view[got:]
-    return buf
+        yield from forked_map(lambda e: _read_table(e.data_path, e.study_id),
+                              entries, usable_cpus())
+    except ChildEnded as exc:
+        raise RuntimeError(
+            f"study {exc.item.study_id!r}: the process reading "
+            f"{exc.item.data_path} ended before sending its table") from None
 
 
 def load_multistudy(manifest_path) -> MultiStudy:
     """Load every study in a manifest into one aligned MultiStudy.
 
     On Linux the study files are parsed by up to min(K, usable CPUs)
-    forked processes (``_read_tables``), and serially elsewhere or with
-    one usable CPU. Values and errors are identical either way: each file
-    is parsed by the same ``_read_table``, and the error raised is that of
-    the first failing entry in manifest order. The children call no BLAS
-    and leave by ``os._exit``; Python ≥ 3.12 warns when it forks a
-    process that has threads, as numpy's BLAS may have started.
+    processes of ``forked_map`` (``_read_tables``), each table sent back
+    pickled, and in this process elsewhere or with one usable CPU. Values
+    and errors are identical either way: each file is parsed by the same
+    ``_read_table``, and the error raised is that of the first failing
+    entry in manifest order. The children call no BLAS; Python ≥ 3.12
+    warns when it forks a process that has threads, as BLAS may have.
 
     Each study's data is held once: its feature columns are copied out of
     the parsed table in manifest feature order, the response column is
@@ -326,7 +238,9 @@ def load_multistudy(manifest_path) -> MultiStudy:
                 raise ManifestError(
                     f"study {entry.study_id!r}: response column "
                     f"{entry.response_column!r} not in {entry.data_path}")
-            tables[entry.study_id] = (header, values)
+            # A table unpickled from a reader has an equal but distinct
+            # float64 dtype, which Study would wrap in a view, not use.
+            tables[entry.study_id] = (header, np.asarray(values, dtype=float))
 
     if manifest.feature_columns is not None:
         features = list(manifest.feature_columns)

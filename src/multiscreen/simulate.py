@@ -8,9 +8,9 @@ normals come from the package's own inverse CDF, so runs reproduce
 bit-for-bit for a given numpy build, SIMD dispatch and BLAS kernel. The
 inverse CDF calls ``np.exp`` and ``np.log``, which round differently with,
 for instance, numpy's AVX-512 kernels disabled, and the response is a BLAS
-matrix-vector product. Replications may run in parallel; results are
-aggregated in replication order with exact summation, so the thread count
-never changes the output.
+matrix-vector product. Replications may run in forked processes, as
+``replicate``'s ``threads`` asks; results are aggregated in replication
+order with exact summation, so the thread count never changes the output.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
+from ._forked import forked_map
 from .errors import InputError, MultiscreenError
 from .screening import (MultiStudy, Study, _chi2_thresholds, _level,
                         _min_rank, _stat_columns, _step1_threshold, _top_d,
@@ -352,10 +353,10 @@ def evaluate(kept, truth, p: int) -> RepMetrics:
 
 
 # ---------------------------------------------------------------------------
-# Rules: picklable evaluations the replication worker applies to one
-# instance. ``matrix`` names the statistic matrix a rule reads ("t" or
-# "corr", as ``screening._stat_matrices`` names them); calling a rule with
-# that (p, K) matrix and the active indices returns its payload.
+# Rules: evaluations the replication worker applies to one instance.
+# ``matrix`` names the statistic matrix a rule reads ("t" or "corr", as
+# ``screening._stat_matrices`` names them); calling a rule with that (p, K)
+# matrix and the active indices returns its payload.
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -425,12 +426,11 @@ def _streamed_matrices(setting: SimSetting, rep: int, names):
     return matrices, active
 
 
-def _replicate(args):
+def _replicate(setting: SimSetting, rep: int, evaluations):
     """One replication: its studies drawn one at a time, each making one
     pass for the statistic matrices the evaluations read and then dropped;
     then every evaluation. Returns one ("ok", payload) or ("err", message)
     per evaluation, failed only by what that one uses."""
-    setting, rep, evaluations = args
     tag, drawn = _attempt(rep, _streamed_matrices, setting, rep,
                           {ev.matrix for ev in evaluations})
     if tag == "err":
@@ -602,20 +602,17 @@ def replicate(setting: SimSetting, specs, threads: int = 1) -> list:
     instance is generated once, one study at a time, and each study's
     columns are centered once for every statistic matrix the specs read
     before the study is dropped. Returns one result per spec, in order.
-    Failed replications are counted and reported per spec, not fatal."""
+    Failed replications (a ``MultiscreenError``) are counted and reported
+    per spec, not fatal; the first other exception is raised. ``threads``
+    ≥ 2 runs them in up to that many forked processes (``forked_map``),
+    with the same results and the same exception."""
     specs = tuple(specs)
     if not specs:
         raise InputError("specs must not be empty")
     if threads < 1:
         raise InputError(f"threads must be at least 1, got {threads}")
     rules = tuple(spec._rule(setting) for spec in specs)
-    args = [(setting, rep, rules) for rep in range(setting.B)]
-    if threads == 1:
-        per_rep = [_replicate(a) for a in args]
-    else:
-        # Imported here: a serial run never loads multiprocessing.
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            per_rep = list(pool.map(_replicate, args, chunksize=1))
+    per_rep = list(forked_map(lambda rep: _replicate(setting, rep, rules),
+                              range(setting.B), threads))
     return [spec._reduce(setting, outcomes)
             for spec, outcomes in zip(specs, zip(*per_rep))]

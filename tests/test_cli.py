@@ -620,17 +620,18 @@ def test_screen_holds_the_data_once(tmp_path):
 
 
 def test_serial_import_leaves_out_the_process_pool(dataset_dir):
-    # Only replicate with threads > 1 imports the process pool; loading a
-    # manifest forks its readers with os.fork and imports neither
-    # multiprocessing nor concurrent.futures.
+    # Loading a manifest and replicate with threads > 1 both fork through
+    # os.fork and import neither multiprocessing nor concurrent.futures.
     src = str(Path(multiscreen.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
     manifest, _ = dataset_dir
     script = textwrap.dedent("""
         import sys, multiscreen.cli
+        from multiscreen import MethodSpec, SimSetting, replicate
         print('concurrent.futures.process' in sys.modules)
         multiscreen.cli.load_multistudy(sys.argv[1])
+        replicate(SimSetting.preset(2, p=50, B=3), [MethodSpec()], threads=2)
         print(sorted(m for m in sys.modules
                      if m.split(".")[0] in ("multiprocessing", "concurrent")))
     """)

@@ -375,11 +375,33 @@ class TestRunReplications:
         assert summary.mean_specificity > 0.7
         assert len(summary.per_rep) == 6
 
-    def test_parallel_equals_sequential(self):
+    @pytest.mark.parametrize("threads", [2, 4, 8])
+    def test_parallel_equals_sequential(self, threads):
+        # B = 6 splits unevenly over 4 processes, and 8 is capped at 6.
         setting = small_setting(B=6)
         seq = replicate(setting, [MethodSpec(), RocGrid()], threads=1)
-        par = replicate(setting, [MethodSpec(), RocGrid()], threads=2)
+        par = replicate(setting, [MethodSpec(), RocGrid()], threads=threads)
         assert seq == par
+
+    def test_parallel_failure_raises_the_serial_error(self, monkeypatch):
+        # An exception that is not a MultiscreenError is no failed
+        # replication: it is raised, the same with processes as without.
+        streamed = simulate._streamed_matrices
+
+        def breaks_rep_3(setting, rep, names):
+            if rep == 3:
+                raise ZeroDivisionError(f"rep {rep} divided by zero")
+            return streamed(setting, rep, names)
+
+        monkeypatch.setattr(simulate, "_streamed_matrices", breaks_rep_3)
+        raised = []
+        for threads in (1, 2):
+            with pytest.raises(Exception) as exc:
+                replicate(small_setting(B=6), [MethodSpec()], threads=threads)
+            raised.append((exc.type, str(exc.value)))
+        assert raised == [(ZeroDivisionError, "rep 3 divided by zero")] * 2
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_onestep_and_minsis_methods(self):
         setting = small_setting(B=3)
