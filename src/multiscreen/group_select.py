@@ -44,8 +44,8 @@ import numpy as np
 
 from .errors import (DegenerateColumnError, InputError, SelectionError,
                      SingularDesignError)
-from .screening import (MultiStudy, ScreeningConfig, ScreeningResult, Study,
-                        tsa_sis)
+from .screening import (MultiStudy, ScreeningConfig, Study, _step1_threshold,
+                        compute_t_matrix, tsa_kept_mask)
 
 __all__ = [
     "GroupLassoFit",
@@ -95,7 +95,6 @@ class GroupLassoFit:
 class SelectionModel:
     """End-to-end result: screen, tune the penalty, fit, select."""
 
-    screening: ScreeningResult
     screened: tuple[int, ...]
     selected: tuple[int, ...]
     lambda_: float | None
@@ -165,8 +164,11 @@ def _standardize(data: MultiStudy, active: tuple[int, ...]):
 def lambda_max(data: MultiStudy, active) -> float:
     """Smallest penalty at which the all-zero solution is optimal:
     max_j of the group norm of 2 * Xs_j' (y - ybar) across studies."""
-    active = _check_active(data, active)
-    return max(_group_norm(2.0 * cj) for cj in _standardize(data, active)[-1])
+    return _lambda_max(_standardize(data, _check_active(data, active))[-1])
+
+
+def _lambda_max(c) -> float:
+    return max(_group_norm(2.0 * cj) for cj in c)
 
 
 def _group_norm(z) -> float:
@@ -358,7 +360,10 @@ def select_lambda(data: MultiStudy, active, method: str = "bic",
     best_lambda); ties resolve to the smallest lambda.
 
     ``bic`` scores N*log(RSS/N) + df*log(N) with df = K * n_selected and
-    N the pooled sample count, and returns the path's own fit; ``cv``
+    N the pooled sample count, and returns the path's own fit. Its path
+    ends at the first saturated fit, df >= N (glmnet's ``dfmax``): there
+    RSS heads to 0 and BIC's fixed-dimension derivation fails, so the
+    diagnostics list only the fits that ran, that one included. ``cv``
     scores the pooled squared prediction error over ``_FOLDS`` folds
     assigned by row position within each study, and fits the chosen
     penalty once on the full data. Rows also report the solver's
@@ -370,7 +375,7 @@ def select_lambda(data: MultiStudy, active, method: str = "bic",
         raise InputError(f"grid_size must be >= 2, got {grid_size}")
     active = _check_active(data, active)
     std = _standardize(data, active)
-    lam_max = max(_group_norm(2.0 * cj) for cj in std[-1])
+    lam_max = _lambda_max(std[-1])
     if not (math.isfinite(lam_max) and lam_max > 0.0):
         raise SelectionError(
             "response is orthogonal to every active column; no usable "
@@ -379,16 +384,18 @@ def select_lambda(data: MultiStudy, active, method: str = "bic",
 
     if method == "bic":
         n_total = sum(s.n for s in data.studies)
-        fits = list(_path(data, active, std, grid))
-        diagnostics = []
-        for fit in fits:
+        fits, diagnostics = [], []
+        for fit in _path(data, active, std, grid):
             rss = _fit_rss(data, fit)
             df = data.k * len(fit.selected)
             bic = n_total * math.log(max(rss, 1e-300) / n_total) \
                 + df * math.log(n_total)
+            fits.append(fit)
             diagnostics.append({"lambda": fit.lambda_, "bic": bic,
                                 "rss": rss, "n_selected": len(fit.selected),
                                 **_solver_stats([fit])})
+            if df >= n_total:
+                break
     else:
         sse = np.zeros(len(grid))
         count = 0
@@ -418,7 +425,8 @@ def select_lambda(data: MultiStudy, active, method: str = "bic",
                         **_solver_stats(fold_fits[gi])}
                        for gi, lam in enumerate(grid)]
     score = "bic" if method == "bic" else "cv_mse"
-    best = min(reversed(range(len(grid))), key=lambda gi: diagnostics[gi][score])
+    best = min(reversed(range(len(diagnostics))),
+               key=lambda gi: diagnostics[gi][score])
     lam = diagnostics[best]["lambda"]
     fit = fits[best] if method == "bic" else next(_path(data, active, std, [lam]))
     return lam, diagnostics, fit
@@ -430,17 +438,17 @@ def tsa_sis_group_lasso(data: MultiStudy, config: ScreeningConfig,
     """Screen with the two-step rule, tune the group penalty, fit, and
     report the nonzero groups. An empty screened set yields an explicitly
     marked empty model rather than an error."""
-    screening = tsa_sis(data, config)
-    if not screening.kept:
-        return SelectionModel(screening=screening, screened=(), selected=(),
-                              lambda_=None, fit=None, diagnostics=None,
-                              tune_method=method, empty_screen=True)
-    lam, diagnostics, fit = select_lambda(data, screening.kept, method=method,
-                                          grid_size=grid_size)
-    return SelectionModel(screening=screening, screened=screening.kept,
-                          selected=fit.selected, lambda_=lam, fit=fit,
-                          diagnostics=tuple(diagnostics), tune_method=method,
-                          empty_screen=False)
+    keep = tsa_kept_mask(compute_t_matrix(data),
+                         _step1_threshold(config.alpha1), config.alpha2)
+    if not keep.any():
+        return SelectionModel(screened=(), selected=(), lambda_=None,
+                              fit=None, diagnostics=None, tune_method=method,
+                              empty_screen=True)
+    lam, diagnostics, fit = select_lambda(data, np.flatnonzero(keep),
+                                          method=method, grid_size=grid_size)
+    return SelectionModel(screened=fit.features, selected=fit.selected,
+                          lambda_=lam, fit=fit, diagnostics=tuple(diagnostics),
+                          tune_method=method, empty_screen=False)
 
 
 def ols_refit(data: MultiStudy, selected) -> list[OlsStudyFit]:

@@ -185,14 +185,14 @@ def _side_rng(seed: int) -> np.random.Generator:
 
 
 def _uniform_open(rng: np.random.Generator, size) -> np.ndarray:
-    # (2k + 1) / 2^54 for k < 2^53, rounded: exact for k < 2^52; above, the
-    # 54-bit numerator rounds to even, so the upper half of the grid has
+    # (2k + 1) / 2^54 for k < 2^53, rounded: ``random`` returns k / 2^53
+    # exactly, k the top 53 bits of one 64-bit output (as ``integers(0,
+    # 2^53)`` draws it), and adding 2^-54 rounds once. Exact for k < 2^52;
+    # above, the sum rounds to even, so the upper half of the grid has
     # spacing 2^-53. Only k = 2^53 - 1 would round up to 1.0, hence the
-    # clamp to the largest float below 1. The float64 2.0 * k is exact, and
-    # the later steps run in place.
-    u = rng.integers(0, 1 << 53, size=size, dtype=np.uint64) * 2.0
-    u += 1.0
-    u *= 2.0 ** -54
+    # clamp to the largest float below 1.
+    u = rng.random(size)
+    u += 2.0 ** -54
     return np.minimum(u, 1.0 - 2.0 ** -53, out=u)
 
 

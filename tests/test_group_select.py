@@ -3,6 +3,7 @@ proximal-gradient oracle, KKT conditions, penalty tuning, and the refit."""
 
 import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from multiscreen import (DegenerateColumnError, InputError, MultiStudy,
                          group_lasso_fit, lambda_max, ols_refit,
                          select_lambda, tsa_sis, tsa_sis_group_lasso)
 import multiscreen.group_select as group_select
+import multiscreen.screening as screening
 from multiscreen.group_select import (_gradient, _group_norm, _kkt_residual,
                                       _newton_direction, _standardize)
 
@@ -420,6 +422,33 @@ class TestSelectLambda:
         assert fit.selected == (0, 33, 66, 100, 133, 166, 199, 231, 233, 266,
                                 286, 299)
 
+    def test_bic_path_ends_at_first_saturated_fit(self, rng):
+        # With p > n the path reaches K * n_selected >= N (here N = 20) in
+        # its 20 points: the table ends at that fit, and each row is the
+        # one the full path gives at its penalty.
+        data, _ = make_multistudy(rng, n=10, p=12, k=2, signal=0.8, s0=3)
+        active, n_total = tuple(range(12)), 20
+        lam, diag, fit = select_lambda(data, active, method="bic",
+                                       grid_size=20)
+        saturated = [data.k * row["n_selected"] >= n_total for row in diag]
+        assert 2 < len(diag) < 20
+        assert saturated[-1] and not any(saturated[:-1])
+        lmax = lambda_max(data, active)
+        grid = np.geomspace(lmax, lmax * 1e-3, 20)
+        full = list(group_select._path(data, active,
+                                       _standardize(data, active), grid))
+        assert len(full) == 20
+        for row, f in zip(diag, full):
+            rss = group_select._fit_rss(data, f)
+            df = data.k * len(f.selected)
+            bic = n_total * math.log(rss / n_total) + df * math.log(n_total)
+            assert row == {
+                "lambda": f.lambda_, "bic": bic, "rss": rss,
+                "n_selected": len(f.selected), "converged": f.converged,
+                "iterations": f.iterations, "kkt_residual": f.kkt_residual}
+        best = [row["lambda"] for row in diag].index(lam)
+        assert fit.beta_std.tobytes() == full[best].beta_std.tobytes()
+
     def test_cv_runs_and_is_deterministic(self, rng):
         data, _ = make_multistudy(rng, n=40, p=5, k=2, signal=0.7, s0=2)
         lam1, diag1, _ = select_lambda(data, (0, 1, 2, 3, 4), method="cv",
@@ -448,7 +477,44 @@ class TestSelectLambda:
             select_lambda(data, (0,), grid_size=1)
 
 
+@pytest.fixture(scope="module")
+def bench_data():
+    """The benchmark's manifest instance: setting 2, seed 20240811, rep 0."""
+    return gen_instance(SimSetting.preset(2, seed=20240811), 0)[0]
+
+
 class TestPipeline:
+    @pytest.mark.parametrize("alpha1, alpha2", [
+        (1e-4, 1e-3), (1e-4, 0.05), (1e-3, 0.01), (1e-2, 0.15), (1e-3, 0.15)])
+    def test_screened_set_is_tsa_sis_kept(self, bench_data, monkeypatch,
+                                          alpha1, alpha2):
+        # Only the screen is compared, so the penalty search is stubbed.
+        handed = []
+
+        def no_search(data, active, method, grid_size):
+            handed.append(tuple(int(j) for j in active))
+            return 1.0, [], SimpleNamespace(features=handed[-1], selected=())
+
+        monkeypatch.setattr(group_select, "select_lambda", no_search)
+        config = ScreeningConfig(alpha1, alpha2)
+        model = tsa_sis_group_lasso(bench_data, config)
+        kept = tsa_sis(bench_data, config).kept
+        assert kept and handed == [kept]
+        assert model.screened == kept and not model.empty_screen
+
+    def test_select_builds_no_screen_records(self, rng, monkeypatch):
+        data, _ = make_multistudy(rng, n=50, p=10, k=2, signal=0.6, s0=3)
+        config = ScreeningConfig(0.01, 0.05)
+        kept = tsa_sis(data, config).kept
+
+        def records(*args):
+            raise AssertionError("per-feature screening records were built")
+
+        monkeypatch.setattr(screening, "_screen", records)
+        model = tsa_sis_group_lasso(data, config, grid_size=8)
+        assert model.screened == kept
+        assert model.fit is not None and model.fit.features == kept
+
     def test_empty_screen_marker(self, rng):
         data, _ = make_multistudy(rng, n=40, p=8, k=3, signal=0.0)
         model = tsa_sis_group_lasso(data, ScreeningConfig(1e-6, 1e-6))

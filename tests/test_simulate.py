@@ -176,14 +176,31 @@ def _reference_ar1(z, r):
 
 
 class _StubGenerator:
-    """Stands in for np.random.Generator: integers() returns fixed draws."""
+    """Stands in for np.random.Generator: random() returns k / 2^53 for
+    fixed 53-bit draws k."""
 
     def __init__(self, draws):
         self.draws = np.array(draws, dtype=np.uint64)
 
-    def integers(self, low, high, size, dtype):
-        assert (low, high, size, dtype) == (0, 1 << 53, len(self.draws), np.uint64)
-        return self.draws.copy()
+    def random(self, size):
+        assert size == len(self.draws)
+        return self.draws * 2.0 ** -53
+
+
+def _flat_state(state):
+    """A bit generator's state as nested tuples of plain values."""
+    if isinstance(state, dict):
+        return tuple((k, _flat_state(v)) for k, v in sorted(state.items()))
+    return tuple(state.tolist()) if isinstance(state, np.ndarray) else state
+
+
+def _integer_grid_uniform(rng, size):
+    """The open uniform as first written: (2k + 1) / 2^54 from k drawn by
+    ``integers(0, 2^53)``, rounded, and clamped below 1."""
+    u = rng.integers(0, 1 << 53, size=size, dtype=np.uint64) * 2.0
+    u += 1.0
+    u *= 2.0 ** -54
+    return np.minimum(u, 1.0 - 2.0 ** -53, out=u)
 
 
 class TestSimulatedBits:
@@ -292,6 +309,18 @@ class TestSimulatedBits:
             z = _standard_normal(rng, (n, p))
             assert np.array_equal(study.x.view(np.int64), z.view(np.int64))
             _standard_normal(rng, n)
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 20240811, 2 ** 40 + 3])
+    def test_uniform_open_matches_integer_grid(self, seed):
+        # random() keeps the same top 53 bits of one 64-bit output per
+        # value as integers(0, 2^53): same bits, same generator state.
+        rng, ref = _rep_rng(seed, 0), _rep_rng(seed, 0)
+        for size in (1, 7, 12_288, 1, 7):
+            got = _uniform_open(rng, size)
+            want = _integer_grid_uniform(ref, size)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert _flat_state(rng.bit_generator.state) \
+            == _flat_state(ref.bit_generator.state)
 
     def test_uniform_open_top_of_grid(self):
         k = [0, 2 ** 52 - 1, 2 ** 52, 2 ** 53 - 2, 2 ** 53 - 1]
