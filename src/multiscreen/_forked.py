@@ -1,5 +1,7 @@
-"""The package's one process-parallel map, shared by ``simulate.replicate``
-and the study readers of ``data_io.load_multistudy``."""
+"""The package's one process-parallel map, shared by ``simulate.replicate``,
+the study readers of ``data_io.load_multistudy`` and the study writers of
+``data_io.write_multistudy``. No other module calls ``os.fork`` or
+``os.pipe``."""
 
 from __future__ import annotations
 

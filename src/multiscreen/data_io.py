@@ -16,8 +16,10 @@ same lines cell by cell. Data paths are resolved relative to the
 manifest location.
 On Linux the K files are parsed by up to min(K, usable CPUs) reader
 processes of ``_forked.forked_map``, and in this process elsewhere or with
-one usable CPU, with the same values and errors either way. A reader calls
-no BLAS; Python ≥ 3.12 warns when it forks a multi-threaded process.
+one usable CPU, with the same values and errors either way; an export
+(``write_multistudy``) writes them through the same map, with the same
+bytes either way. A reader or writer calls no BLAS; Python ≥ 3.12 warns
+when it forks a multi-threaded process.
 When ``feature_columns`` is absent the feature set is the intersection of
 the studies' non-response columns, in first-study order, and a warning
 lists anything dropped.
@@ -291,7 +293,16 @@ def write_multistudy(data: MultiStudy, directory) -> Path:
     use shortest round-trip formatting so a reload reproduces values
     exactly. Returns the manifest path. Raises ``InputError``, before any
     file is written, for a study id that is not a string naming a plain
-    file and for a feature name with whitespace at either end."""
+    file and for a feature name with whitespace at either end.
+
+    On Linux the study files are formatted and written by up to
+    min(K, usable CPUs) writer processes of ``forked_map``, and in this
+    process elsewhere or with one usable CPU, with the same bytes either
+    way; a writer calls no BLAS. ``manifest.json`` is written last, once
+    every study file is in place. If a study fails, every other study is
+    still written, so that no writer is stopped mid-file; the error raised
+    is then that of the first failing study in study order, no temporary
+    file is left, and the manifest is not written."""
     directory = Path(directory)
     for study in data.studies:
         if (not isinstance(study.id, str) or study.id in ("", ".", "..")
@@ -307,16 +318,30 @@ def write_multistudy(data: MultiStudy, directory) -> Path:
     response = "response"
     while response in data.feature_names:
         response = "_" + response
-    entries = []
-    for study in data.studies:
-        file_name = f"{study.id}.csv"
-        header = [response, *data.feature_names]
+    header = [response, *data.feature_names]
+
+    def write_one(study):
         # A Python float's str is its shortest round-trip repr.
         rows = ([y, *study.x[i].tolist()]
                 for i, y in enumerate(study.y.tolist()))
-        write_csv_atomic(directory / file_name, header, rows)
-        entries.append({"study_id": study.id, "data_path": file_name,
-                        "response_column": response})
+        try:
+            write_csv_atomic(directory / f"{study.id}.csv", header, rows)
+        except Exception as exc:
+            # Raised, it would make forked_map kill the other writers.
+            return exc
+        return None
+
+    try:
+        errors = [exc for exc in forked_map(write_one, data.studies,
+                                            usable_cpus()) if exc is not None]
+    except ChildEnded as exc:
+        raise RuntimeError(
+            f"study {exc.item.id!r}: the process writing "
+            f"{directory / exc.item.id}.csv ended before it finished") from None
+    if errors:
+        raise errors[0]
+    entries = [{"study_id": study.id, "data_path": f"{study.id}.csv",
+                "response_column": response} for study in data.studies]
     manifest = {"entries": entries, "feature_columns": list(data.feature_names)}
     path = directory / "manifest.json"
     write_json_atomic(path, manifest)
@@ -344,17 +369,32 @@ def write_csv_atomic(path, header, rows) -> None:
     place. Cells are quoted as ``csv.writer`` quotes them, so a name
     holding a comma, a quote or a line break reads back; a row that needs
     no quoting is joined directly, which is about ten times faster for
-    long numeric rows."""
-    path = Path(path)
-    lines = [_quoted_line([str(c) for c in header])]
-    for row in rows:
-        cells = [str(c) for c in row]
-        line = ",".join(cells)
-        if (line.count(",") > len(cells) - 1 or '"' in line
-                or "\r" in line or "\n" in line):
-            line = _quoted_line(cells)
-        lines.append(line)
-    _replace_with(path, lambda fh: fh.write("\n".join(lines) + "\n"))
+    long numeric rows. Lines are written in chunks of about
+    ``_CSV_CHUNK`` characters, so the text of a large file is never held
+    whole."""
+
+    def write(fh):
+        lines, held = [_quoted_line([str(c) for c in header])], 0
+        for row in rows:
+            cells = [str(c) for c in row]
+            line = ",".join(cells)
+            if (line.count(",") > len(cells) - 1 or '"' in line
+                    or "\r" in line or "\n" in line):
+                line = _quoted_line(cells)
+            lines.append(line)
+            held += len(line)
+            if held > _CSV_CHUNK:
+                fh.write("\n".join(lines) + "\n")
+                lines, held = [], 0
+        if lines:
+            fh.write("\n".join(lines) + "\n")
+
+    _replace_with(Path(path), write)
+
+
+# Characters of CSV lines held before they are written: one write for the
+# tables the commands emit, a bounded buffer for a study file.
+_CSV_CHUNK = 1 << 18
 
 
 def _quoted_line(cells: list[str]) -> str:

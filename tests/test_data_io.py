@@ -2,6 +2,7 @@
 export/reload round trip."""
 
 import csv
+import hashlib
 import json
 import math
 import os
@@ -329,6 +330,48 @@ def test_output_files_follow_umask(tmp_path, rng):
     for path in written:
         assert stat.S_IMODE(path.stat().st_mode) == 0o644, path
     assert not list(tmp_path.rglob("*.tmp"))
+
+
+def _joined_csv(header, rows):
+    # write_csv_atomic's bytes as one join of every line: the reference
+    # for its chunked writes.
+    lines = [data_io._quoted_line([str(c) for c in header])]
+    for row in rows:
+        cells = [str(c) for c in row]
+        line = ",".join(cells)
+        if (line.count(",") > len(cells) - 1 or '"' in line
+                or "\r" in line or "\n" in line):
+            line = data_io._quoted_line(cells)
+        lines.append(line)
+    return ("\n".join(lines) + "\n").encode()
+
+
+@pytest.mark.parametrize("chunk", [0, 50, data_io._CSV_CHUNK])
+def test_chunked_csv_has_the_joined_bytes(tmp_path, monkeypatch, chunk):
+    # Chunk 0 writes every line on its own, so the last write ends a line.
+    monkeypatch.setattr(data_io, "_CSV_CHUNK", chunk)
+    header = ["name", "HLA-A,B", 'say "hi"', "cr\rname"]
+    rows = [["g1", 1.5, -0.0, 7], ["two\nlines", 1e-300, 2, None], [],
+            [""], ["a,b", 'q"', 0.1, 3], *([[0.25, "x", 1e300, -1]] * 20)]
+    write_csv_atomic(tmp_path / "t.csv", header, rows)
+    assert (tmp_path / "t.csv").read_bytes() == _joined_csv(header, rows)
+
+
+def test_csv_text_is_not_held_whole(tmp_path):
+    # A study file of 100 rows of 2 001 floats, about 3.8 MB; a text held
+    # whole, joined and encoded would take about three times that.
+    x = np.random.default_rng(11).standard_normal((100, 2_001))
+    header = ["response", *(f"g{j}" for j in range(2_000))]
+    tracemalloc.start()
+    try:
+        write_csv_atomic(tmp_path / "wide.csv", header,
+                         (x[i].tolist() for i in range(len(x))))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    written = (tmp_path / "wide.csv").read_bytes()
+    assert written == _joined_csv(header, x.tolist())
+    assert peak <= 1.5 * len(written), (peak, len(written))
 
 
 class TestHeldOnce:
@@ -1020,3 +1063,80 @@ class TestForkedReaders:
         assert header == ["g1", "g2", "y"] and values.shape == (3, 3)
         tables.close()
         assert_no_child_left()
+
+
+class TestForkedWriters:
+    @forked
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_first_failing_study_raises_and_leaves_no_temporary_file(
+            self, tmp_path, monkeypatch, rng, cpus):
+        from conftest import make_multistudy
+        data, _ = make_multistudy(rng, n=40, p=30, k=4)
+        ids = [s.id for s in data.studies]
+        target = tmp_path / f"{ids[1]}.csv"
+        target.mkdir()
+        (target / "kept").write_text("x")
+        use_cpus(monkeypatch, cpus)
+        with pytest.raises(IsADirectoryError,
+                           match=re.escape(str(target))) as raised:
+            write_multistudy(data, tmp_path)
+        assert raised.value.filename2 == str(target)
+        assert_no_child_left()
+        assert list(tmp_path.glob("*.tmp")) == []
+        assert not (tmp_path / "manifest.json").exists()
+        assert (target / "kept").read_text() == "x"
+        # Every other study is still written, in either mode.
+        assert sorted(p.name for p in tmp_path.glob("*.csv")) \
+            == sorted(f"{i}.csv" for i in ids)
+
+    @forked
+    def test_writer_that_dies_raises_runtime_error(self, tmp_path,
+                                                   monkeypatch, rng):
+        from conftest import make_multistudy
+        data, _ = make_multistudy(rng, n=5, p=3, k=3)
+        write_csv = data_io.write_csv_atomic
+
+        def dies_on_s2(path, header, rows):
+            if Path(path).name == "s2.csv":
+                os._exit(9)
+            write_csv(path, header, rows)
+
+        monkeypatch.setattr(data_io, "write_csv_atomic", dies_on_s2)
+        use_cpus(monkeypatch, 2)
+        with pytest.raises(RuntimeError, match="study 's2': the process "
+                           "writing .*s2.csv ended before it finished"):
+            write_multistudy(data, tmp_path)
+        assert_no_child_left()
+        assert not (tmp_path / "manifest.json").exists()
+
+    @forked
+    @pytest.mark.parametrize("case", ["setting2", "quoted", "one_study"])
+    def test_forked_export_has_the_in_process_bytes(self, tmp_path,
+                                                    monkeypatch, case):
+        from test_forked import count_forks
+        if case == "setting2":
+            data, _, _ = gen_instance(
+                SimSetting.preset(2, p=120, seed=20240811), 0)
+        else:
+            names = ("HLA-A,B", 'say "hi"', "two\nlines", "cr\rname",
+                     "plain")
+            x = np.arange(15.0).reshape(3, 5) / 7
+            studies = (Study(id="s1", x=x, y=x.sum(axis=1)),
+                       Study(id="s2", x=-x, y=x[:, 0]))
+            data = MultiStudy(studies=studies[:1 if case == "one_study"
+                                              else 2],
+                              feature_names=names)
+        digests = {}
+        for cpus in (1, 3):
+            use_cpus(monkeypatch, cpus)
+            forks = count_forks(monkeypatch)
+            out = tmp_path / str(cpus)
+            write_multistudy(data, out)
+            workers = min(data.k, cpus)
+            assert len(forks) == (workers if workers > 1 else 0)
+            monkeypatch.undo()
+            digests[cpus] = {p.name: hashlib.sha256(p.read_bytes()).digest()
+                             for p in out.iterdir()}
+        assert_no_child_left()
+        assert len(digests[1]) == data.k + 1
+        assert digests[3] == digests[1]

@@ -2,7 +2,7 @@
 module defines, and every name the package imports from a module exists
 there and is in that module's ``__all__`` when it has one. The fields of
 the exported dataclasses are pinned, so changing one is a deliberate edit
-here."""
+here. Only ``_forked`` forks or opens pipes."""
 
 import ast
 import dataclasses
@@ -83,3 +83,23 @@ def test_result_type_fields():
               for name, obj in exported.items()
               if isinstance(obj, type) and dataclasses.is_dataclass(obj)}
     assert fields == RESULT_FIELDS
+
+
+FORK_CALLS = {"fork", "forkpty", "pipe", "pipe2"}
+
+
+def test_only_the_forked_module_forks_or_pipes():
+    # forked_map owns the package's child processes: their item order,
+    # error rule and reaping. A module calling os.fork or os.pipe itself
+    # would bypass them.
+    found = set()
+    for path in Path(multiscreen.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Attribute) and node.attr in FORK_CALLS
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "os"):
+                found.add((path.name, node.attr))
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                found |= {(path.name, alias.name) for alias in node.names
+                          if alias.name in FORK_CALLS}
+    assert found == {("_forked.py", "fork"), ("_forked.py", "pipe")}
