@@ -5,8 +5,9 @@ Every subcommand returns its result and its human-readable CSV tables;
 (validating against the schema shipped in ``multiscreen/schemas``) into
 ``--out``, so a command that fails writes nothing. ``result.json`` records
 every parsed flag but ``--out`` and ``--seed`` as its ``config``. Exit
-codes: 0 success, 2 input/usage error, 3 numerical failure. All randomness
-is seeded from the command line.
+codes: 0 success, 2 input/usage error (a data file that cannot be read,
+or an ``OSError`` while writing into ``--out``, included), 3 numerical
+failure. All randomness is seeded from the command line.
 
 CSV cells are Python values written with ``str()``: a float as its
 shortest repr, a non-finite one as ``nan`` or ``inf``. A handler returns
@@ -343,7 +344,10 @@ def main(argv=None) -> int:
                             and not os.path.isdir(args.out)):
             raise InputError(f"--out must name a directory, got {args.out!r}")
         result, tables = args.func(args)
-        _write_outputs(args, result, tables)
+        try:
+            _write_outputs(args, result, tables)
+        except OSError as exc:
+            raise InputError(f"cannot write into --out: {exc}") from None
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

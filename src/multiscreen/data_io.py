@@ -23,16 +23,31 @@ when it forks a multi-threaded process.
 When ``feature_columns`` is absent the feature set is the intersection of
 the studies' non-response columns, in first-study order, and a warning
 lists anything dropped.
+
+A parsed table is kept in ``.multiscreen-cache/`` beside its data file,
+as ``<file name>.<SHA-256 of its bytes>.<tag>.npz``, and a later load whose
+file has the same digest takes the table from there unparsed. The tag
+(``_cache_tag``) names what else the parse depends on: the table format,
+the package, Python and numpy versions and ``csv.field_size_limit()``. An
+entry is found only by the digest of the bytes it was parsed from, so the
+CSV stays the only source of truth; a file is hashed by the reader that
+decodes it, errors are never stored, and an entry that cannot be read or
+written is ignored. Each data file keeps one entry; the directory may be
+deleted.
 """
 
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
 import math
 import os
+import re
+import sys
 import warnings
+import zipfile
 from collections import Counter
 from contextlib import closing
 from dataclasses import dataclass
@@ -40,6 +55,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from ._forked import ChildEnded, forked_map, usable_cpus
 from .errors import InputError, ManifestError
 from .screening import MultiStudy, Study, _all_finite
@@ -75,6 +91,8 @@ def load_manifest(manifest_path) -> StudyManifest:
         raise ManifestError(f"manifest not found: {path}")
     try:
         doc = json.loads(path.read_text(encoding="utf-8-sig"))
+    except OSError as exc:
+        raise ManifestError(f"cannot read manifest {path}: {exc}") from None
     except UnicodeDecodeError as exc:
         raise ManifestError(f"manifest {path} is not valid UTF-8: {exc}") from None
     except json.JSONDecodeError as exc:
@@ -114,7 +132,8 @@ def load_manifest(manifest_path) -> StudyManifest:
     return StudyManifest(entries=tuple(entries), feature_columns=feature_columns)
 
 
-def _read_table(path: Path, study_id: str) -> tuple[list[str], np.ndarray]:
+def _read_table(path: Path, study_id: str,
+                sha=None) -> tuple[list[str], np.ndarray]:
     """The stripped header and the (rows, columns) values of a study file.
 
     The file is opened and decoded once; a byte that is not UTF-8 is
@@ -123,16 +142,22 @@ def _read_table(path: Path, study_id: str) -> tuple[list[str], np.ndarray]:
     converts them, each cell by ``PyOS_string_to_double`` as ``float()``
     does, and keeps the result if it has a row per line, a column per name
     and only finite values. Otherwise the same lines are read cell by cell
-    through ``csv.reader``, which raises the error for the first fault."""
+    through ``csv.reader``, which raises the error for the first fault.
+    Every byte read is fed to the hash ``sha``, when one is given."""
     if not path.is_file():
         raise ManifestError(f"study {study_id!r}: data file not found: {path}")
     try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            lines = fh.readlines()
+        with open(path, "rb") as fh, io.TextIOWrapper(
+                fh if sha is None else io.BufferedReader(_Hashed(fh, sha)),
+                encoding="utf-8-sig", newline="") as text:
+            lines = text.readlines()
     except UnicodeDecodeError as exc:
         raise ManifestError(
             f"study {study_id!r}: {path} is not valid UTF-8 (byte "
             f"0x{exc.object[exc.start]:02x}: {exc.reason})") from None
+    except OSError as exc:
+        raise ManifestError(
+            f"study {study_id!r}: cannot read {path}: {exc}") from None
     limit = csv.field_size_limit()
     if lines and _split_on_commas(lines[0], limit):
         header, offset = lines[0].rstrip("\r\n").split(","), 1
@@ -202,13 +227,141 @@ def _split_on_commas(line: str, limit: int) -> bool:
                  or max(map(len, line.rstrip("\r\n").split(","))) <= limit))
 
 
-def _read_tables(entries):
-    """Yield ``_read_table``'s (header, values) for each entry in order,
-    from ``forked_map`` on the usable CPUs: an entry's error is raised at
-    its turn, after the caller's checks of the entries before it."""
+class _Hashed(io.RawIOBase):
+    """A readable stream of ``raw``'s bytes that feeds each one to ``sha``
+    as it passes, so a file is hashed without a second copy of it."""
+
+    def __init__(self, raw, sha):
+        self._raw, self._sha = raw, sha
+
+    def readable(self):
+        return True
+
+    def readinto(self, buf):
+        n = self._raw.readinto(buf)
+        self._sha.update(memoryview(buf)[:n])
+        return n
+
+
+def _parse(entry):
+    """``_read_table``'s (header, values) for ``entry`` and the SHA-256 hex
+    digest of the bytes it parsed them from; no digest (None) while the
+    table cache is off."""
+    if _cache_dir(entry.data_path) is None:
+        return (*_read_table(entry.data_path, entry.study_id), None)
+    sha = hashlib.sha256()
+    header, values = _read_table(entry.data_path, entry.study_id, sha)
+    return header, values, sha.hexdigest()
+
+
+# The format of a stored table. Bump it whenever _read_table's result for
+# given bytes changes, so that no entry written before is read again; a
+# test pins the parser's source to it.
+_CACHE_FORMAT = "v1"
+
+
+def _cache_tag() -> str:
+    """16 hex digits that name everything a parse depends on besides the
+    bytes: the format, the package version, Python's minor version (its
+    ``csv`` and ``float()``), numpy's version (``np.loadtxt``) and the
+    process's ``csv.field_size_limit()``."""
+    key = json.dumps([_CACHE_FORMAT, __version__, sys.version_info[:2],
+                      np.__version__, csv.field_size_limit()])
+    return hashlib.sha256(key.encode()).hexdigest()[:16]
+
+
+def _cache_dir(data_path: Path) -> Path | None:
+    """The directory that holds the stored tables of ``data_path``. A
+    replacement that returns None turns the table cache off, so that every
+    load parses every file."""
+    return data_path.parent / ".multiscreen-cache"
+
+
+def _entry_path(cache: Path, data_path: Path, digest: str, tag: str) -> Path:
+    return cache / f"{data_path.name}.{digest}.{tag}.npz"
+
+
+def _file_digest(path: Path) -> str:
+    """The SHA-256 hex digest of a file, read in chunks of 1 MiB."""
+    sha, buf = hashlib.sha256(), bytearray(1 << 20)
+    with open(path, "rb") as fh:
+        while n := fh.readinto(buf):
+            sha.update(memoryview(buf)[:n])
+    return sha.hexdigest()
+
+
+def _lookup(entry, tag: str) -> Path | None:
+    """The stored table of the data file's current bytes, if there is one.
+    Nothing is hashed while the cache directory does not exist."""
+    cache = _cache_dir(entry.data_path)
     try:
-        yield from forked_map(lambda e: _read_table(e.data_path, e.study_id),
-                              entries, usable_cpus())
+        if cache is None or not cache.is_dir():
+            return None
+        path = _entry_path(cache, entry.data_path,
+                           _file_digest(entry.data_path), tag)
+        return path if path.is_file() else None
+    except OSError:
+        return None  # a missing or unreadable file: its reader reports it
+
+
+def _load_stored(path: Path):
+    """The (header, values) stored at ``path``, or None for an entry that
+    cannot be read or is malformed."""
+    try:
+        with np.load(path, allow_pickle=False) as stored:
+            header = json.loads(stored["header"].tobytes())
+            values = stored["values"]
+    except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile):
+        return None  # missing, empty, truncated or not written by _store
+    if (isinstance(header, list) and all(isinstance(h, str) for h in header)
+            and values.dtype == np.float64 and values.ndim == 2
+            and values.shape[1] == len(header)):
+        return header, values
+    return None
+
+
+def _store(entry, header, values, digest: str | None, tag: str) -> None:
+    """Store a parsed table under the digest of its bytes and delete the
+    file's other entries; a directory that cannot be written is skipped."""
+    cache = _cache_dir(entry.data_path)
+    if cache is None or digest is None:
+        return
+    path = _entry_path(cache, entry.data_path, digest, tag)
+    # The header goes in as JSON text: numpy's fixed-width strings would
+    # drop a trailing NUL.
+    text = np.frombuffer(json.dumps(header).encode(), dtype=np.uint8)
+    ours = re.compile(re.escape(entry.data_path.name)
+                      + r"\.[0-9a-f]{64}\.[0-9a-f]{16}\.npz")
+    try:
+        _replace_with(path, lambda fh: np.savez(fh, header=text,
+                                                values=values), binary=True)
+        for name in os.listdir(cache):
+            if name != path.name and ours.fullmatch(name):
+                os.unlink(cache / name)
+    except OSError:
+        pass
+
+
+def _read_tables(entries):
+    """Yield ``_read_table``'s (header, values) for each entry in order:
+    from its stored table when one matches the file's bytes, and otherwise
+    from ``forked_map`` on the usable CPUs, storing it. An entry's error is
+    raised at its turn, after the caller's checks of the entries before
+    it; an entry whose stored table cannot be read is parsed in this
+    process."""
+    tag = _cache_tag()
+    stored = [_lookup(entry, tag) for entry in entries]
+    misses = [entry for entry, path in zip(entries, stored) if path is None]
+    try:
+        with closing(forked_map(_parse, misses, usable_cpus())) as parsed:
+            for entry, path in zip(entries, stored):
+                table = None if path is None else _load_stored(path)
+                if table is None:
+                    header, values, digest = (
+                        next(parsed) if path is None else _parse(entry))
+                    _store(entry, header, values, digest, tag)
+                    table = header, values
+                yield table
     except ChildEnded as exc:
         raise RuntimeError(
             f"study {exc.item.study_id!r}: the process reading "
@@ -225,6 +378,14 @@ def load_multistudy(manifest_path) -> MultiStudy:
     ``_read_table``, and the error raised is that of the first failing
     entry in manifest order. The children call no BLAS; Python ≥ 3.12
     warns when it forks a process that has threads, as BLAS may have.
+
+    A file whose bytes were parsed before is not parsed again: its table
+    is read from ``.multiscreen-cache/<file name>.<SHA-256>.<tag>.npz``
+    beside it, equal bit for bit to what ``_read_table`` returns for those bytes,
+    and only the other files go to the readers. Each reader hashes the
+    bytes it parses, and this process stores the table under that digest,
+    replacing the file's older entry. A missing, damaged or unwritable
+    entry only means a parse; no error is ever stored.
 
     Each study's data is held once: its feature columns are copied out of
     the parsed table in manifest feature order, the response column is
@@ -405,14 +566,14 @@ def _quoted_line(cells: list[str]) -> str:
     return buf.getvalue()[:-2]
 
 
-def _replace_with(path: Path, write) -> None:
-    # ``write(fh)`` fills a new temporary file, which then replaces
-    # ``path``; if it raises, the temporary file is removed. Mode "x"
-    # creates the file with the permissions the umask leaves, as
+def _replace_with(path: Path, write, binary: bool = False) -> None:
+    # ``write(fh)`` fills a new temporary file, text or binary, which then
+    # replaces ``path``; if it raises, the temporary file is removed. Mode
+    # "x" creates the file with the permissions the umask leaves, as
     # open(..., "w") would, and never reuses an existing file.
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
-    fh = open(tmp, "x", encoding="utf-8")
+    fh = open(tmp, "xb") if binary else open(tmp, "x", encoding="utf-8")
     try:
         with fh:
             write(fh)

@@ -4,6 +4,7 @@ import argparse
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 import textwrap
@@ -15,6 +16,7 @@ import numpy as np
 import pytest
 
 import multiscreen
+import multiscreen.data_io as data_io
 from multiscreen import (DegenerateColumnError, MethodSpec, SimSetting,
                          gen_instance, replicate)
 from multiscreen.cli import build_parser, main
@@ -267,6 +269,36 @@ class TestOutputs:
             "error: --out must name a directory, got ")
         assert sorted(os.listdir(tmp_path)) == ["taken"]
         assert (tmp_path / "taken").read_text() == "keep\n"
+
+    def test_out_below_a_regular_file_exits_2(self, dataset_dir, tmp_path,
+                                              capsys):
+        # Making the directory raises NotADirectoryError, an OSError; it is
+        # reported like any input error, not as a traceback.
+        manifest, _ = dataset_dir
+        (tmp_path / "taken").write_text("keep\n")
+        assert run(["screen", "--manifest", manifest,
+                    "--out", tmp_path / "taken" / "sub"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Not a directory" in err
+        assert "Traceback" not in err
+        assert (tmp_path / "taken").read_text() == "keep\n"
+
+    def test_unreadable_data_file_exits_2(self, dataset_dir, tmp_path,
+                                          monkeypatch, capsys):
+        manifest, _ = dataset_dir
+        monkeypatch.setattr(data_io, "usable_cpus", lambda: 1)
+
+        def refuse(file, *args, **kwargs):
+            if Path(file).suffix == ".csv":
+                raise PermissionError(13, "Permission denied", str(file))
+            return open(file, *args, **kwargs)
+
+        monkeypatch.setattr(data_io, "open", refuse, raising=False)
+        assert run(["screen", "--manifest", manifest,
+                    "--out", tmp_path / "out"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: study ") and "Permission denied" in err
+        assert not (tmp_path / "out").exists()
 
     # Every subcommand's options as (type, default, required, choices,
     # nargs), so a flag cannot be dropped, renamed or retyped unseen.
@@ -551,16 +583,33 @@ class TestReplicationFailures:
 
 
 class TestDeterminismAcrossCommands:
-    def test_screen_and_select_byte_identical(self, dataset_dir, tmp_path):
+    def test_screen_and_select_byte_identical(self, dataset_dir, tmp_path,
+                                              monkeypatch):
+        # Each command runs first on a cold table cache and then on a warm
+        # one, so the bytes compared come from a parse and from the cache.
         manifest, _ = dataset_dir
+        cache = manifest.parent / ".multiscreen-cache"
+        hits = []
+        load_stored = data_io._load_stored
+
+        def counted(path):
+            table = load_stored(path)
+            hits.append(table is not None)
+            return table
+
+        monkeypatch.setattr(data_io, "_load_stored", counted)
         for i, cmd in enumerate((
                 ["screen", "--manifest", manifest, "--method", "tsa"],
                 ["select", "--manifest", manifest, "--grid", "8"],
                 ["select", "--manifest", manifest, "--tune", "cv",
                  "--grid", "8"])):
             o1, o2 = tmp_path / f"{i}a", tmp_path / f"{i}b"
+            shutil.rmtree(cache, ignore_errors=True)
             assert run(cmd + ["--out", o1]) == 0
+            assert hits == []
             assert run(cmd + ["--out", o2]) == 0
+            assert hits == [True, True]  # one entry per study
+            hits.clear()
             assert (o1 / "result.json").read_bytes() \
                 == (o2 / "result.json").read_bytes()
 

@@ -3,6 +3,7 @@ export/reload round trip."""
 
 import csv
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -374,8 +375,18 @@ def test_csv_text_is_not_held_whole(tmp_path):
     assert peak <= 1.5 * len(written), (peak, len(written))
 
 
+def no_table_cache(monkeypatch):
+    """Switch the table cache off, so that every load parses every file."""
+    monkeypatch.setattr(data_io, "_cache_dir", lambda data_path: None)
+
+
 class TestHeldOnce:
-    # Each test loads serially (one usable CPU) and in forked readers (two).
+    # Each test loads serially (one usable CPU) and in forked readers (two),
+    # parsing the files each time.
+    @pytest.fixture(autouse=True)
+    def parse_every_load(self, monkeypatch):
+        no_table_cache(monkeypatch)
+
     @pytest.fixture
     def exported(self, tmp_path):
         setting = SimSetting(n=100, p=300, K=3, s0=3, beta_low=0.4,
@@ -460,8 +471,8 @@ def test_alignment_compares_names_linearly(tmp_path, monkeypatch):
 
     read_table = data_io._read_table
 
-    def counted_read_table(path, study_id):
-        header, values = read_table(path, study_id)
+    def counted_read_table(path, study_id, sha=None):
+        header, values = read_table(path, study_id, sha)
         return [CountedName(h) for h in header], values
 
     monkeypatch.setattr(data_io, "_read_table", counted_read_table)
@@ -949,6 +960,12 @@ def write_studies(tmp_path, roles):
 
 
 class TestForkedReaders:
+    # These tests load the same files several times, each time through the
+    # readers.
+    @pytest.fixture(autouse=True)
+    def parse_every_load(self, monkeypatch):
+        no_table_cache(monkeypatch)
+
     @pytest.mark.parametrize("roles, expected", [
         (("good", "missing_file", "good"), "study 'B': data file not found"),
         (("good", "good", "malformed"), "study 'C': malformed numeric 'x'"),
@@ -1140,3 +1157,227 @@ class TestForkedWriters:
         assert_no_child_left()
         assert len(digests[1]) == data.k + 1
         assert digests[3] == digests[1]
+
+
+def cache_entries(directory):
+    cache = directory / ".multiscreen-cache"
+    return sorted(p.name for p in cache.iterdir()) if cache.is_dir() else []
+
+
+def count_parses(monkeypatch):
+    """Count ``_read_table`` calls, reading in this process, where the
+    count is taken."""
+    use_cpus(monkeypatch, 1)
+    parsed = []
+    read_table = data_io._read_table
+
+    def counted(path, study_id, sha=None):
+        parsed.append(study_id)
+        return read_table(path, study_id, sha)
+
+    monkeypatch.setattr(data_io, "_read_table", counted)
+    return parsed
+
+
+class TestTableCache:
+    def test_second_load_is_the_first_bit_for_bit_unparsed(self, tmp_path,
+                                                           monkeypatch):
+        # The benchmark's manifest instance: setting 2, seed 20240811, rep 0.
+        data, _, _ = gen_instance(SimSetting.preset(2, seed=20240811), 0)
+        manifest = write_multistudy(data, tmp_path)
+        first = load_multistudy(manifest)
+        assert_no_child_left()
+        digests = {f"{s.id}.csv": hashlib.sha256(
+            (tmp_path / f"{s.id}.csv").read_bytes()).hexdigest()
+            for s in data.studies}
+        tag = data_io._cache_tag()
+        assert cache_entries(tmp_path) == sorted(
+            f"{name}.{digest}.{tag}.npz" for name, digest in digests.items())
+
+        def no_fork():
+            raise AssertionError("forked on a warm load")
+
+        monkeypatch.setattr(os, "fork", no_fork, raising=False)
+        parsed = count_parses(monkeypatch)
+        use_cpus(monkeypatch, 5)
+        second = load_multistudy(manifest)
+        assert parsed == []
+        assert second.feature_names == first.feature_names
+        for a, b in zip(first.studies, second.studies):
+            assert a.id == b.id
+            for u, v in ((a.x, b.x), (a.y, b.y)):
+                assert v.dtype == u.dtype == np.dtype(np.float64)
+                assert v.strides == u.strides
+                assert v.tobytes() == u.tobytes()
+
+    def test_edited_file_misses_and_leaves_one_entry(self, tmp_path,
+                                                     monkeypatch):
+        manifest = write_studies(tmp_path, ["good", "good"])
+        load_multistudy(manifest)
+        edited = GOOD.replace("4,5,6", "4,5.5,6")
+        write(tmp_path / "s1.csv", edited)
+        parsed = count_parses(monkeypatch)
+        loaded = load_multistudy(manifest)
+        assert parsed == ["B"]
+        assert loaded.studies[1].x[1].tolist() == [4.0, 5.5]
+        digest = hashlib.sha256(edited.encode()).hexdigest()
+        assert [e for e in cache_entries(tmp_path) if e.startswith("s1.")] \
+            == [f"s1.csv.{digest}.{data_io._cache_tag()}.npz"]
+
+    @pytest.mark.parametrize("damage", ["truncated", "empty", "not_npz",
+                                        "float32"])
+    def test_damaged_entry_is_parsed_and_rewritten(self, tmp_path,
+                                                   monkeypatch, damage):
+        manifest = write_studies(tmp_path, ["good", "good"])
+        first = load_multistudy(manifest)
+        (name,) = [e for e in cache_entries(tmp_path) if e.startswith("s0.")]
+        entry = tmp_path / ".multiscreen-cache" / name
+        whole = entry.read_bytes()
+        if damage == "float32":
+            header, values = data_io._load_stored(entry)
+            with open(entry, "wb") as fh:
+                np.savez(fh, header=np.frombuffer(
+                    json.dumps(header).encode(), dtype=np.uint8),
+                         values=values.astype(np.float32))
+        else:
+            entry.write_bytes({"truncated": whole[:len(whole) // 2],
+                               "empty": b"",
+                               "not_npz": b"g1,g2,y\n"}[damage])
+        parsed = count_parses(monkeypatch)
+        again = load_multistudy(manifest)
+        assert parsed == ["A"]
+        assert entry.read_bytes() == whole
+        for a, b in zip(first.studies, again.studies):
+            assert a.x.tobytes() == b.x.tobytes()
+            assert a.y.tobytes() == b.y.tobytes()
+        assert len(cache_entries(tmp_path)) == 2
+        assert not list((tmp_path / ".multiscreen-cache").glob("*.tmp"))
+
+    def test_cache_path_that_is_a_regular_file(self, tmp_path, monkeypatch):
+        manifest = write_studies(tmp_path, ["good", "good"])
+        write(tmp_path / ".multiscreen-cache", "not a directory\n")
+        parsed = count_parses(monkeypatch)
+        for _ in range(2):
+            loaded = load_multistudy(manifest)
+            assert loaded.k == 2
+            assert loaded.studies[0].x.tolist() == [[1, 2], [4, 5], [7, 8]]
+        assert parsed == ["A", "B"] * 2
+        assert (tmp_path / ".multiscreen-cache").read_text() \
+            == "not a directory\n"
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_parse_error_stores_nothing(self, tmp_path, monkeypatch, cpus):
+        use_cpus(monkeypatch, cpus)
+        manifest = write_studies(tmp_path, ["good", "malformed", "good"])
+        first = _load_error(manifest)
+        assert first[0] is ManifestError
+        assert re.match("study 'B': malformed numeric 'x'", first[1])
+        assert not [e for e in cache_entries(tmp_path) if e.startswith("s1.")]
+        assert _load_error(manifest) == first
+        assert not [e for e in cache_entries(tmp_path) if e.startswith("s1.")]
+        assert_no_child_left()
+
+    def test_header_round_trips(self, tmp_path, monkeypatch):
+        names = ["HLA-A,B", 'say "hi"', "gène 日本"]
+        # Python 3.10's csv module rejects a NUL; 3.11's reads it into the
+        # name, and numpy's fixed-width strings would drop it at the end.
+        if sys.version_info >= (3, 11):
+            names.append("nul\0")
+        header = ["y", *names]
+        write_csv_atomic(tmp_path / "s0.csv", header,
+                         [[float(i + j) for j in range(len(header))]
+                          for i in range(3)])
+        manifest = make_manifest(tmp_path, [
+            {"study_id": "A", "data_path": "s0.csv", "response_column": "y"}])
+        first = load_multistudy(manifest)
+        assert first.feature_names == tuple(names)
+        parsed = count_parses(monkeypatch)
+        second = load_multistudy(manifest)
+        assert parsed == []
+        assert second.feature_names == tuple(names)
+        (name,) = cache_entries(tmp_path)
+        stored = data_io._load_stored(tmp_path / ".multiscreen-cache" / name)
+        expected = data_io._read_table(tmp_path / "s0.csv", "A")
+        assert stored[0] == expected[0] == header
+        assert stored[1].tobytes() == expected[1].tobytes()
+
+    def test_entry_under_another_tag_is_not_read(self, tmp_path, monkeypatch):
+        # An entry stored by another parser (another Python, numpy or
+        # package version, or another csv field size limit) has another
+        # tag; it is not read, and the new entry replaces it.
+        manifest = write_studies(tmp_path, ["good", "good"])
+        with monkeypatch.context() as patched:
+            patched.setattr(data_io, "_cache_tag", lambda: "0" * 16)
+            load_multistudy(manifest)
+        assert [e.rsplit(".", 2)[1] for e in cache_entries(tmp_path)] \
+            == ["0" * 16] * 2
+        parsed = count_parses(monkeypatch)
+        load_multistudy(manifest)
+        assert parsed == ["A", "B"]
+        assert [e.rsplit(".", 2)[1] for e in cache_entries(tmp_path)] \
+            == [data_io._cache_tag()] * 2
+
+    @pytest.mark.parametrize("change", ["format", "package", "python",
+                                        "numpy", "field_size_limit"])
+    def test_tag_names_what_the_parse_depends_on(self, monkeypatch, change):
+        tag = data_io._cache_tag()
+        if change == "field_size_limit":
+            limit = csv.field_size_limit(1000)
+            try:
+                assert data_io._cache_tag() != tag
+            finally:
+                csv.field_size_limit(limit)
+            return
+        target, name, value = {
+            "format": (data_io, "_CACHE_FORMAT", "v0"),
+            "package": (data_io, "__version__", "0.0.0"),
+            "python": (data_io.sys, "version_info", (3, 0, 0)),
+            "numpy": (data_io.np, "__version__", "0.0.0")}[change]
+        monkeypatch.setattr(target, name, value)
+        assert data_io._cache_tag() != tag
+
+    def test_parser_source_is_pinned_to_the_format(self):
+        # If this fails, _read_table or a function it calls has changed.
+        # When the change can alter a table read from given bytes, bump
+        # _CACHE_FORMAT, so that no entry stored by the old parser is read,
+        # and pin the new digest under the new format.
+        source = "".join(inspect.getsource(f) for f in (
+            data_io._read_table, data_io._split_on_commas,
+            data_io._all_finite))
+        assert {data_io._CACHE_FORMAT:
+                hashlib.sha256(source.encode()).hexdigest()} == {
+            "v1": "776784872cb5ad2a7e862d85bc53b83a"
+                  "af6535b13083240fffa4acde4e761ef5"}
+
+
+def test_unreadable_data_file_is_a_manifest_error(tmp_path, monkeypatch):
+    manifest = write_studies(tmp_path, ["good", "good"])
+    use_cpus(monkeypatch, 1)
+
+    def refuse(file, *args, **kwargs):
+        if Path(file).name == "s1.csv":
+            raise PermissionError(13, "Permission denied", str(file))
+        return open(file, *args, **kwargs)
+
+    monkeypatch.setattr(data_io, "open", refuse, raising=False)
+    with pytest.raises(ManifestError, match=r"study 'B': cannot read "
+                       r".*s1\.csv: .*Permission denied"):
+        load_multistudy(manifest)
+
+
+def test_first_load_reads_each_file_once(tmp_path, monkeypatch):
+    # Without a cache directory nothing is hashed before the parse: each
+    # file is opened once, by its reader, which hashes what it decodes.
+    manifest = write_studies(tmp_path, ["good", "good", "good"])
+    use_cpus(monkeypatch, 1)
+    opened = Counter()
+
+    def counted(file, *args, **kwargs):
+        opened[Path(file).name] += 1
+        return open(file, *args, **kwargs)
+
+    monkeypatch.setattr(data_io, "open", counted, raising=False)
+    load_multistudy(manifest)
+    assert {name: n for name, n in opened.items() if name.endswith(".csv")} \
+        == {"s0.csv": 1, "s1.csv": 1, "s2.csv": 1}
+    assert len(cache_entries(tmp_path)) == 3
