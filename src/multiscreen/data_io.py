@@ -25,15 +25,15 @@ the studies' non-response columns, in first-study order, and a warning
 lists anything dropped.
 
 A parsed table is kept in ``.multiscreen-cache/`` beside its data file,
-as ``<file name>.<SHA-256 of its bytes>.<tag>.npz``, and a later load whose
-file has the same digest takes the table from there unparsed. The tag
+as ``<file name>.<SHA-256 of its bytes>.<tag>.npz``. The tag
 (``_cache_tag``) names what else the parse depends on: the table format,
-the package, Python and numpy versions and ``csv.field_size_limit()``. An
-entry is found only by the digest of the bytes it was parsed from, so the
-CSV stays the only source of truth; a file is hashed by the reader that
-decodes it, errors are never stored, and an entry that cannot be read or
-written is ignored. Each data file keeps one entry; the directory may be
-deleted.
+the package, Python and numpy versions and ``csv.field_size_limit()``.
+``_stored`` decides each file: it is hashed only when the cache directory
+exists; a hit is read in this process with no parse and no fork; every
+miss, a damaged or stale entry included, is parsed by the readers and
+stored by this process. The CSV stays the only source of truth: errors
+are never stored, an entry that cannot be written is skipped, each data
+file keeps one entry and the directory may be deleted.
 """
 
 from __future__ import annotations
@@ -245,10 +245,7 @@ class _Hashed(io.RawIOBase):
 
 def _parse(entry):
     """``_read_table``'s (header, values) for ``entry`` and the SHA-256 hex
-    digest of the bytes it parsed them from; no digest (None) while the
-    table cache is off."""
-    if _cache_dir(entry.data_path) is None:
-        return (*_read_table(entry.data_path, entry.study_id), None)
+    digest of the bytes it parsed them from."""
     sha = hashlib.sha256()
     header, values = _read_table(entry.data_path, entry.study_id, sha)
     return header, values, sha.hexdigest()
@@ -270,45 +267,32 @@ def _cache_tag() -> str:
     return hashlib.sha256(key.encode()).hexdigest()[:16]
 
 
-def _cache_dir(data_path: Path) -> Path | None:
-    """The directory that holds the stored tables of ``data_path``. A
-    replacement that returns None turns the table cache off, so that every
-    load parses every file."""
-    return data_path.parent / ".multiscreen-cache"
+def _entry_path(data_path: Path, digest: str, tag: str) -> Path:
+    return (data_path.parent / ".multiscreen-cache"
+            / f"{data_path.name}.{digest}.{tag}.npz")
 
 
-def _entry_path(cache: Path, data_path: Path, digest: str, tag: str) -> Path:
-    return cache / f"{data_path.name}.{digest}.{tag}.npz"
+def _stored(entry, tag: str):
+    """The (header, values) stored for the data file's current bytes, or
+    None for a miss: no cache directory, no entry for these bytes, an
+    entry that cannot be read or is malformed, or a file that cannot be
+    read (its reader reports that).
 
-
-def _file_digest(path: Path) -> str:
-    """The SHA-256 hex digest of a file, read in chunks of 1 MiB."""
-    sha, buf = hashlib.sha256(), bytearray(1 << 20)
-    with open(path, "rb") as fh:
-        while n := fh.readinto(buf):
-            sha.update(memoryview(buf)[:n])
-    return sha.hexdigest()
-
-
-def _lookup(entry, tag: str) -> Path | None:
-    """The stored table of the data file's current bytes, if there is one.
-    Nothing is hashed while the cache directory does not exist."""
-    cache = _cache_dir(entry.data_path)
+    The file is hashed here, and only when the cache directory exists,
+    because a warm hit must not fork; so a stale entry's file is hashed
+    again by the reader that parses it."""
+    data_path = entry.data_path
     try:
-        if cache is None or not cache.is_dir():
+        if not (data_path.parent / ".multiscreen-cache").is_dir():
             return None
-        path = _entry_path(cache, entry.data_path,
-                           _file_digest(entry.data_path), tag)
-        return path if path.is_file() else None
-    except OSError:
-        return None  # a missing or unreadable file: its reader reports it
-
-
-def _load_stored(path: Path):
-    """The (header, values) stored at ``path``, or None for an entry that
-    cannot be read or is malformed."""
-    try:
-        with np.load(path, allow_pickle=False) as stored:
+        sha, buf = hashlib.sha256(), bytearray(1 << 20)
+        with open(data_path, "rb") as fh:
+            while n := fh.readinto(buf):
+                sha.update(memoryview(buf)[:n])
+        # np.load leaves a file it opened itself unclosed when the zip
+        # is truncated.
+        with open(_entry_path(data_path, sha.hexdigest(), tag), "rb") as fh, \
+                np.load(fh, allow_pickle=False) as stored:
             header = json.loads(stored["header"].tobytes())
             values = stored["values"]
     except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile):
@@ -320,13 +304,10 @@ def _load_stored(path: Path):
     return None
 
 
-def _store(entry, header, values, digest: str | None, tag: str) -> None:
+def _store(entry, header, values, digest: str, tag: str) -> None:
     """Store a parsed table under the digest of its bytes and delete the
     file's other entries; a directory that cannot be written is skipped."""
-    cache = _cache_dir(entry.data_path)
-    if cache is None or digest is None:
-        return
-    path = _entry_path(cache, entry.data_path, digest, tag)
+    path = _entry_path(entry.data_path, digest, tag)
     # The header goes in as JSON text: numpy's fixed-width strings would
     # drop a trailing NUL.
     text = np.frombuffer(json.dumps(header).encode(), dtype=np.uint8)
@@ -335,30 +316,28 @@ def _store(entry, header, values, digest: str | None, tag: str) -> None:
     try:
         _replace_with(path, lambda fh: np.savez(fh, header=text,
                                                 values=values), binary=True)
-        for name in os.listdir(cache):
+        for name in os.listdir(path.parent):
             if name != path.name and ours.fullmatch(name):
-                os.unlink(cache / name)
+                os.unlink(path.parent / name)
     except OSError:
         pass
 
 
 def _read_tables(entries):
-    """Yield ``_read_table``'s (header, values) for each entry in order:
-    from its stored table when one matches the file's bytes, and otherwise
-    from ``forked_map`` on the usable CPUs, storing it. An entry's error is
-    raised at its turn, after the caller's checks of the entries before
-    it; an entry whose stored table cannot be read is parsed in this
-    process."""
+    """Yield ``_read_table``'s (header, values) for each entry in order.
+    ``_stored`` decides each entry first: a hit is read in this process,
+    with no parse and no fork; every miss (unseen bytes, a stale or a
+    damaged entry) is parsed by ``forked_map`` on the usable CPUs and
+    stored by this process. An entry's error is raised at its turn, after
+    the caller's checks of the entries before it."""
     tag = _cache_tag()
-    stored = [_lookup(entry, tag) for entry in entries]
-    misses = [entry for entry, path in zip(entries, stored) if path is None]
+    tables = [_stored(entry, tag) for entry in entries]
+    misses = [entry for entry, table in zip(entries, tables) if table is None]
     try:
         with closing(forked_map(_parse, misses, usable_cpus())) as parsed:
-            for entry, path in zip(entries, stored):
-                table = None if path is None else _load_stored(path)
+            for entry, table in zip(entries, tables):
                 if table is None:
-                    header, values, digest = (
-                        next(parsed) if path is None else _parse(entry))
+                    header, values, digest = next(parsed)
                     _store(entry, header, values, digest, tag)
                     table = header, values
                 yield table
@@ -379,20 +358,16 @@ def load_multistudy(manifest_path) -> MultiStudy:
     entry in manifest order. The children call no BLAS; Python ≥ 3.12
     warns when it forks a process that has threads, as BLAS may have.
 
-    A file whose bytes were parsed before is not parsed again: its table
-    is read from ``.multiscreen-cache/<file name>.<SHA-256>.<tag>.npz``
-    beside it, equal bit for bit to what ``_read_table`` returns for those bytes,
-    and only the other files go to the readers. Each reader hashes the
-    bytes it parses, and this process stores the table under that digest,
-    replacing the file's older entry. A missing, damaged or unwritable
-    entry only means a parse; no error is ever stored.
+    The table cache (``_read_tables``): a file is hashed only when
+    ``.multiscreen-cache/`` exists beside it; a hit, equal bit for bit to
+    what ``_read_table`` returns for the file's bytes, is read in this
+    process with no parse and no fork; every miss, a damaged or stale
+    entry included, is parsed by the readers and stored by this process,
+    replacing the file's older entry. No error is ever stored.
 
     Each study's data is held once: its feature columns are copied out of
     the parsed table in manifest feature order, the response column is
-    copied too, and the table is dropped as soon as its study is built.
-    With ``result.json`` streamed (``write_json_atomic``), this took the
-    peak of ``screen --method tsa`` at p = 2·10⁴ (5 studies of 100 rows,
-    80 MB of data) from 280 to 159 MB."""
+    copied too, and the table is dropped as soon as its study is built."""
     manifest = load_manifest(manifest_path)
     tables = {}
     with closing(_read_tables(manifest.entries)) as read:

@@ -590,14 +590,14 @@ class TestDeterminismAcrossCommands:
         manifest, _ = dataset_dir
         cache = manifest.parent / ".multiscreen-cache"
         hits = []
-        load_stored = data_io._load_stored
+        stored = data_io._stored
 
-        def counted(path):
-            table = load_stored(path)
+        def counted(entry, tag):
+            table = stored(entry, tag)
             hits.append(table is not None)
             return table
 
-        monkeypatch.setattr(data_io, "_load_stored", counted)
+        monkeypatch.setattr(data_io, "_stored", counted)
         for i, cmd in enumerate((
                 ["screen", "--manifest", manifest, "--method", "tsa"],
                 ["select", "--manifest", manifest, "--grid", "8"],
@@ -606,7 +606,8 @@ class TestDeterminismAcrossCommands:
             o1, o2 = tmp_path / f"{i}a", tmp_path / f"{i}b"
             shutil.rmtree(cache, ignore_errors=True)
             assert run(cmd + ["--out", o1]) == 0
-            assert hits == []
+            assert hits == [False, False]  # no entry loaded
+            hits.clear()
             assert run(cmd + ["--out", o2]) == 0
             assert hits == [True, True]  # one entry per study
             hits.clear()

@@ -376,8 +376,9 @@ def test_csv_text_is_not_held_whole(tmp_path):
 
 
 def no_table_cache(monkeypatch):
-    """Switch the table cache off, so that every load parses every file."""
-    monkeypatch.setattr(data_io, "_cache_dir", lambda data_path: None)
+    """Make every stored table a miss, so that every load parses every
+    file."""
+    monkeypatch.setattr(data_io, "_stored", lambda entry, tag: None)
 
 
 class TestHeldOnce:
@@ -1058,10 +1059,10 @@ class TestForkedReaders:
         # A child that dies while reading.
         read_table = data_io._read_table
 
-        def dies_on_s4(path, study_id):
+        def dies_on_s4(path, study_id, sha):
             if study_id == "s4":
                 os._exit(9)
-            return read_table(path, study_id)
+            return read_table(path, study_id, sha)
 
         write_csv_atomic(tmp_path / "s3.csv", header, [[1.0] * 50] * 3)
         monkeypatch.setattr(data_io, "_read_table", dies_on_s4)
@@ -1234,7 +1235,9 @@ class TestTableCache:
         entry = tmp_path / ".multiscreen-cache" / name
         whole = entry.read_bytes()
         if damage == "float32":
-            header, values = data_io._load_stored(entry)
+            with np.load(entry) as npz:
+                header = json.loads(npz["header"].tobytes())
+                values = npz["values"]
             with open(entry, "wb") as fh:
                 np.savez(fh, header=np.frombuffer(
                     json.dumps(header).encode(), dtype=np.uint8),
@@ -1252,6 +1255,30 @@ class TestTableCache:
             assert a.y.tobytes() == b.y.tobytes()
         assert len(cache_entries(tmp_path)) == 2
         assert not list((tmp_path / ".multiscreen-cache").glob("*.tmp"))
+
+    @forked
+    def test_damaged_entries_go_to_the_readers(self, tmp_path, monkeypatch):
+        # A damaged entry is a miss like any other: its file is parsed by
+        # a forked reader, not in this process.
+        from test_forked import count_forks
+        use_cpus(monkeypatch, 2)
+        manifest = write_studies(tmp_path, ["good"] * 5)
+        first = load_multistudy(manifest)
+        cache = tmp_path / ".multiscreen-cache"
+        damaged = [cache / e for e in cache_entries(tmp_path)
+                   if e.startswith(("s1.", "s3."))]
+        wholes = [entry.read_bytes() for entry in damaged]
+        for entry in damaged:
+            entry.write_bytes(b"")
+        forks = count_forks(monkeypatch)
+        again = load_multistudy(manifest)
+        assert len(forks) == 2
+        assert [entry.read_bytes() for entry in damaged] == wholes
+        assert list(cache.glob("*.tmp")) == []
+        assert_no_child_left()
+        for a, b in zip(first.studies, again.studies):
+            assert a.x.tobytes() == b.x.tobytes()
+            assert a.y.tobytes() == b.y.tobytes()
 
     def test_cache_path_that_is_a_regular_file(self, tmp_path, monkeypatch):
         manifest = write_studies(tmp_path, ["good", "good"])
@@ -1296,7 +1323,8 @@ class TestTableCache:
         assert parsed == []
         assert second.feature_names == tuple(names)
         (name,) = cache_entries(tmp_path)
-        stored = data_io._load_stored(tmp_path / ".multiscreen-cache" / name)
+        with np.load(tmp_path / ".multiscreen-cache" / name) as npz:
+            stored = json.loads(npz["header"].tobytes()), npz["values"]
         expected = data_io._read_table(tmp_path / "s0.csv", "A")
         assert stored[0] == expected[0] == header
         assert stored[1].tobytes() == expected[1].tobytes()
