@@ -463,7 +463,7 @@ class TestOutputs:
             "fit_summary.csv":
                 "ab69e5a5d6782b1f6af8529c13362908d520a5e3b58f61593e17dbea599784c2",
             "result":
-                "ca949d7ee2bc54d8009798970a909288833b02a6c5fe8a0a636f9bfe63c48b7f",
+                "5323988ce5fc9263b67861e4a64c1d64c4b9c1658d1730570411307e59e7641e",
         },
         "select-cv": {
             "coefficients.csv":
@@ -471,7 +471,7 @@ class TestOutputs:
             "fit_summary.csv":
                 "ab69e5a5d6782b1f6af8529c13362908d520a5e3b58f61593e17dbea599784c2",
             "result":
-                "6652a40b62002f368a893e11dfba8ac6089bf8431382beed9f847c9f75ef0d61",
+                "8afd78b59a035029c425c31986f38c5ba88aa9122dd0e507d772d8c9b5aa3ef9",
         },
     }
 

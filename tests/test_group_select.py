@@ -90,7 +90,7 @@ class TestGroupLassoFit:
         assert fit.converged
         # Unpenalized, the objective is quadratic on the full support: one
         # Newton step after the first sweep reaches the least-squares fit,
-        # and the next sweep confirms it.
+        # and a second Newton step confirms it.
         assert fit.iterations <= 3
         for k, study in enumerate(data.studies):
             design = np.column_stack([np.ones(study.n), study.x[:, active]])
@@ -270,6 +270,76 @@ class TestGroupLassoFit:
             group_lasso_fit(bad, (0, 1), 1.0)
 
 
+
+class TestNewtonCertification:
+    """Fits that Newton steps may certify: each must still meet KKT over
+    every group, not only on the support the steps were taken on."""
+
+    @staticmethod
+    def assert_optimal(data, active, fit, lam):
+        assert fit.converged
+        xs, cys = standardize(data, active)
+        assert kkt_residual(xs, cys, fit.beta_std, lam) <= 1e-6
+        oracle = ista_oracle(xs, cys, lam, np.zeros_like(fit.beta_std))
+        assert objective(xs, cys, fit.beta_std, lam) \
+            == pytest.approx(objective(xs, cys, oracle, lam), abs=1e-6)
+
+    def test_warm_start_lacks_entering_group(self, rng):
+        # At every point of a warm-started path where the oracle's support
+        # gains a group, fit from two starts without it: the previous
+        # point's fit, and the optimum restricted to that fit's support, on
+        # which Newton steps settle at once and only the KKT check over
+        # every group sends the fit on to a sweep.
+        data, _ = make_multistudy(rng, n=50, p=8, k=3, signal=0.4, s0=4)
+        active = tuple(range(8))
+        xs, cys = standardize(data, active)
+        lmax = lambda_max(data, active)
+        warm = group_lasso_fit(data, active, lmax)
+        entries = 0
+        for lam in np.geomspace(lmax, 1e-2 * lmax, 25)[1:]:
+            oracle = ista_oracle(xs, cys, lam, warm.beta_std)
+            fit = group_lasso_fit(data, active, lam, beta0=warm.beta_std)
+            enter = (np.linalg.norm(oracle, axis=1) > 0.0) \
+                & (np.linalg.norm(warm.beta_std, axis=1) == 0.0)
+            if enter.any() and warm.selected:
+                entries += 1
+                restricted = np.zeros_like(warm.beta_std)
+                restricted[list(warm.selected)] = group_lasso_fit(
+                    data, warm.selected, lam).beta_std
+                for got in (fit, group_lasso_fit(data, active, lam,
+                                                 beta0=restricted)):
+                    self.assert_optimal(data, active, got, lam)
+                    assert set(np.flatnonzero(enter)) <= set(got.selected)
+            warm = fit
+        assert entries >= 3
+
+    @pytest.mark.parametrize("scale", [1.0, 1.5])
+    def test_nonzero_start_at_or_above_lambda_max(self, rng, scale):
+        # The start, the least-squares fit, has every group nonzero, and
+        # every one must leave.
+        data, _ = make_multistudy(rng, n=40, p=6, k=3, signal=0.6, s0=3)
+        active = tuple(range(6))
+        lmax = lambda_max(data, active)
+        start = group_lasso_fit(data, active, 0.0).beta_std
+        assert np.all(np.linalg.norm(start, axis=1) > 0.0)
+        fit = group_lasso_fit(data, active, scale * lmax, beta0=start)
+        assert fit.selected == () and np.all(fit.beta_std == 0.0)
+        self.assert_optimal(data, active, fit, scale * lmax)
+
+    @pytest.mark.parametrize("fraction", [0.3, 1.2])
+    def test_start_at_own_optimum(self, rng, fraction):
+        # A fit certified at once still reports a step and a trace entry:
+        # the CLI reports objective_trace[-1].
+        data, _ = make_multistudy(rng, n=40, p=6, k=3, signal=0.6, s0=3)
+        active = tuple(range(6))
+        lam = fraction * lambda_max(data, active)
+        first = group_lasso_fit(data, active, lam)
+        again = group_lasso_fit(data, active, lam, beta0=first.beta_std)
+        assert again.iterations >= 1
+        assert len(again.objective_trace) >= 1
+        self.assert_optimal(data, active, again, lam)
+
+
 def _reference_newton_direction(gram, c, beta_std, lam):
     """The dense Newton solve the solver used before the per-study Woodbury
     form, verbatim: one (aK) x (aK) system with the unknowns ordered
@@ -410,8 +480,9 @@ class TestSelectLambda:
 
     def test_setting2_path_sweep_count(self):
         # A 50-point BIC path on a setting-2 instance (38 screened
-        # features): the Newton step on the nonzero groups keeps every fit
-        # to a few sweeps (1 247 in total with block steps alone).
+        # features): Newton steps on the nonzero groups keep every fit to a
+        # few steps, 232 sweeps and Newton steps in total (1 247 sweeps
+        # with block steps alone).
         data, _, _ = gen_instance(SimSetting.preset(2, seed=20240811, p=300), 0)
         kept = tsa_sis(data, ScreeningConfig(1e-4, 0.05)).kept
         assert len(kept) == 38
@@ -501,6 +572,29 @@ class TestPipeline:
         kept = tsa_sis(bench_data, config).kept
         assert kept and handed == [kept]
         assert model.screened == kept and not model.empty_screen
+
+    @pytest.mark.parametrize("alpha1, alpha2, method, m, index, selected", [
+        (1e-4, 1e-3, "bic", 13, 49, (0, 1, 111, 222, 315, 318, 444, 555,
+                                      666, 777, 887, 888, 999)),
+        (1e-4, 1e-3, "cv", 13, 25, (0, 1, 111, 222, 315, 318, 444, 555,
+                                     666, 777, 887, 888, 999)),
+        (1e-3, 0.01, "bic", 21, 14, (0, 36, 111, 222, 318, 333, 444, 666,
+                                      777, 782, 887, 888, 999)),
+        (1e-3, 0.01, "cv", 21, 22, (0, 1, 36, 109, 111, 222, 318, 333, 425,
+                                     444, 665, 666, 777, 778, 782, 801, 887,
+                                     888, 899, 901, 999)),
+    ])
+    def test_fixture_tuning_choices(self, bench_data, alpha1, alpha2, method,
+                                    m, index, selected):
+        # The grid index each rule chooses on the benchmark instance and the
+        # features it selects there, pinned so that a solver change is
+        # checked on CV and on more than one screened set.
+        kept = tsa_sis(bench_data, ScreeningConfig(alpha1, alpha2)).kept
+        assert len(kept) == m
+        lam, diag, fit = select_lambda(bench_data, kept, method, 50)
+        assert [row["lambda"] for row in diag].index(lam) == index
+        assert all(row["converged"] for row in diag) and fit.converged
+        assert fit.selected == selected
 
     def test_select_builds_no_screen_records(self, rng, monkeypatch):
         data, _ = make_multistudy(rng, n=50, p=10, k=2, signal=0.6, s0=3)
