@@ -1,7 +1,7 @@
 """The package's one process-parallel map, shared by ``simulate.replicate``,
 the study readers of ``data_io.load_multistudy`` and the study writers of
-``data_io.write_multistudy``. No other module calls ``os.fork`` or
-``os.pipe``."""
+``data_io.write_multistudy``, and alone decides how many children it forks.
+No other module calls ``os.fork`` or ``os.pipe``."""
 
 from __future__ import annotations
 
@@ -26,16 +26,18 @@ def usable_cpus() -> int:
     return 1
 
 
-def forked_map(fn, items, workers: int):
+def forked_map(fn, items, workers: int | None = None):
     """Yield ``fn(item)`` for each item of the sequence ``items`` in order,
     or raise an item's exception at that item's turn.
 
-    With W = min(workers, len(items)) ≥ 2, forked child w computes items
-    w, w + W, … and sends each outcome, pickled, through its own pipe;
-    this process reads them back in item order, and a child that ends
-    early raises ``ChildEnded``. Closing the generator, or an exception,
-    kills and reaps every child. With W < 2, ``fn`` runs in this process."""
-    workers = min(workers, len(items))
+    With W = min(len(items), ``usable_cpus()``, ``workers`` when given)
+    ≥ 2, forked child w computes items w, w + W, … and sends each
+    outcome, pickled, through its own pipe; this process reads them back
+    in item order, and a child that ends early raises ``ChildEnded``.
+    Closing the generator, or an exception, kills and reaps every child.
+    With W < 2, ``fn`` runs in this process."""
+    workers = min(len(items), usable_cpus(),
+                  len(items) if workers is None else workers)
     if workers < 2:
         for item in items:
             yield fn(item)

@@ -44,17 +44,6 @@ _SIM_FIELDS = {"n": "n", "p": "p", "k": "K", "s0": "s0", "b": "B",
                "seed": "seed"}
 
 
-def _env_threads() -> int:
-    raw = os.environ.get("MULTISCREEN_THREADS", "1")
-    try:
-        value = int(raw)
-    except ValueError:
-        raise InputError(f"MULTISCREEN_THREADS must be an integer, got {raw!r}")
-    if value < 1:
-        raise InputError(f"MULTISCREEN_THREADS must be at least 1, got {raw!r}")
-    return value
-
-
 def _json(value):
     """The JSON form of a result value: a dataclass becomes an object of
     its fields, a dict, list or tuple is converted element by element, and
@@ -205,11 +194,8 @@ def _cmd_select(args):
 
 def _run_specs(args, specs):
     """The command's one pass over the replications of its setting. The
-    thread count and the setting's dimensions it used are written back onto
-    ``args``. Each failed replication's message goes to stderr, not into
-    result.json."""
-    if args.threads is None:
-        args.threads = _env_threads()
+    setting's dimensions it used are written back onto ``args``. Each
+    failed replication's message goes to stderr, not into result.json."""
     setting = SimSetting.preset(args.setting, **{
         field: getattr(args, flag) for flag, field in _SIM_FIELDS.items()
         if getattr(args, flag) is not None})
@@ -288,8 +274,8 @@ def build_parser() -> argparse.ArgumentParser:
         sim.add_argument(dim, type=int)
     sim.add_argument("--b", type=int, help="replication count")
     sim.add_argument("--seed", type=int, default=0)
-    sim.add_argument("--threads", type=int,
-                     help="worker processes (default: MULTISCREEN_THREADS or 1)")
+    sim.add_argument("--threads", type=int, default=1,
+                     help="processes, at most one per usable CPU (default 1)")
 
     parser = argparse.ArgumentParser(
         prog="multiscreen",

@@ -56,7 +56,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from ._forked import ChildEnded, forked_map, usable_cpus
+from ._forked import ChildEnded, forked_map
 from .errors import InputError, ManifestError
 from .screening import MultiStudy, Study, _all_finite
 
@@ -334,7 +334,7 @@ def _read_tables(entries):
     tables = [_stored(entry, tag) for entry in entries]
     misses = [entry for entry, table in zip(entries, tables) if table is None]
     try:
-        with closing(forked_map(_parse, misses, usable_cpus())) as parsed:
+        with closing(forked_map(_parse, misses)) as parsed:
             for entry, table in zip(entries, tables):
                 if table is None:
                     header, values, digest = next(parsed)
@@ -468,8 +468,8 @@ def write_multistudy(data: MultiStudy, directory) -> Path:
         return None
 
     try:
-        errors = [exc for exc in forked_map(write_one, data.studies,
-                                            usable_cpus()) if exc is not None]
+        errors = [exc for exc in forked_map(write_one, data.studies)
+                  if exc is not None]
     except ChildEnded as exc:
         raise RuntimeError(
             f"study {exc.item.id!r}: the process writing "

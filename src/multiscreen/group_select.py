@@ -261,7 +261,9 @@ def group_lasso_fit(data: MultiStudy, active, lambda_: float, *,
     until a step or sweep moves the objective by at most ``_TOL`` with the
     KKT residual over every group within ``_KKT_TOL``; if ``_MAX_ITER``
     sweeps do not get there the best-effort fit is returned with
-    ``converged=False`` and a warning code.
+    ``converged=False`` and a warning code. At ``lambda_`` ≥ λ_max, where
+    zero is the unique optimum, the fit starts from zero whatever
+    ``beta0`` is, so that no rounding noise of a warm start is selected.
     """
     active = _check_active(data, active)
     if not (np.ndim(lambda_) == 0 and float(lambda_) >= 0.0
@@ -274,6 +276,8 @@ def group_lasso_fit(data: MultiStudy, active, lambda_: float, *,
         raise InputError(f"beta0 must have shape {(m, K)}")
     if not np.all(np.isfinite(beta)):
         raise InputError("beta0 must be finite")
+    if float(lambda_) >= _lambda_max(std[-1]):
+        beta[:] = 0.0
     return _fit(data, active, std, float(lambda_), beta)
 
 

@@ -8,9 +8,10 @@ normals come from the package's own inverse CDF, so runs reproduce
 bit-for-bit for a given numpy build, SIMD dispatch and BLAS kernel. The
 inverse CDF calls ``np.exp`` and ``np.log``, which round differently with,
 for instance, numpy's AVX-512 kernels disabled, and the response is a BLAS
-matrix-vector product. Replications may run in forked processes, as
-``replicate``'s ``threads`` asks; results are aggregated in replication
-order with exact summation, so the thread count never changes the output.
+matrix-vector product. On Linux, replications may run in forked
+processes, up to ``replicate``'s ``threads`` and one per usable CPU;
+results are aggregated in replication order with exact summation, so the
+thread count never changes the output.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .errors import InputError, MultiscreenError
 from .screening import (MultiStudy, Study, _chi2_thresholds, _level,
                         _min_rank, _stat_columns, _step1_threshold, _top_d,
                         _two_step)
-from .stats_core import _NQ_BLOCK, _exact_colsum, normal_quantile
+from .stats_core import _NQ_BLOCK, _exact_colsum, _integer, normal_quantile
 
 __all__ = [
     "SimSetting",
@@ -76,6 +77,8 @@ class SimSetting:
     fix_r: bool = False
 
     def __post_init__(self):
+        for name in ("n", "p", "K", "s0", "B", "seed"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if self.n < 3:
             raise InputError(f"n must be >= 3, got {self.n}")
         if self.p < 1:
@@ -499,8 +502,10 @@ class MethodSpec:
         for field_name in ("alpha1", "alpha2"):
             object.__setattr__(self, field_name,
                                _level(field_name, getattr(self, field_name)))
-        if self.d is not None and self.d < 0:
-            raise InputError(f"d must be >= 0, got {self.d}")
+        if self.d is not None:
+            object.__setattr__(self, "d", _integer("d", self.d))
+            if self.d < 0:
+                raise InputError(f"d must be >= 0, got {self.d}")
 
     def _rule(self, setting: SimSetting):
         if self.name == "minsis":
@@ -575,7 +580,7 @@ class RocGrid:
     def __post_init__(self):
         if self.d_grid is not None:
             object.__setattr__(self, "d_grid",
-                               tuple(int(d) for d in self.d_grid))
+                               tuple(_integer("d", d) for d in self.d_grid))
 
     def _grid(self, setting: SimSetting) -> tuple[int, ...]:
         d_grid = default_d_grid(setting.p) if self.d_grid is None \
@@ -604,12 +609,13 @@ def replicate(setting: SimSetting, specs, threads: int = 1) -> list:
     before the study is dropped. Returns one result per spec, in order.
     Failed replications (a ``MultiscreenError``) are counted and reported
     per spec, not fatal; the first other exception is raised. ``threads``
-    ≥ 2 runs them in up to that many forked processes (``forked_map``),
-    with the same results and the same exception."""
+    bounds the forked processes that run them (``forked_map``, which forks
+    at most one per usable CPU and none off Linux), with the same results
+    and the same exception at any count."""
     specs = tuple(specs)
     if not specs:
         raise InputError("specs must not be empty")
-    if threads < 1:
+    if _integer("threads", threads) < 1:
         raise InputError(f"threads must be at least 1, got {threads}")
     rules = tuple(spec._rule(setting) for spec in specs)
     per_rep = list(forked_map(lambda rep: _replicate(setting, rep, rules),

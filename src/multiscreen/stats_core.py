@@ -363,12 +363,19 @@ def _gammainc_lower(a: float, x: float) -> float:
     raise InputError(f"incomplete gamma fraction failed for a={a}, x={x}")
 
 
+def _integer(name: str, value) -> int:
+    """``value`` as an int; an ``InputError`` unless it is an int or a
+    numpy integer (a bool is not a count)."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise InputError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _check_df(df) -> int:
-    if not (isinstance(df, (int, np.integer)) and not isinstance(df, bool)):
-        raise InputError(f"degrees of freedom must be an integer, got {df!r}")
+    df = _integer("degrees of freedom", df)
     if df < 1:
         raise InputError(f"degrees of freedom must be >= 1, got {df}")
-    return int(df)
+    return df
 
 
 def chi2_cdf(x: float, df: int) -> float:

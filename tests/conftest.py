@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -23,3 +25,30 @@ def make_multistudy(rng, n=30, p=8, k=3, signal=0.8, s0=2,
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)
+
+
+def use_cpus(monkeypatch, n):
+    """Make ``forked_map`` see ``n`` usable CPUs: it runs in this process
+    for 1 and forks at most one child per CPU otherwise."""
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(n)), raising=False)
+
+
+def count_forks(monkeypatch):
+    """A list that grows by one entry at each ``os.fork``."""
+    forks = []
+    fork = os.fork
+
+    def counted():
+        forks.append(None)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+def assert_no_child_left():
+    # waitpid(-1) raises ChildProcessError once this process has no child,
+    # running or unreaped.
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

@@ -15,6 +15,7 @@ import jsonschema
 import numpy as np
 import pytest
 
+from conftest import use_cpus
 import multiscreen
 import multiscreen.data_io as data_io
 from multiscreen import (DegenerateColumnError, MethodSpec, SimSetting,
@@ -181,14 +182,6 @@ class TestSimulateCommand:
         p = (tmp_path / "p" / "result.json").read_text()
         assert json.loads(s)["result"] == json.loads(p)["result"]
 
-    def test_env_threads_override(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("MULTISCREEN_THREADS", "2")
-        assert run(["simulate", "--setting", "1", "--n", "30", "--p", "10",
-                    "--s0", "2", "--b", "2", "--seed", "0",
-                    "--out", tmp_path / "env"]) == 0
-        payload = load_result(tmp_path / "env")
-        assert payload["config"]["threads"] == 2
-
     def test_bad_setting_exits_2(self, tmp_path):
         assert run(["simulate", "--setting", "9", "--out", tmp_path / "x"]) == 2
 
@@ -196,14 +189,6 @@ class TestSimulateCommand:
         assert run(["simulate", "--setting", "1", "--threads", "-4",
                     "--out", tmp_path / "x"]) == 2
         assert "threads must be at least 1, got -4" in capsys.readouterr().err
-        assert not (tmp_path / "x").exists()
-
-    def test_env_threads_below_one_exits_2(self, tmp_path, capsys,
-                                           monkeypatch):
-        monkeypatch.setenv("MULTISCREEN_THREADS", "-4")
-        assert run(["simulate", "--setting", "1", "--out", tmp_path / "x"]) == 2
-        assert ("MULTISCREEN_THREADS must be at least 1, got '-4'"
-                in capsys.readouterr().err)
         assert not (tmp_path / "x").exists()
 
 
@@ -234,9 +219,7 @@ class TestOutputs:
         assert set(payload["config"]) == self.CONFIG_KEYS[command]
         assert payload["seed"] == (6 if "--seed" in extra else None)
 
-    def test_simulate_records_resolved_dimensions(self, tmp_path,
-                                                  monkeypatch):
-        monkeypatch.delenv("MULTISCREEN_THREADS", raising=False)
+    def test_simulate_records_resolved_dimensions(self, tmp_path):
         out = tmp_path / "out"
         assert run(["simulate", "--setting", "1", "--p", "10", "--s0", "2",
                     "--out", out]) == 0
@@ -286,7 +269,7 @@ class TestOutputs:
     def test_unreadable_data_file_exits_2(self, dataset_dir, tmp_path,
                                           monkeypatch, capsys):
         manifest, _ = dataset_dir
-        monkeypatch.setattr(data_io, "usable_cpus", lambda: 1)
+        use_cpus(monkeypatch, 1)
 
         def refuse(file, *args, **kwargs):
             if Path(file).suffix == ".csv":
@@ -310,7 +293,7 @@ class TestOutputs:
         "--s0": ("int", None, False, None, None),
         "--b": ("int", None, False, None, None),
         "--seed": ("int", 0, False, None, None),
-        "--threads": ("int", None, False, None, None),
+        "--threads": ("int", 1, False, None, None),
         "--out": (None, None, True, None, None),
     }
     _MANIFEST = {

@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import assert_no_child_left, use_cpus
 import multiscreen
 import multiscreen.data_io as data_io
 from multiscreen import (InputError, ManifestError, MultiStudy, SimSetting,
@@ -31,13 +32,6 @@ from multiscreen.data_io import (load_manifest, write_csv_atomic,
 def write(path, text):
     path.write_text(text)
     return path
-
-
-def use_cpus(monkeypatch, n):
-    """Make the loader see ``n`` usable CPUs: it reads serially for 1 and
-    in min(K, n) forked processes otherwise."""
-    monkeypatch.setattr(os, "sched_getaffinity",
-                        lambda pid: set(range(n)), raising=False)
 
 
 def make_manifest(tmp_path, entries, feature_columns=None):
@@ -923,13 +917,6 @@ def _load_error(manifest):
     with pytest.raises(Exception) as raised:
         load_multistudy(manifest)
     return raised.type, str(raised.value)
-
-
-def assert_no_child_left():
-    # waitpid(-1) raises ChildProcessError once this process has no child,
-    # running or unreaped.
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 forked = pytest.mark.skipif(not hasattr(os, "fork"),

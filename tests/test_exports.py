@@ -2,7 +2,8 @@
 module defines, and every name the package imports from a module exists
 there and is in that module's ``__all__`` when it has one. The fields of
 the exported dataclasses are pinned, so changing one is a deliberate edit
-here. Only ``_forked`` forks or opens pipes."""
+here. Only ``_forked`` forks, opens pipes or counts CPUs, and no module
+reads the environment."""
 
 import ast
 import dataclasses
@@ -103,3 +104,30 @@ def test_only_the_forked_module_forks_or_pipes():
                 found |= {(path.name, alias.name) for alias in node.names
                           if alias.name in FORK_CALLS}
     assert found == {("_forked.py", "fork"), ("_forked.py", "pipe")}
+
+
+def _names():
+    # (module, name) for every attribute and name each module spells:
+    # os.environ, usable_cpus, ... whether called, imported or passed on.
+    for path in Path(multiscreen.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute):
+                yield path.name, node.attr
+            elif isinstance(node, ast.Name):
+                yield path.name, node.id
+            elif isinstance(node, ast.alias):
+                yield path.name, node.name
+
+
+def test_only_the_forked_module_counts_cpus():
+    # forked_map alone sizes its children, at most one per usable CPU.
+    found = {(module, name) for module, name in _names()
+             if name in ("sched_getaffinity", "usable_cpus")}
+    assert found == {("_forked.py", "sched_getaffinity"),
+                     ("_forked.py", "usable_cpus")}
+
+
+def test_no_module_reads_the_environment():
+    # No environment variable changes what the package computes or forks.
+    assert {(module, name) for module, name in _names()
+            if name in ("environ", "environb", "getenv", "getenvb")} == set()

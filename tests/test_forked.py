@@ -6,33 +6,21 @@ import time
 
 import pytest
 
+from conftest import assert_no_child_left, count_forks, use_cpus
 from multiscreen._forked import ChildEnded, forked_map, usable_cpus
 
 pytestmark = pytest.mark.skipif(not hasattr(os, "fork"),
                                 reason="forked_map forks only with os.fork")
 
 
-def assert_no_child_left():
-    # waitpid(-1) raises ChildProcessError once this process has no child,
-    # running or unreaped.
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+@pytest.fixture(autouse=True)
+def eight_cpus(monkeypatch):
+    # The worker counts below fork as many children on any host.
+    use_cpus(monkeypatch, 8)
 
 
 def tagged(item):
     return item, os.getpid()
-
-
-def count_forks(monkeypatch):
-    forks = []
-    fork = os.fork
-
-    def counted():
-        forks.append(None)
-        return fork()
-
-    monkeypatch.setattr(os, "fork", counted)
-    return forks
 
 
 @pytest.mark.parametrize("workers", [2, 3])
@@ -98,6 +86,24 @@ def test_forks_at_most_one_child_per_item(monkeypatch):
     assert [item for item, _ in forked_map(tagged, range(3), 8)] == [0, 1, 2]
     assert len(forks) == 3
     assert_no_child_left()
+
+
+@pytest.mark.parametrize("workers", [64, None])
+def test_forks_at_most_one_child_per_usable_cpu(monkeypatch, workers):
+    use_cpus(monkeypatch, 2)
+    forks = count_forks(monkeypatch)
+    got = list(forked_map(tagged, range(5), workers))
+    assert [item for item, _ in got] == list(range(5))
+    assert len(forks) == 2 and len({pid for _, pid in got}) == 2
+    assert_no_child_left()
+
+
+def test_no_child_without_sched_getaffinity(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity")
+    forks = count_forks(monkeypatch)
+    assert list(forked_map(tagged, range(5), 4)) \
+        == [(item, os.getpid()) for item in range(5)]
+    assert forks == []
 
 
 @pytest.mark.parametrize("items, workers", [(range(5), 1), (range(1), 4),

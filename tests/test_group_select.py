@@ -326,6 +326,21 @@ class TestNewtonCertification:
         assert fit.selected == () and np.all(fit.beta_std == 0.0)
         self.assert_optimal(data, active, fit, scale * lmax)
 
+    @pytest.mark.parametrize("scale", [1.0, 1.5])
+    @pytest.mark.parametrize("start", [1e-12, 1e-9, 1.0])
+    def test_tiny_start_at_or_above_lambda_max_selects_nothing(self, rng,
+                                                               scale, start):
+        # Zero is the unique optimum at λ ≥ λ_max, so no start may leave a
+        # group selected, not even rounding noise (from the 1e-12 start at
+        # λ_max, a converged fit could keep group 1 at norm 1.4e-13).
+        data, _ = make_multistudy(rng, n=40, p=6, k=3, signal=0.6, s0=3)
+        active = tuple(range(6))
+        lam = scale * lambda_max(data, active)
+        fit = group_lasso_fit(data, active, lam,
+                              beta0=np.full((6, data.k), start))
+        assert fit.converged
+        assert fit.selected == () and np.all(fit.beta_std == 0.0)
+
     @pytest.mark.parametrize("fraction", [0.3, 1.2])
     def test_start_at_own_optimum(self, rng, fraction):
         # A fit certified at once still reports a step and a trace entry:

@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import assert_no_child_left, count_forks, use_cpus
 import multiscreen
 import multiscreen.simulate as simulate
 from multiscreen import (DegenerateColumnError, InputError, LevelGrid,
@@ -54,6 +55,24 @@ class TestSetting:
             SimSetting(noise_sd=0.0)
         with pytest.raises(InputError):
             SimSetting(seed=-1)
+
+    COUNTS = dict(n=40, p=20, K=3, s0=3, B=4, seed=11)
+
+    @pytest.mark.parametrize("value", [3.5, 3.0, True],
+                             ids=["fraction", "float", "bool"])
+    @pytest.mark.parametrize("field", list(COUNTS))
+    def test_non_integer_count_rejected(self, field, value):
+        # Unchecked, a float count fails deep inside gen_instance with a
+        # TypeError, and a float d is truncated.
+        with pytest.raises(InputError,
+                           match=f"^{field} must be an integer, got {value!r}$"):
+            SimSetting(**{**self.COUNTS, field: value})
+
+    def test_numpy_integer_counts_accepted(self):
+        setting = SimSetting(**{name: np.int64(v)
+                                for name, v in self.COUNTS.items()})
+        assert setting == SimSetting(**self.COUNTS)
+        assert all(type(getattr(setting, name)) is int for name in self.COUNTS)
 
 
 class TestActiveIndices:
@@ -405,12 +424,32 @@ class TestRunReplications:
         assert len(summary.per_rep) == 6
 
     @pytest.mark.parametrize("threads", [2, 4, 8])
-    def test_parallel_equals_sequential(self, threads):
-        # B = 6 splits unevenly over 4 processes, and 8 is capped at 6.
+    def test_parallel_equals_sequential(self, threads, monkeypatch):
+        # On 8 usable CPUs, B = 6 splits unevenly over 4 processes, and 8
+        # is capped at 6.
+        use_cpus(monkeypatch, 8)
         setting = small_setting(B=6)
         seq = replicate(setting, [MethodSpec(), RocGrid()], threads=1)
         par = replicate(setting, [MethodSpec(), RocGrid()], threads=threads)
         assert seq == par
+
+    @pytest.mark.parametrize("cpus, threads, children",
+                             [(2, 64, 2), (None, 4, 0)],
+                             ids=["two-cpus", "no-affinity"])
+    def test_threads_capped_at_usable_cpus(self, monkeypatch, cpus, threads,
+                                           children):
+        # A count above the usable CPUs forks one child per CPU; without
+        # os.sched_getaffinity (anything but Linux) it forks none.
+        specs = [MethodSpec(), RocGrid()]
+        seq = replicate(small_setting(B=8), specs, threads=1)
+        if cpus is None:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        else:
+            use_cpus(monkeypatch, cpus)
+        forks = count_forks(monkeypatch)
+        assert replicate(small_setting(B=8), specs, threads=threads) == seq
+        assert len(forks) == children
+        assert_no_child_left()
 
     def test_parallel_failure_raises_the_serial_error(self, monkeypatch):
         # An exception that is not a MultiscreenError is no failed
@@ -560,6 +599,27 @@ class TestSensitivityGrid:
 
 
 class TestReplicate:
+    @pytest.mark.parametrize("value", [2.5, 2.0, True],
+                             ids=["fraction", "float", "bool"])
+    @pytest.mark.parametrize("name, make", [
+        ("d", lambda d: MethodSpec("minsis", d=d)),
+        ("d", lambda d: RocGrid(d_grid=(1, d))),
+        ("threads", lambda threads: replicate(small_setting(B=1),
+                                              [MethodSpec()], threads)),
+    ], ids=["method_d", "roc_d_grid", "threads"])
+    def test_non_integer_count_rejected(self, name, make, value):
+        with pytest.raises(InputError,
+                           match=f"^{name} must be an integer, got {value!r}$"):
+            make(value)
+
+    def test_numpy_integer_counts_accepted(self):
+        setting = small_setting(B=2)
+        assert replicate(setting, [MethodSpec("minsis", d=np.int64(2)),
+                                   RocGrid(d_grid=(np.int64(1), 3))],
+                         threads=np.int64(1)) \
+            == replicate(setting, [MethodSpec("minsis", d=2),
+                                   RocGrid(d_grid=(1, 3))])
+
     @pytest.mark.parametrize("threads", [0, -4])
     def test_threads_below_one_rejected(self, threads):
         with pytest.raises(InputError, match=f"got {threads}"):
