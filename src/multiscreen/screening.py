@@ -186,8 +186,11 @@ class ScreeningResult:
 
 
 # Feature columns per block: bounds the (n, chunk) temporaries of the
-# statistic matrices.
-_CHUNK = 128
+# statistic matrices. _exact_colsum rounds each column correctly, so the
+# width moves no bit. Both matrices of a setting-1 instance (n = 100,
+# p = 1000, K = 5) took 11.3 ms at 128 columns, 9.1 ms at 256, 10.8 ms at
+# 512 and 19.2 ms at 1 024 (best of 45 calls, 2-core x86-64 host).
+_CHUNK = 256
 
 
 def _stat_matrices(data: MultiStudy, names) -> dict:

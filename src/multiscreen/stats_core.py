@@ -63,7 +63,7 @@ class TStat:
 # erfc (Cody, "Rational Chebyshev approximations for the error function",
 # Math. Comp. 23, 1969) and the inverse normal CDF (Acklam's rationals).
 # Each branch is one function that takes a float or an array; the array
-# dispatchers merge branch results by boolean mask, the scalar ones pick a
+# dispatchers gather each branch's lanes by index, the scalar ones pick a
 # branch by comparison, so the two paths run the same IEEE operations.
 # Both use np.exp/np.log: math.exp rounds differently.
 # ---------------------------------------------------------------------------
@@ -132,45 +132,46 @@ def _erfc_mid(ax):
 
 def _erfc_large(ax):
     """erfc(ax) for ax > 4."""
+    # erfc underflows to +0.0 beyond about 27.3, so clamping at 40 moves no
+    # result; it keeps ax * ax finite (it overflows above about 1.9e154).
+    ax = np.minimum(ax, 40.0)
     y = 1.0 / (ax * ax)
     r = y * _horner(_ERF_P, y) / _horner(_ERF_Q, y)
     return np.exp(-ax * ax) / ax * (_INV_SQRT_PI - r)
 
 
-def _select_bits(mask: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a`` where ``mask``, else ``b``: merges the float64 bits in place,
-    b ^= (a ^ b) & -mask on int64 views (``a`` is clobbered); returns b."""
-    m = mask.astype(np.int64)
-    np.negative(m, out=m)
-    ai, bi = a.view(np.int64), b.view(np.int64)
-    ai ^= bi
-    ai &= m
-    bi ^= ai
-    return b
-
-
 def _erfc(x: np.ndarray) -> np.ndarray:
     """Complementary error function on a 1-d float array."""
+    # Each branch runs only on its own lanes, gathered by index and
+    # scattered back. On a 12 288-lane block of normal_quantile, half of it
+    # small lanes, x[mask] took 55 us and out[mask] = r 50 us (a random
+    # mask defeats branch prediction), against 11 us for np.flatnonzero,
+    # 5 us for take and 7 us for out[idx] = r; the whole call took 222 us,
+    # against 295 us for both branches on every lane (2-core x86-64 host,
+    # numpy 2.4.6). The mid lanes are the complement of the small ones (a
+    # NaN lane among them), negative ones first, so the reflection 2 - r
+    # is one subtract on a head slice.
     ax = np.abs(x)
-    # The small and mid branches run on every lane and are merged, which is
-    # cheaper than gathering and scattering each. Their inputs are clipped
-    # to the branch's domain, so lanes outside it raise no overflow warning;
-    # clipping leaves the lanes inside it unchanged. Both merges only select
-    # lanes, without a masked ufunc: on a 12 288-lane block of normal_quantile
-    # np.copyto(..., where=) took about 70 us and np.subtract(..., where=)
-    # about 70 us, against 17 us for the bitwise merge of the small and mid
-    # branches (np.where takes 44 us there: a random half-and-half mask
-    # defeats branch prediction) and 19 us for np.where on the reflection,
-    # comparison and subtraction included (a quarter of the lanes).
-    out = _select_bits(ax <= 0.46875,
-                       _erfc_small(np.clip(x, -0.46875, 0.46875)),
-                       _erfc_mid(np.clip(ax, 0.46875, 4.0)))
-    # The far tail is rare, so it keeps its mask; an empty one still costs a
-    # scan, hence the guard.
-    m3 = ax > 4.0
-    if m3.any():
-        out[m3] = _erfc_large(ax[m3])
-    return np.where(x < -0.46875, 2.0 - out, out)
+    small = ax <= 0.46875
+    neg = x < -0.46875
+    lanes = np.flatnonzero(small)
+    out = np.empty_like(x)
+    out[lanes] = _erfc_small(x.take(lanes))
+    head = np.flatnonzero(neg)
+    lanes = np.concatenate((head, np.flatnonzero(~(small | neg))))
+    am = ax.take(lanes)
+    # The far tail is rare, so it keeps a mask within the mid lanes, and a
+    # block without one runs the mid branch on all of them.
+    far = am > 4.0
+    if far.any():
+        r = np.empty_like(am)
+        r[far] = _erfc_large(am[far])
+        r[~far] = _erfc_mid(am[~far])
+    else:
+        r = _erfc_mid(am)
+    np.subtract(2.0, r[:head.size], out=r[:head.size])
+    out[lanes] = r
+    return out
 
 
 def _erfc_scalar(x: float) -> float:
@@ -267,14 +268,13 @@ def _normal_quantile_block(p: np.ndarray, z: np.ndarray) -> None:
     """Write the quantiles of one block of valid probabilities into z."""
     # The central rational runs on every lane: r = (p - 0.5)**2 <= 0.25 and
     # its denominator stays above 1e-4 there, so tail lanes raise no
-    # warning. The tails (about 5 % of lanes) overwrite theirs by mask.
+    # warning. The tails (about 5 % of lanes) overwrite theirs, gathered by
+    # index as in _erfc; an empty tail gathers nothing.
     z[:] = _nq_central(p)
-    lo = p < _NQ_SPLIT
-    if lo.any():
-        z[lo] = _nq_tail(np.sqrt(-2.0 * np.log(p[lo])), -1.0)
-    hi = p > 1.0 - _NQ_SPLIT
-    if hi.any():
-        z[hi] = _nq_tail(np.sqrt(-2.0 * np.log(1.0 - p[hi])), 1.0)
+    lo = np.flatnonzero(p < _NQ_SPLIT)
+    z[lo] = _nq_tail(np.sqrt(-2.0 * np.log(p.take(lo))), -1.0)
+    hi = np.flatnonzero(p > 1.0 - _NQ_SPLIT)
+    z[hi] = _nq_tail(np.sqrt(-2.0 * np.log(1.0 - p.take(hi))), 1.0)
 
     # One Newton step on every lane. In place, it rounds like
     # z -= (0.5 * erfc(-z / sqrt 2) - p) / pdf with

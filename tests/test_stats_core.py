@@ -81,12 +81,18 @@ class TestNormalCdf:
         assert np.all(np.diff(vals) >= 0.0)
 
     def test_far_tails_warning_free(self):
-        # _erfc evaluates its small and mid branches on every lane; lanes
-        # far outside their domains must not overflow there.
-        zs = np.array([40.0, -40.0, 1e100, -1e100, 1e150, -1e150])
+        # Far-tail lanes must not overflow in any erfc branch: ax * ax in
+        # the far-tail branch overflowed above about 1.9e154. A float takes
+        # the array path too; _erfc_scalar must agree with it.
+        zs = np.array([40.0, -40.0, 1e100, -1e100, 1e150, -1e150, 1e160,
+                       -1e160, 1e300, -1e300, 1.7e308, -1.7e308])
         with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            assert np.array_equal(normal_cdf(zs), [1.0, 0.0] * 3)
+            warnings.simplefilter("error")
+            assert np.array_equal(normal_cdf(zs), [1.0, 0.0] * 6)
+            assert [normal_cdf(float(z)) for z in zs] == [1.0, 0.0] * 6
+            xs = -zs / math.sqrt(2.0)
+            assert np.array_equal(_bits([_erfc_scalar(float(x)) for x in xs]),
+                                  _bits(_erfc(xs)))
 
     def test_nonfinite_rejected(self):
         with pytest.raises(InputError):
@@ -679,7 +685,7 @@ class TestDistributionLayerReference:
 def _masked_erfc(x: np.ndarray) -> np.ndarray:
     """The array erfc as it merged its branches with masked ufuncs
     (np.copyto and np.subtract with ``where=``), kept verbatim as the
-    reference for the unmasked merges."""
+    reference for the index gathers."""
     ax = np.abs(x)
     out = _erfc_mid(np.clip(ax, 0.46875, 4.0))
     m1 = ax <= 0.46875
@@ -703,8 +709,9 @@ def merge_inputs():
 
 
 class TestUnmaskedMerges:
-    """_erfc selects its branches without masked ufuncs; every lane must
-    keep the bits of the masked merge."""
+    """_erfc runs each branch only on its own lanes, gathered by index and
+    scattered back; every lane must keep the bits of the masked merge, and
+    each lane must be evaluated by exactly one branch."""
 
     def test_erfc(self, merge_inputs):
         assert np.array_equal(_bits(_erfc(merge_inputs)),
@@ -718,6 +725,44 @@ class TestUnmaskedMerges:
     def test_normal_cdf(self, merge_inputs):
         expect = 0.5 * _masked_erfc(-merge_inputs / math.sqrt(2.0))
         assert np.array_equal(_bits(normal_cdf(merge_inputs)), _bits(expect))
+
+    def test_each_lane_evaluated_once(self, merge_inputs, monkeypatch):
+        seen = {}
+
+        def recorded(name, branch):
+            def wrapper(x):
+                seen[name] = seen.get(name, 0) + np.size(x)
+                return branch(x)
+            return wrapper
+
+        for name in ("_erfc_small", "_erfc_mid", "_erfc_large"):
+            monkeypatch.setattr(stats_core, name,
+                                recorded(name, getattr(stats_core, name)))
+        _erfc(merge_inputs)
+        ax = np.abs(merge_inputs)
+        assert seen == {
+            "_erfc_small": np.count_nonzero(ax <= 0.46875),
+            "_erfc_mid": np.count_nonzero((ax > 0.46875) & (ax <= 4.0)),
+            "_erfc_large": np.count_nonzero(ax > 4.0)}
+        assert sum(seen.values()) == len(merge_inputs)
+
+    @pytest.mark.parametrize("block", [
+        [], [0.25], [-1.5], [-30.0],
+        np.linspace(-0.46875, 0.46875, 1001),
+        np.linspace(-4.0, -np.nextafter(0.46875, 1.0), 1001),
+        np.linspace(np.nextafter(0.46875, 1.0), 4.0, 1001),
+        np.concatenate([np.geomspace(np.nextafter(4.0, 5.0), 1e300, 500),
+                        -np.geomspace(np.nextafter(4.0, 5.0), 1e300, 500)]),
+        [0.1, -1.0, math.nan, 2.0, -0.2, 5.0, -6.0],
+    ], ids=["empty", "one-small-lane", "one-mid-lane", "one-far-lane",
+            "all-small", "all-negative-mid", "all-positive-mid",
+            "only-far-tail", "nan-lane"])
+    def test_erfc_edge_blocks(self, block):
+        x = np.array(block, dtype=float)
+        got = _erfc(x)
+        assert got.shape == x.shape
+        assert np.array_equal(np.isnan(got), np.isnan(x))
+        assert np.array_equal(_bits(got), _bits(_masked_erfc(x)))
 
     def test_normal_quantile_edges(self, monkeypatch):
         ps = np.concatenate([
