@@ -5,6 +5,10 @@ active only if the two-step test keeps it for every conditioning set of
 size m - 1 drawn from the remaining active features. The statistic for a
 conditioned pair is the self-normalized statistic of the residuals after
 regressing both the feature and the response on the conditioning set.
+
+The regressions are projections built from correctly rounded column sums
+and elementwise arithmetic in a fixed order, with no BLAS or LAPACK call,
+so every statistic is bit-identical under a permutation of a study's rows.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from .errors import (BudgetExceededError, DegenerateColumnError, InputError,
                      SingularDesignError)
 from .screening import (MultiStudy, ScreeningConfig, Study, _chi2_thresholds,
                         _step1_threshold, _two_step, compute_t_matrix)
-from .stats_core import (TStat, _cross_products, _t_from_products,
+from .stats_core import (TStat, _exact_colsum, _t_from_products,
                          center_column, self_normalized_t)
 
 __all__ = [
@@ -52,14 +56,22 @@ class MultiPcState:
         return self.active_sets[-1]
 
 
+# A set is singular when one of its columns, after its projection on the
+# intercept and the earlier columns of the set, keeps at most this fraction
+# of its 1/n variance: its squared multiple correlation with them is above
+# 1 - 1e-10.
+_PIVOT_TOL = 1e-10
+
+
 def residualize(x: np.ndarray, cond, target) -> np.ndarray:
     """Residual of ``target`` after least-squares projection onto the
     intercept and the columns of ``x`` indexed by ``cond``.
 
-    ``target`` is a length-n vector or an (n, m) matrix; the columns of a
-    matrix are residualized in one least-squares solve. Raises
-    :class:`SingularDesignError` when the conditioning columns are rank
-    deficient (up to the least-squares tolerance).
+    ``target`` is a length-n vector or an (n, m) matrix; each column is
+    residualized on its own by :func:`_project`, the kernel of the stage
+    loop, so the residuals do not move under a permutation of the rows.
+    Raises :class:`SingularDesignError` when a conditioning column keeps at
+    most 1e-10 of its variance after the projection on the earlier ones.
     """
     x = np.asarray(x, dtype=float)
     t = np.asarray(target, dtype=float)
@@ -75,13 +87,51 @@ def residualize(x: np.ndarray, cond, target) -> np.ndarray:
     if len(cond) >= n - 2:
         raise InputError(
             f"conditioning set of size {len(cond)} too large for n={n}")
-    design = np.column_stack([np.ones(n)] + [x[:, c] for c in cond])
-    coef, _, rank, _ = np.linalg.lstsq(design, t, rcond=None)
-    if rank < design.shape[1]:
+    block, var = center_column(np.column_stack([x[:, cond], t]))
+    resid, rank = _project(block[:, None, :], var[None, :len(cond)])
+    if rank[0] <= len(cond):
         raise SingularDesignError(
-            f"conditioning set {cond} is rank deficient (rank {rank} "
-            f"of {design.shape[1]} including the intercept)")
-    return t - design @ coef
+            f"conditioning set {cond} is rank deficient (rank {rank[0]} "
+            f"of {len(cond) + 1} including the intercept)")
+    return resid.reshape(t.shape)
+
+
+def _project(block: np.ndarray, var: np.ndarray):
+    """Residuals of the targets on the conditioning columns of each study,
+    and each study's rank including the intercept.
+
+    ``block`` is (n, k, q + M): per study, the q conditioning columns, then
+    the M targets, all centered by :func:`center_column`; ``var`` (k, q)
+    holds the set columns' 1/n variances from that centering. The columns
+    are projected out one at a time, in set order (modified Gram-Schmidt):
+    one exact-sum call gives every study's products of the leading column
+    with itself and the columns after it, each a correctly rounded sum, so
+    none depends on the row order; the later columns then lose
+    ``head * (their product / the head's)``. For q = 1 this is one exact
+    sum of the Gram and the cross-products and one division. Working on
+    the columns, not on the Gram, keeps the rounding error of a residual
+    near eps times the set's condition number, not its square.
+
+    A leading column whose 1/n mean square is at most ``_PIVOT_TOL`` times
+    its variance is in the span of the earlier ones: it is not
+    projected out (its coefficients are 0) and the study's rank stays
+    lower. The residuals, a view of ``block`` (which is overwritten), come
+    from exactly centered columns and are not centered again: their column
+    means are at rounding level, not zero. No BLAS or LAPACK routine is
+    called.
+    """
+    n, k = block.shape[:2]
+    q = var.shape[1]
+    rank = np.ones(k, dtype=int)
+    for i in range(q):
+        head, rest = block[:, :, i:i + 1], block[:, :, i + 1:]
+        prods = head * block[:, :, i:]
+        sums = _exact_colsum(prods.reshape(n, -1)).reshape(k, -1)
+        kept = sums[:, 0] / n > _PIVOT_TOL * var[:, i]
+        rank += kept
+        coef = sums[:, 1:] / np.where(kept, sums[:, 0], np.inf)[:, None]
+        rest -= np.multiply(head, coef, out=prods[:, :, 1:])
+    return block[:, :, q:], rank
 
 
 def partial_t(study: Study, j: int, cond) -> TStat:
@@ -104,63 +154,95 @@ def partial_t(study: Study, j: int, cond) -> TStat:
                  theta_hat=float(theta[0, 0]), n=study.n)
 
 
+class _Stage(tuple):
+    """The studies of a stage, in study order, with the stage's columns
+    centered once. ``runs`` holds, for each run of consecutive studies with
+    equal n, the run, an (n, len(run), len(columns) + 1) block of every
+    study's centered columns, then its centered response, and the exact 1/n
+    variances of that centering."""
+
+    def __new__(cls, studies, columns):
+        stage = super().__new__(cls, studies)
+        stage.index = {c: i for i, c in enumerate(columns)}
+        stage.runs = []
+        for n, run in groupby(stage, key=lambda study: study.n):
+            run = list(run)
+            block, var = center_column(np.hstack(
+                [np.column_stack([study.x[:, columns], study.y])
+                 for study in run]))
+            stage.runs.append((run, block.reshape(n, len(run), -1),
+                               var.reshape(len(run), -1)))
+        return stage
+
+
 def _conditional_stats(studies, features: list[int], cond: tuple[int, ...]):
     """Statistics of ``features`` given a non-empty sorted ``cond`` in every
     study. Returns the (value, sigma_hat, theta_hat) arrays, shape
     (len(features), len(studies)).
 
-    Each study's features and response share one least-squares solve. The
-    statistics of each run of consecutive studies with equal n then come
-    from one exact-sum pass over their residual blocks side by side, each
-    study's response multiplied into its own features. Every exact column
-    sum depends on its own column only, so the entries equal those of a
-    pass per study bit for bit.
+    ``studies`` is a :class:`_Stage`, or a sequence of studies to center
+    here. Each run of consecutive studies with equal n makes one
+    :func:`_project` call for the features and the response of all its
+    studies (one exact-sum call per column of the set), then one exact-sum
+    call for the residuals' 1/n variances and cross-product means
+    sigma_hat, and one for theta_hat. Every exact column sum depends on its
+    own column only, so the entries equal those of a pass per study bit
+    for bit, and none moves under a permutation of a study's rows.
 
     The first failing study in study order raises its first fault:
-    :class:`SingularDesignError` for a rank-deficient set, then
+    :class:`SingularDesignError` for a set column that keeps at most 1e-10
+    of its variance after the projection on the earlier ones, then
     :class:`DegenerateColumnError` for a feature or the response in the
-    span of the set, then one for a degenerate statistic.
+    span of the set (1/n residual variance at most 1e-24 times its centered
+    variance), then one for a degenerate statistic.
     """
-    parts = [_equal_n_stats(list(run), features, cond)
-             for _, run in groupby(studies, key=lambda study: study.n)]
+    if not isinstance(studies, _Stage):
+        studies = _Stage(studies, [*cond, *features])
+    pick = [studies.index[c] for c in (*cond, *features)] + [-1]
+    parts = [_equal_n_stats(*run, pick, features, cond)
+             for run in studies.runs]
+    if len(parts) == 1:
+        return parts[0]
     return tuple(np.hstack(stats) for stats in zip(*parts))
 
 
-def _equal_n_stats(run: list[Study], features: list[int],
+def _equal_n_stats(run: list[Study], block: np.ndarray, var: np.ndarray,
+                   pick: list[int], features: list[int],
                    cond: tuple[int, ...]):
-    # The statistics of _conditional_stats for studies that share n, from
-    # one (n, len(run) * (m + 1)) block: each study's residual features,
-    # then its residual response. On a fault only the studies before the
-    # failing one are scored, so that an earlier study's degenerate
-    # statistic is raised first.
-    n, m, width = run[0].n, len(features), len(features) + 1
-    block, scale = np.empty((n, len(run) * width)), np.empty(len(run) * width)
-    fault, done = None, 0
-    for study in run:
-        raw = np.column_stack([study.x[:, features], study.y])
-        cols = slice(done * width, (done + 1) * width)
-        try:
-            block[:, cols] = residualize(study.x, cond, raw)
-        except SingularDesignError as exc:
-            fault = exc
-            break
-        scale[cols] = raw.var(axis=0)
-        done += 1
-    # The centered block replaces the residuals, so one copy is held.
-    block, var = center_column(block[:, :done * width])
-    flat = np.flatnonzero(
-        var <= 1e-24 * np.maximum(scale[:done * width], 1e-300))
-    if flat.size:
-        done, i = divmod(int(flat[0]), width)
-        what = f"feature {features[i]}" if i < m else "response"
-        fault = DegenerateColumnError(
-            f"{what} lies in the span of conditioning set {cond} "
-            f"(study {run[done].id!r})")
-    block = block[:, :done * width].reshape(n, done, width)
-    var = var[:done * width].reshape(done, width)
+    # The statistics of _conditional_stats for one run of a _Stage. On a
+    # fault only the studies before the failing one are scored, so that an
+    # earlier study's degenerate statistic is raised first.
+    n, k, q, m = block.shape[0], len(run), len(cond), len(features)
+    resid, rank = _project(np.take(block, pick, axis=2), var[:, pick[:q]])
+    # One block holds the cross-products, then the squared residuals, so
+    # that one exact-sum call serves both and the statistics read a view.
+    work = np.empty((n, k * (2 * m + 1)))
+    prods = work[:, :k * m]
+    np.multiply(resid[:, :, :m], resid[:, :, m:],
+                out=prods.reshape(n, k, m))
+    np.multiply(resid, resid, out=work[:, k * m:].reshape(n, k, m + 1))
+    del resid   # frees the gathered block before theta_hat's temporaries
+    sums = _exact_colsum(work) / n
+    sigma, var_r = sums[:k * m], sums[k * m:].reshape(k, m + 1)
+    span = var_r <= 1e-24 * np.maximum(var[:, pick[q:]], 1e-300)
+    done = k
+    fault = None
+    bad = np.flatnonzero((rank <= q) | span.any(axis=1))
+    if bad.size:
+        done = int(bad[0])
+        if rank[done] <= q:
+            fault = SingularDesignError(
+                f"conditioning set {cond} is rank deficient (rank "
+                f"{rank[done]} of {q + 1} including the intercept)")
+        else:
+            i = int(np.flatnonzero(span[done])[0])
+            what = f"feature {features[i]}" if i < m else "response"
+            fault = DegenerateColumnError(
+                f"{what} lies in the span of conditioning set {cond} "
+                f"(study {run[done].id!r})")
     stats = _t_from_products(
-        *_cross_products(block[:, :, :m], block[:, :, m:]),
-        var[:, :m].ravel(), np.repeat(var[:, m], m),
+        prods[:, :done * m], sigma[:done * m],
+        var_r[:done, :m].ravel(), np.repeat(var_r[:done, m], m),
         label=lambda i: features[i % m])
     if fault is not None:
         raise fault
@@ -181,8 +263,9 @@ def multi_pc_run(data: MultiStudy, config: ScreeningConfig, max_order: int,
     loop that stops at j's first failure; since a feature survives only
     by passing every set, the result does not depend on the order.
 
-    Each set costs one least-squares solve per study, then one statistic
-    pass across the studies and one two-step call. ``budget`` caps the
+    Each stage centers its active columns and the response once. Each set
+    then costs one exact projection for all studies of equal n, one
+    statistic pass across them and one two-step call. ``budget`` caps the
     (feature, set) pairs a stage tests, counted as they are tested:
     :class:`BudgetExceededError` is raised before the set that would pass
     it.
@@ -215,6 +298,7 @@ def multi_pc_run(data: MultiStudy, config: ScreeningConfig, max_order: int,
                 f"large for the smallest study (n={min_n})")
         pairs = 0
         survivors = list(active)
+        studies = _Stage(data.studies, active)
         for cond in combinations(active, order):
             tested = [j for j in survivors if j not in cond]
             if not tested:
@@ -224,7 +308,7 @@ def multi_pc_run(data: MultiStudy, config: ScreeningConfig, max_order: int,
                 raise BudgetExceededError(
                     f"stage {m} would test at least {pairs} (feature, set) "
                     f"pairs, exceeding the budget of {budget}")
-            t_mat = _conditional_stats(data.studies, tested, cond)[0]
+            t_mat = _conditional_stats(studies, tested, cond)[0]
             verdict = dict(zip(tested, _two_step(t_mat, threshold,
                                                  chi2_thresholds)[2]))
             survivors = [j for j in survivors if verdict.get(j, True)]

@@ -9,8 +9,8 @@ the marginal statistics are bit-identical under joint permutation of the
 observations. Bits are the same for a given numpy build and SIMD dispatch:
 the distribution functions call ``np.exp`` and ``np.log``, whose results
 move in the last bit with, for instance, numpy's AVX-512 kernels disabled.
-The conditional statistics of ``multi_pc`` solve by LAPACK and are not
-invariant under a row permutation.
+The conditional statistics of ``multi_pc`` project with the same column
+sums and no LAPACK call, so they too are invariant under a row permutation.
 """
 
 from __future__ import annotations
@@ -483,6 +483,9 @@ def chi2_quantile(p: float, df: int) -> float:
 # term. Exact zeros leave zero remainders and do not count. A block with a
 # column that fails the test runs the loop to a zero remainder.
 _ROW_CHUNK = 4096
+# A wider block is summed a slab of columns at a time, so that the two work
+# buffers (one row chunk of one slab each) stay at most 512 KB.
+_SLAB_CELLS = 2 ** 16
 # Columns with n * max|x| at or above this bound go through math.fsum (which
 # may raise OverflowError on them); below it no partial sum can overflow.
 _SAFE_TOTAL = 2.0 ** 1000
@@ -495,6 +498,16 @@ def _exact_colsum(a: np.ndarray) -> np.ndarray:
     n, m = a.shape
     if n == 0 or m == 0:
         return np.zeros(m)
+    width = max(1, _SLAB_CELLS // min(n, _ROW_CHUNK))
+    if m > width:
+        return np.concatenate([_colsum_slab(a[:, j:j + width])
+                               for j in range(0, m, width)])
+    return _colsum_slab(a)
+
+
+def _colsum_slab(a: np.ndarray) -> np.ndarray:
+    # _exact_colsum of a block of at most _SLAB_CELLS cells per row chunk.
+    n, m = a.shape
     rows = min(n, _ROW_CHUNK)
     k = max(2, (rows - 1).bit_length() - 1)
     # Two buffers serve every limb: fresh temporaries cost several times more.

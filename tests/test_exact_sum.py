@@ -1,7 +1,9 @@
 """The exact column-sum kernel and the block statistics built on it.
 
 The kernel is pinned to ``math.fsum`` column by column, and every block
-statistic to a per-column ``math.fsum`` reference written out here.
+statistic to a per-column ``math.fsum`` reference written out here. The
+conditional statistics are also held within rounding of the least-squares
+path they replaced.
 """
 
 import hashlib
@@ -21,8 +23,9 @@ from multiscreen import (DegenerateColumnError, MultiStudy, ScreeningConfig,
                          gen_instance, multi_pc_run, residualize)
 from multiscreen.multi_pc import _conditional_stats
 from multiscreen.screening import _CHUNK
-from multiscreen.stats_core import (_ROW_CHUNK, _cross_products, _exact_colsum,
-                                    _t_from_products, center_column)
+from multiscreen.stats_core import (_ROW_CHUNK, _SLAB_CELLS, _cross_products,
+                                    _exact_colsum, _t_from_products,
+                                    center_column)
 
 
 def fsum_columns(a):
@@ -125,6 +128,24 @@ class TestExactColsum:
         a = np.array([[1e308, 1.0], [-1e308, 2.0], [1e308, 3.0]])
         assert_matches_fsum(a)
         assert _exact_colsum(np.array([[np.inf], [1.0]]))[0] == math.inf
+
+    @pytest.mark.parametrize("n", [3, 100, _ROW_CHUNK + 904])
+    def test_wide_blocks_by_slabs(self, n):
+        # A block wider than one slab of _SLAB_CELLS cells per row chunk is
+        # summed a slab at a time: a slab that needs several extraction
+        # passes, or a NaN or huge column, leaves the others as they are.
+        rng = np.random.default_rng(n)
+        width = _SLAB_CELLS // min(n, _ROW_CHUNK)
+        m = 2 * width + 3
+        a = rng.standard_normal((n, m)) * 10.0 ** rng.uniform(-20, 20, m)
+        a[0, width - 1] *= 1e-30
+        a[:, width + 1] = rng.standard_normal(n) * 2.0 ** 995
+        assert_matches_fsum(a)
+        a[-1, 2 * width] = np.nan
+        got = _exact_colsum(a)
+        assert np.isnan(got[2 * width])
+        assert_bits_equal(np.delete(got, 2 * width),
+                          fsum_columns(np.delete(a, 2 * width, axis=1)))
 
     def test_empty_blocks(self):
         assert _exact_colsum(np.empty((0, 3))).tolist() == [0.0, 0.0, 0.0]
@@ -286,14 +307,46 @@ def ref_correlation_matrix(data):
     return out
 
 
+PIVOT_TOL = 1e-10
+
+
+def ref_project(zc, var, tc):
+    # multi_pc._project for one study, a sum at a time: each set column in
+    # turn, if it keeps more than 1e-10 of its variance ``var``, is
+    # projected out of the later columns by math.fsum products. Returns
+    # (residuals, rank including the intercept).
+    n, cols, rank = len(tc[0]), [*zc, *tc], 1
+    for v in var:
+        head, cols = cols[0], cols[1:]
+        pivot = math.fsum((head * head).tolist())
+        if pivot / n > PIVOT_TOL * v:
+            rank += 1
+            cols = [c - head * (math.fsum((head * c).tolist()) / pivot)
+                    for c in cols]
+    return cols, rank
+
+
 def ref_conditional(study, features, cond):
-    resid = residualize(study.x, cond, np.column_stack([study.x[:, features],
-                                                        study.y]))
-    cy, var_y = ref_center(resid[:, -1])
-    stats = []
-    for i, j in enumerate(features):
-        cx, var_x = ref_center(resid[:, i])
-        stats.append(ref_t(cx, cy, var_x, var_y, j))
+    # _conditional_stats for one study, a column at a time, with its faults
+    # in the same order: a singular set, then a feature or the response in
+    # the span of the set, then a degenerate statistic.
+    n = study.n
+    zc, zvar = zip(*(ref_center(study.x[:, c]) for c in cond))
+    targets = [ref_center(col) for col in (*study.x[:, features].T, study.y)]
+    resid, rank = ref_project(zc, zvar, [t for t, _ in targets])
+    if rank <= len(cond):
+        raise SingularDesignError(
+            f"conditioning set {cond} is rank deficient (rank {rank} of "
+            f"{len(cond) + 1} including the intercept)")
+    var_r = [math.fsum((r * r).tolist()) / n for r in resid]
+    for i, ((_, var), v) in enumerate(zip(targets, var_r)):
+        if v <= 1e-24 * max(var, 1e-300):
+            what = f"feature {features[i]}" if i < len(features) else "response"
+            raise DegenerateColumnError(
+                f"{what} lies in the span of conditioning set {cond} "
+                f"(study {study.id!r})")
+    stats = [ref_t(r, resid[-1], v, var_r[-1], j)
+             for r, v, j in zip(resid, var_r, features)]
     return tuple(np.array(s) for s in zip(*stats))
 
 
@@ -376,13 +429,33 @@ def test_t_matrix_makes_no_per_column_sums(monkeypatch):
 
 
 # The statistics of one conditioning set in all studies at once, against
-# the per-study pass they replaced.
+# a loop over studies and sums, and against the least-squares path they
+# replaced.
 
-def per_study_stats(study, features, cond):
+def per_study_t_matrix(studies, tested, cond):
+    # The stage loop's T matrix of one set from per-study references.
+    return np.column_stack([ref_conditional(study, tested, cond)[0]
+                            for study in studies])
+
+
+def lstsq_residualize(x, cond, target):
+    # multi_pc.residualize as it was when it solved by LAPACK, verbatim but
+    # for its input checks.
+    n = x.shape[0]
+    design = np.column_stack([np.ones(n)] + [x[:, c] for c in cond])
+    coef, _, rank, _ = np.linalg.lstsq(design, target, rcond=None)
+    if rank < design.shape[1]:
+        raise SingularDesignError(
+            f"conditioning set {cond} is rank deficient (rank {rank} "
+            f"of {design.shape[1]} including the intercept)")
+    return target - design @ coef
+
+
+def lstsq_study_stats(study, features, cond):
     # multi_pc._conditional_stats as it was when it scored one study per
-    # call, verbatim.
+    # call by least squares, verbatim.
     raw = np.column_stack([study.x[:, features], study.y])
-    centered, var = center_column(residualize(study.x, cond, raw))
+    centered, var = center_column(lstsq_residualize(study.x, cond, raw))
     flat = np.flatnonzero(var <= 1e-24 * np.maximum(raw.var(axis=0), 1e-300))
     if flat.size:
         i = flat[0]
@@ -394,22 +467,40 @@ def per_study_stats(study, features, cond):
                             var[:-1], var[-1:], label=lambda i: features[i])
 
 
-def per_study_t_matrix(studies, tested, cond):
-    # The stage loop's T matrix of one set from per-study calls, verbatim.
-    return np.column_stack([per_study_stats(study, tested, cond)[0]
-                            for study in studies])
-
-
 @pytest.fixture(scope="module")
 def bench_fixture():
     # The benchmark's manifest instance: setting 2, seed 20240811, rep 0.
     return gen_instance(SimSetting.preset(2, seed=20240811), 0)[0]
 
 
-@pytest.mark.parametrize("alpha1, alpha2", [
-    (1e-4, 0.05), (1e-3, 0.01), (1e-2, 0.15), (1e-4, 1e-3)])
-def test_stage_two_t_matrices_keep_their_bits(bench_fixture, monkeypatch,
-                                              alpha1, alpha2):
+@pytest.mark.parametrize("sizes", [None, (100, 90, 90, 100, 80)])
+def test_conditional_statistics_ignore_row_order(bench_fixture, sizes):
+    # Every study's rows permuted at random: the statistics and the
+    # residuals (permuted back) keep their bits, on fixture sets of order 1
+    # and 2, with equal n and with runs of unequal n.
+    studies = bench_fixture.studies
+    if sizes is not None:
+        studies = [Study(id=s.id, x=s.x[:n], y=s.y[:n])
+                   for s, n in zip(studies, sizes)]
+    rng = np.random.default_rng(3)
+    perms = [rng.permutation(study.n) for study in studies]
+    shuffled = [Study(id=s.id, x=s.x[perm], y=s.y[perm])
+                for s, perm in zip(studies, perms)]
+    active = multi_pc_run(bench_fixture, ScreeningConfig(1e-4, 0.05),
+                          max_order=1).active
+    for cond in [active[:1], active[1:3]]:
+        features = list(active[3:33])
+        for got, want in zip(_conditional_stats(shuffled, features, cond),
+                             _conditional_stats(studies, features, cond)):
+            assert_bits_equal(got, want)
+        for study, other, perm in zip(studies, shuffled, perms):
+            target = np.column_stack([study.x[:, features], study.y])
+            assert_bits_equal(residualize(other.x, cond, target[perm]),
+                              residualize(study.x, cond, target)[perm])
+
+
+def record_stage_two(monkeypatch, data, alpha1, alpha2):
+    # (studies, tested, cond, T matrix) of every set multi_pc_run scores.
     calls = []
 
     def recorded(studies, features, cond):
@@ -418,9 +509,16 @@ def test_stage_two_t_matrices_keep_their_bits(bench_fixture, monkeypatch,
         return stats
 
     monkeypatch.setattr(multi_pc, "_conditional_stats", recorded)
-    state = multi_pc_run(bench_fixture, ScreeningConfig(alpha1, alpha2),
-                         max_order=2)
-    assert state.stage == 2 and calls
+    multi_pc_run(data, ScreeningConfig(alpha1, alpha2), max_order=2)
+    return calls
+
+
+@pytest.mark.parametrize("alpha1, alpha2", [
+    (1e-4, 0.05), (1e-3, 0.01), (1e-2, 0.15), (1e-4, 1e-3)])
+def test_stage_two_t_matrices_keep_their_bits(bench_fixture, monkeypatch,
+                                              alpha1, alpha2):
+    calls = record_stage_two(monkeypatch, bench_fixture, alpha1, alpha2)
+    assert calls
     got, want = hashlib.sha256(), hashlib.sha256()
     for studies, tested, cond, t_mat in calls:
         got.update(np.ascontiguousarray(t_mat).tobytes())
@@ -428,10 +526,60 @@ def test_stage_two_t_matrices_keep_their_bits(bench_fixture, monkeypatch,
     assert got.hexdigest() == want.hexdigest()
 
 
-def test_stage_two_makes_four_sums_per_set(bench_fixture, monkeypatch):
-    # One exact-sum pass per set serves every study: two sums to center,
-    # one for sigma_hat and one for theta_hat. Stage 1's statistic matrix
-    # and the two-step rule of each set make the other calls.
+@pytest.mark.parametrize("alpha1, alpha2", [
+    (1e-4, 0.05), (1e-3, 0.01), (1e-2, 0.15), (1e-4, 1e-3)])
+def test_stage_two_t_matrices_stay_near_least_squares(
+        bench_fixture, monkeypatch, alpha1, alpha2):
+    # The exact projection moves the statistics of the LAPACK solve it
+    # replaced by rounding only.
+    calls = record_stage_two(monkeypatch, bench_fixture, alpha1, alpha2)
+    worst = 0.0
+    for studies, tested, cond, t_mat in calls:
+        want = np.column_stack([lstsq_study_stats(study, tested, cond)[0]
+                                for study in studies])
+        worst = max(worst, np.max(np.abs(t_mat - want) / np.abs(want)))
+    assert 0.0 < worst <= 1e-12
+
+
+# The fixture's active sets at four level pairs: the stage-1 size, then the
+# sets of stages 2 and 3 and the reason a third stage stops. They are the
+# sets of the least-squares path, which the exact projection keeps.
+FIXTURE_STAGES = {
+    (1e-4, 0.05): (
+        94, (0, 1, 36, 109, 111, 159, 222, 318, 333, 425, 444, 555, 666, 777,
+             801, 888, 899, 999),
+        (0, 111, 222, 333, 444, 555, 666, 777, 888, 999), "max_order"),
+    (1e-3, 0.01): (
+        21, (111, 222, 333, 444, 666, 777, 888, 999), (222, 333, 888),
+        "reached_mreach"),
+    (1e-2, 0.15): (
+        163, (0, 98, 111, 222, 425, 444, 555, 666, 777, 780, 888, 899, 991,
+              999),
+        (0, 222, 425, 444, 555, 666, 777, 888, 999), "max_order"),
+    (1e-4, 1e-3): (
+        13, (111, 222, 444, 555, 666, 777, 999), (111, 222, 555, 666, 777, 999),
+        "max_order"),
+}
+
+
+@pytest.mark.parametrize("max_order", [2, 3])
+@pytest.mark.parametrize("levels", list(FIXTURE_STAGES))
+def test_fixture_active_sets(bench_fixture, levels, max_order):
+    size1, stage2, stage3, reason3 = FIXTURE_STAGES[levels]
+    state = multi_pc_run(bench_fixture, ScreeningConfig(*levels),
+                         max_order=max_order)
+    assert len(state.active_sets[0]) == size1
+    assert state.active_sets[1:] == (stage2, stage3)[:max_order - 1]
+    assert state.stopped_reason.value == (
+        "max_order" if max_order == 2 else reason3)
+
+
+def test_stage_two_makes_three_sums_per_set(bench_fixture, monkeypatch):
+    # One exact-sum call per set serves every study for each of the
+    # Gram and cross-products, the residual variances with sigma_hat, and
+    # theta_hat; centering the stage's columns once makes two more. Stage
+    # 1's statistic matrix and the two-step rule of each set make the
+    # other calls, and no set is residualized on its own.
     kernel, two_step = stats_core._exact_colsum, screening._two_step
     calls = {"kernel": 0, "two_step": 0, "sets": 0, "solves": 0}
 
@@ -445,19 +593,19 @@ def test_stage_two_makes_four_sums_per_set(bench_fixture, monkeypatch):
             return fn(*args)
         return wrapper
 
-    monkeypatch.setattr(stats_core, "_exact_colsum", counted_kernel)
-    monkeypatch.setattr(screening, "_exact_colsum", counted_kernel)
+    for module in (stats_core, screening, multi_pc):
+        monkeypatch.setattr(module, "_exact_colsum", counted_kernel)
     monkeypatch.setattr(multi_pc, "_two_step", counted("two_step", two_step))
     monkeypatch.setattr(multi_pc, "_conditional_stats",
                         counted("sets", _conditional_stats))
     monkeypatch.setattr(multi_pc, "residualize",
                         counted("solves", residualize))
     multi_pc_run(bench_fixture, ScreeningConfig(1e-4, 0.05), max_order=2)
-    stage1 = calls["kernel"] - calls["two_step"] - 4 * calls["sets"]
+    stage1 = calls["kernel"] - calls["two_step"] - 3 * calls["sets"] - 2
     assert calls["sets"] == 94 and calls["two_step"] == 95
     assert stage1 == bench_fixture.k * (2 + 4 * math.ceil(1000 / _CHUNK))
-    assert calls["kernel"] <= 650
-    assert calls["solves"] == 5 * 94
+    assert calls["kernel"] <= 480
+    assert calls["solves"] == 0
 
 
 def planted_studies(faults, sizes=(40, 40, 40, 48)):

@@ -2,8 +2,8 @@
 module defines, and every name the package imports from a module exists
 there and is in that module's ``__all__`` when it has one. The fields of
 the exported dataclasses are pinned, so changing one is a deliberate edit
-here. Only ``_forked`` forks, opens pipes or counts CPUs, and no module
-reads the environment."""
+here. Only ``_forked`` forks, opens pipes or counts CPUs, no module reads
+the environment, and ``multi_pc`` calls no BLAS or LAPACK routine."""
 
 import ast
 import dataclasses
@@ -125,6 +125,22 @@ def test_only_the_forked_module_counts_cpus():
              if name in ("sched_getaffinity", "usable_cpus")}
     assert found == {("_forked.py", "sched_getaffinity"),
                      ("_forked.py", "usable_cpus")}
+
+
+# numpy names that reach BLAS or LAPACK.
+BLAS_NAMES = {"linalg", "dot", "vdot", "inner", "matmul", "tensordot",
+              "einsum"}
+
+
+def test_multi_pc_calls_no_blas_or_lapack():
+    # multi_pc projects by exact sums and elementwise arithmetic in a fixed
+    # order, so its statistics do not move with the row order or the BLAS
+    # kernel.
+    path = Path(multiscreen.__file__).parent / "multi_pc.py"
+    tree = ast.parse(path.read_text())
+    assert {name for module, name in _names()
+            if module == "multi_pc.py"} & BLAS_NAMES == set()
+    assert not any(isinstance(node, ast.MatMult) for node in ast.walk(tree))
 
 
 def test_no_module_reads_the_environment():

@@ -70,6 +70,36 @@ class TestResidualize:
         with pytest.raises(SingularDesignError, match=r"\(0, 2\)"):
             residualize(x, (0, 2), rng.normal(size=20))
 
+    @pytest.mark.parametrize("ratio, singular", [(2e-10, False),
+                                                 (5e-11, True)])
+    def test_near_collinear_set_at_the_pivot_tolerance(self, rng, ratio,
+                                                        singular):
+        # Column 2 is column 0 plus a part orthogonal to it and to the
+        # intercept, scaled so that it keeps ``ratio`` of its variance after
+        # the projection on column 0: a set fails at a share of at most
+        # 1e-10.
+        n = 30
+        x = rng.normal(size=(n, 3))
+        u, w = x[:, 0] - x[:, 0].mean(), rng.normal(size=n)
+        w -= w.mean()
+        w -= (w @ u) / (u @ u) * u
+        w *= math.sqrt(ratio / (1.0 - ratio) * (u @ u) / (w @ w))
+        x[:, 2] = x[:, 0] + w
+        t = rng.normal(size=n)
+        if singular:
+            with pytest.raises(SingularDesignError,
+                               match=r"\(0, 2\) is rank deficient \(rank 2 "):
+                residualize(x, (0, 2), t)
+            with pytest.raises(SingularDesignError, match="rank deficient"):
+                partial_t(Study(id="s", x=x, y=t), 1, (0, 2))
+            return
+        # Projecting column by column keeps the rounding error near eps
+        # times the condition number (here about 7e4), not its square.
+        r = residualize(x, (0, 2), t)
+        design = np.column_stack([np.ones(n), x[:, 0], x[:, 2]])
+        want = t - design @ np.linalg.lstsq(design, t, rcond=None)[0]
+        assert np.max(np.abs(r - want)) <= 1e-10 * np.max(np.abs(t))
+
     def test_size_guard(self, rng):
         x = rng.normal(size=(6, 5))
         with pytest.raises(InputError):
@@ -235,23 +265,30 @@ class TestMultiPcRun:
             multi_pc_run(data, config, max_order=2, budget=pairs - 1)
 
     def test_one_solve_per_set_and_study(self, rng, monkeypatch):
-        # Stage 2 conditions on each stage-1 feature once per study; every
-        # feature tested on that set shares the one least-squares solve.
+        # Stage 2 conditions on each stage-1 feature once; every study and
+        # every feature tested on that set share the one projection.
         import multiscreen.multi_pc as multi_pc
         data, _ = make_multistudy(rng, n=40, p=10, k=3, signal=1.0, s0=6)
         config = ScreeningConfig(0.001, 0.05)
         m1 = len(tsa_sis(data, config).kept)
         assert m1 >= 4
-        calls = []
+        sets, studies = [], []
+        stats, project = multi_pc._conditional_stats, multi_pc._project
 
-        def counted(x, cond, target):
-            calls.append(cond)
-            return residualize(x, cond, target)
+        def counted_sets(stage, features, cond):
+            sets.append(cond)
+            return stats(stage, features, cond)
 
-        monkeypatch.setattr(multi_pc, "residualize", counted)
+        def counted(block, var):
+            studies.append(block.shape[1])
+            return project(block, var)
+
+        monkeypatch.setattr(multi_pc, "_conditional_stats", counted_sets)
+        monkeypatch.setattr(multi_pc, "_project", counted)
         state = multi_pc_run(data, config, max_order=2)
         assert state.stage == 2
-        assert len(calls) <= data.k * m1
+        assert 0 < len(sets) <= m1
+        assert studies == [data.k] * len(sets)
 
     def test_feature_in_span_of_set_raises(self, rng):
         data, _ = make_multistudy(rng, n=40, p=6, k=3, signal=1.0, s0=2)
