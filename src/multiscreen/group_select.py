@@ -47,6 +47,7 @@ from .errors import (DegenerateColumnError, InputError, SelectionError,
                      SingularDesignError)
 from .screening import (MultiStudy, ScreeningConfig, Study, _step1_threshold,
                         compute_t_matrix, tsa_kept_mask)
+from .stats_core import _indices, _integer
 
 __all__ = [
     "GroupLassoFit",
@@ -120,17 +121,6 @@ class OlsStudyFit:
     sigma2: float
 
 
-def _check_active(data: MultiStudy, active) -> tuple[int, ...]:
-    active = tuple(sorted(int(j) for j in active))
-    if not active:
-        raise InputError("active feature set must not be empty")
-    if len(set(active)) != len(active):
-        raise InputError("active feature set has repeated indices")
-    if active[0] < 0 or active[-1] >= data.p:
-        raise InputError(f"active feature index out of range [0, {data.p})")
-    return active
-
-
 def _standardize(data: MultiStudy, active: tuple[int, ...]):
     """Center y and center/scale the active columns per study; also return
     the per-study Gram matrices ``gram`` (K, m, m) and the inner products
@@ -166,7 +156,8 @@ def _standardize(data: MultiStudy, active: tuple[int, ...]):
 def lambda_max(data: MultiStudy, active) -> float:
     """Smallest penalty at which the all-zero solution is optimal:
     max_j of the group norm of 2 * Xs_j' (y - ybar) across studies."""
-    return _lambda_max(_standardize(data, _check_active(data, active))[-1])
+    return _lambda_max(_standardize(
+        data, _indices("active feature", active, data.p, empty=False))[-1])
 
 
 def _lambda_max(c) -> float:
@@ -265,7 +256,7 @@ def group_lasso_fit(data: MultiStudy, active, lambda_: float, *,
     zero is the unique optimum, the fit starts from zero whatever
     ``beta0`` is, so that no rounding noise of a warm start is selected.
     """
-    active = _check_active(data, active)
+    active = _indices("active feature", active, data.p, empty=False)
     if not (np.ndim(lambda_) == 0 and float(lambda_) >= 0.0
             and math.isfinite(float(lambda_))):
         raise InputError(f"lambda must be a finite nonnegative real, got {lambda_!r}")
@@ -377,6 +368,13 @@ def _solver_stats(fits) -> dict:
             "kkt_residual": max(f.kkt_residual for f in fits)}
 
 
+def _check_tuning(method: str, grid_size: int) -> None:
+    if method not in ("bic", "cv"):
+        raise InputError(f"unknown tuning method {method!r}; expected 'bic' or 'cv'")
+    if _integer("grid_size", grid_size) < 2:
+        raise InputError(f"grid_size must be >= 2, got {grid_size}")
+
+
 def select_lambda(data: MultiStudy, active, method: str = "bic",
                   grid_size: int = 50):
     """Tune the penalty on a log-spaced grid from lambda_max down three
@@ -393,11 +391,8 @@ def select_lambda(data: MultiStudy, active, method: str = "bic",
     penalty once on the full data. Rows also report the solver's
     converged, iterations and kkt_residual (cv: worst fold).
     """
-    if method not in ("bic", "cv"):
-        raise InputError(f"unknown tuning method {method!r}; expected 'bic' or 'cv'")
-    if grid_size < 2:
-        raise InputError(f"grid_size must be >= 2, got {grid_size}")
-    active = _check_active(data, active)
+    _check_tuning(method, grid_size)
+    active = _indices("active feature", active, data.p, empty=False)
     std = _standardize(data, active)
     lam_max = _lambda_max(std[-1])
     if not (math.isfinite(lam_max) and lam_max > 0.0):
@@ -460,8 +455,9 @@ def tsa_sis_group_lasso(data: MultiStudy, config: ScreeningConfig,
                         method: str = "bic",
                         grid_size: int = 50) -> SelectionModel:
     """Screen with the two-step rule, tune the group penalty, fit, and
-    report the nonzero groups. An empty screened set yields an explicitly
-    marked empty model rather than an error."""
+    report the nonzero groups. An empty screen gives a model marked empty,
+    not an error; ``method`` and ``grid_size`` are checked before it."""
+    _check_tuning(method, grid_size)
     keep = tsa_kept_mask(compute_t_matrix(data),
                          _step1_threshold(config.alpha1), config.alpha2)
     if not keep.any():
@@ -479,11 +475,7 @@ def ols_refit(data: MultiStudy, selected) -> list[OlsStudyFit]:
     """Per-study least squares with intercept on the selected features,
     with standard errors from the unbiased residual variance and the
     degrees-of-freedom adjusted R-squared."""
-    selected = tuple(sorted(int(j) for j in selected))
-    if len(set(selected)) != len(selected):
-        raise InputError("selected feature set has repeated indices")
-    if selected and (selected[0] < 0 or selected[-1] >= data.p):
-        raise InputError(f"selected feature index out of range [0, {data.p})")
+    selected = _indices("selected feature", selected, data.p)
     m = len(selected)
     out = []
     for study in data.studies:

@@ -23,8 +23,8 @@ from .errors import (BudgetExceededError, DegenerateColumnError, InputError,
                      SingularDesignError)
 from .screening import (MultiStudy, ScreeningConfig, Study, _chi2_thresholds,
                         _step1_threshold, _two_step, compute_t_matrix)
-from .stats_core import (TStat, _exact_colsum, _t_from_products,
-                         center_column, self_normalized_t)
+from .stats_core import (TStat, _exact_colsum, _indices, _integer,
+                         _t_from_products, center_column, self_normalized_t)
 
 __all__ = [
     "StopReason",
@@ -79,11 +79,7 @@ def residualize(x: np.ndarray, cond, target) -> np.ndarray:
         raise InputError(
             "x must be (n, p) and target a length-n vector or (n, m) matrix")
     n = x.shape[0]
-    cond = tuple(sorted(int(c) for c in cond))
-    if len(set(cond)) != len(cond):
-        raise InputError(f"conditioning set has repeated indices: {cond}")
-    if any(c < 0 or c >= x.shape[1] for c in cond):
-        raise InputError(f"conditioning index out of range: {cond}")
+    cond = _indices("conditioning", cond, x.shape[1])
     if len(cond) >= n - 2:
         raise InputError(
             f"conditioning set of size {len(cond)} too large for n={n}")
@@ -143,8 +139,8 @@ def partial_t(study: Study, j: int, cond) -> TStat:
     The sqrt(n) factor and the stored sample count are the study's n, not
     adjusted for the size of the conditioning set.
     """
-    cond = tuple(sorted(int(c) for c in cond))
-    j = int(j)
+    cond = _indices("conditioning", cond, study.p)
+    (j,) = _indices("feature", (j,), study.p)
     if j in cond:
         raise InputError(f"feature {j} cannot condition on itself")
     if not cond:
@@ -270,9 +266,9 @@ def multi_pc_run(data: MultiStudy, config: ScreeningConfig, max_order: int,
     :class:`BudgetExceededError` is raised before the set that would pass
     it.
     """
-    if max_order < 1:
+    if _integer("max_order", max_order) < 1:
         raise InputError(f"max_order must be >= 1, got {max_order}")
-    if budget < 1:
+    if _integer("budget", budget) < 1:
         raise InputError(f"budget must be positive, got {budget}")
 
     threshold = _step1_threshold(config.alpha1)

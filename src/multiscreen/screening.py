@@ -22,8 +22,9 @@ from itertools import compress, repeat
 import numpy as np
 
 from .errors import DegenerateColumnError, InputError
-from .stats_core import (_cross_products, _exact_colsum, _t_from_products,
-                         center_column, chi2_quantile, normal_quantile)
+from .stats_core import (_cross_products, _exact_colsum, _integer,
+                         _t_from_products, center_column, chi2_quantile,
+                         normal_quantile)
 
 __all__ = [
     "Study",
@@ -398,7 +399,7 @@ def _min_rank(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def top_d_selection(ranking: list[tuple[int, float]], d: int,
                     p: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Split a ranking into (kept, dropped) index tuples by keeping the top d."""
-    if not 0 <= d <= p:
+    if not 0 <= _integer("d", d) <= _integer("p", p):
         raise InputError(f"d must lie in [0, {p}], got {d}")
     if len(ranking) != p:
         raise InputError(f"ranking covers {len(ranking)} features, expected {p}")
@@ -410,7 +411,7 @@ def top_d_selection(ranking: list[tuple[int, float]], d: int,
 
 def default_top_d(n: int) -> int:
     """Default kept-set size floor(n / log n) for the ranking screener."""
-    if n < 3:
+    if _integer("n", n) < 3:
         raise InputError(f"need n >= 3, got {n}")
     return max(1, int(math.floor(n / math.log(n))))
 

@@ -24,9 +24,10 @@ import numpy as np
 from ._forked import forked_map
 from .errors import InputError, MultiscreenError
 from .screening import (MultiStudy, Study, _chi2_thresholds, _level,
-                        _min_rank, _stat_columns, _step1_threshold, _top_d,
-                        _two_step)
-from .stats_core import _NQ_BLOCK, _exact_colsum, _integer, normal_quantile
+                        _min_rank, _real, _stat_columns, _step1_threshold,
+                        _top_d, _two_step)
+from .stats_core import (_NQ_BLOCK, _exact_colsum, _indices, _integer,
+                         normal_quantile)
 
 __all__ = [
     "SimSetting",
@@ -79,6 +80,12 @@ class SimSetting:
     def __post_init__(self):
         for name in ("n", "p", "K", "s0", "B", "seed"):
             object.__setattr__(self, name, _integer(name, getattr(self, name)))
+        for name in ("beta_low", "beta_high", "hetero_sd", "noise_sd"):
+            value = _real(getattr(self, name))
+            if value is None or not math.isfinite(value):
+                raise InputError(f"{name} must be a finite real, "
+                                 f"got {getattr(self, name)!r}")
+            object.__setattr__(self, name, value)
         if self.n < 3:
             raise InputError(f"n must be >= 3, got {self.n}")
         if self.p < 1:
@@ -106,7 +113,7 @@ class SimSetting:
     def preset(cls, setting_id: int, **overrides) -> "SimSetting":
         """The four standard scenarios: 1/2 homogeneous weak/strong signal
         coefficients, 3/4 their heterogeneous counterparts."""
-        if setting_id not in _SETTING_PRESETS:
+        if _integer("setting", setting_id) not in _SETTING_PRESETS:
             raise InputError(f"setting must be one of 1-4, got {setting_id}")
         params = dict(_SETTING_PRESETS[setting_id])
         params.update(overrides)
@@ -206,7 +213,7 @@ def _standard_normal(rng: np.random.Generator, size) -> np.ndarray:
 def even_spaced_active(p: int, s0: int) -> tuple[int, ...]:
     """0-based indices of s0 features evenly spaced over [0, p-1],
     deduplicated: round(1 + (i - 1)(p - 1)/(s0 - 1)) - 1 for i = 1..s0."""
-    if not 1 <= s0 <= p:
+    if not 1 <= _integer("s0", s0) <= _integer("p", p):
         raise InputError(f"s0 must lie in [1, p], got {s0}")
     if s0 == 1:
         return (0,)
@@ -318,7 +325,7 @@ def gen_instance(setting: SimSetting, rep: int, *, on_study=None):
     valid only during the call. The replication then holds one study's
     design, and the MultiStudy slot of the result is None.
     """
-    if rep < 0:
+    if _integer("rep", rep) < 0:
         raise InputError(f"rep must be >= 0, got {rep}")
     active = even_spaced_active(setting.p, setting.s0)
     beta_mat = np.zeros((setting.p, setting.K))
@@ -338,13 +345,8 @@ def gen_instance(setting: SimSetting, rep: int, *, on_study=None):
 
 def evaluate(kept, truth, p: int) -> RepMetrics:
     """Confusion metrics of a kept set against the true active set."""
-    kept = frozenset(int(j) for j in kept)
-    truth = frozenset(int(j) for j in truth)
-    if not truth:
-        raise InputError("truth must not be empty")
-    for name, s in (("kept", kept), ("truth", truth)):
-        if s and (min(s) < 0 or max(s) >= p):
-            raise InputError(f"{name} contains indices outside [0, {p})")
+    kept = frozenset(_indices("kept", kept, _integer("p", p)))
+    truth = frozenset(_indices("truth", truth, p, empty=False))
     tp = len(kept & truth)
     fp = len(kept - truth)
     fn = len(truth - kept)

@@ -53,7 +53,7 @@ class TStat:
     n: int
 
     def __post_init__(self):
-        if self.n < 1:
+        if _integer("n", self.n) < 1:
             raise InputError(f"sample count must be positive, got {self.n}")
         if not self.theta_hat >= 0.0:
             raise InputError(f"theta_hat must be nonnegative, got {self.theta_hat}")
@@ -371,6 +371,19 @@ def _integer(name: str, value) -> int:
     return int(value)
 
 
+def _indices(name: str, values, p: int, *, empty=True) -> tuple[int, ...]:
+    """Feature indices as a sorted tuple; an ``InputError`` unless each is
+    an integer in [0, p), none repeats and, without ``empty``, one exists."""
+    out = tuple(sorted(_integer(f"{name} index", v) for v in values))
+    if not (out or empty):
+        raise InputError(f"{name} set must not be empty")
+    if len(set(out)) != len(out):
+        raise InputError(f"{name} set has repeated indices")
+    if out and (out[0] < 0 or out[-1] >= p):
+        raise InputError(f"{name} index out of range [0, {p})")
+    return out
+
+
 def _check_df(df) -> int:
     df = _integer("degrees of freedom", df)
     if df < 1:
@@ -640,9 +653,7 @@ def theoretical_alpha1(p: int, L: float, b: float = 0.0) -> float:
     Returns 2 * (1 - Phi(gamma * sqrt(log p))) with gamma = 2 * (L + 1 + b).
     Decreasing in p, L, and b; underflows gracefully to 0 for large inputs.
     """
-    if not (isinstance(p, (int, np.integer)) and not isinstance(p, bool)):
-        raise InputError(f"p must be an integer, got {p!r}")
-    if p < 2:
+    if _integer("p", p) < 2:
         raise InputError(f"p must be at least 2, got {p}")
     if not (math.isfinite(L) and L > 0.0):
         raise InputError(f"L must be a positive real, got {L}")

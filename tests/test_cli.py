@@ -156,6 +156,22 @@ class TestSelectCommand:
         assert (out / "coefficients.csv").exists()
         assert (out / "fit_summary.csv").exists()
 
+    @pytest.mark.parametrize("empty", [False, True],
+                             ids=["screened", "empty_screen"])
+    def test_grid_below_two_exits_2(self, tmp_path, capsys, empty):
+        # --grid is checked before the screen, so an empty screen does not
+        # let a grid of one point through.
+        setting = SimSetting(n=40, p=12, K=2, s0=3, beta_low=0.0,
+                             beta_high=0.0 if empty else 1.0, B=1, seed=3)
+        manifest = write_multistudy(gen_instance(setting, 0)[0], tmp_path)
+        args = ["select", "--manifest", manifest, "--alpha1", "1e-6",
+                "--alpha2", "1e-6"]
+        assert run(args + ["--grid", "8", "--out", tmp_path / "ok"]) == 0
+        assert load_result(tmp_path / "ok")["result"]["empty_screen"] is empty
+        assert run(args + ["--grid", "1", "--out", tmp_path / "x"]) == 2
+        assert "grid_size must be >= 2, got 1" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
 
 class TestSimulateCommand:
     def test_runs_and_is_byte_identical(self, tmp_path):

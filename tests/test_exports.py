@@ -3,12 +3,15 @@ module defines, and every name the package imports from a module exists
 there and is in that module's ``__all__`` when it has one. The fields of
 the exported dataclasses are pinned, so changing one is a deliberate edit
 here. Only ``_forked`` forks, opens pipes or counts CPUs, no module reads
-the environment, and ``multi_pc`` calls no BLAS or LAPACK routine."""
+the environment, ``multi_pc`` calls no BLAS or LAPACK routine, and only
+``stats_core._integer`` decides what an integer is. README's Public API
+list names every exported name."""
 
 import ast
 import dataclasses
 import importlib
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
@@ -28,11 +31,15 @@ def test_module_all_names_exist(name):
     exec(f"from multiscreen.{name} import *", namespace)
 
 
-def test_package_imports_resolve():
+def _package_imports():
     tree = ast.parse(Path(multiscreen.__file__).read_text())
-    imports = [(node.module, alias.name) for node in tree.body
-               if isinstance(node, ast.ImportFrom) and node.level == 1
-               for alias in node.names]
+    return [(node.module, alias.name) for node in tree.body
+            if isinstance(node, ast.ImportFrom) and node.level == 1
+            for alias in node.names]
+
+
+def test_package_imports_resolve():
+    imports = _package_imports()
     assert imports
     for module, name in imports:
         mod = importlib.import_module(f"multiscreen.{module}")
@@ -147,3 +154,29 @@ def test_no_module_reads_the_environment():
     # No environment variable changes what the package computes or forks.
     assert {(module, name) for module, name in _names()
             if name in ("environ", "environb", "getenv", "getenvb")} == set()
+
+
+def test_only_integer_decides_what_an_integer_is():
+    # Every count and index goes through stats_core._integer, so a
+    # hand-written isinstance check elsewhere would be a second rule.
+    found = set()
+    for path in Path(multiscreen.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        owner = {}
+        for func in ast.walk(tree):   # breadth first: inner functions last
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update(dict.fromkeys(ast.walk(func), func.name))
+        for node in ast.walk(tree):
+            name = (node.attr if isinstance(node, ast.Attribute) else
+                    node.id if isinstance(node, ast.Name) else
+                    node.name if isinstance(node, ast.alias) else None)
+            if name in ("integer", "Integral"):
+                found.add((path.name, owner.get(node)))
+    assert found == {("stats_core.py", "_integer")}
+
+
+def test_readme_lists_every_exported_name():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Public API\n", 1)[1].split("\n## ", 1)[0]
+    listed = re.findall(r"^- `(\w+)", section, flags=re.MULTILINE)
+    assert sorted(listed) == sorted(name for _, name in _package_imports())

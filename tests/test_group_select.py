@@ -259,6 +259,16 @@ class TestGroupLassoFit:
             group_lasso_fit(data, (0, 99), 1.0)
         with pytest.raises(InputError):
             group_lasso_fit(data, (0,), -1.0)
+        # A float index is rejected, not truncated.
+        with pytest.raises(InputError,
+                           match="^active feature index must be an integer"):
+            lambda_max(data, [0.7, 2.9])
+        with pytest.raises(InputError,
+                           match="^active feature index must be an integer"):
+            group_lasso_fit(data, (0, 1.0), 1.0)
+        with pytest.raises(InputError,
+                           match="^active feature set has repeated indices"):
+            lambda_max(data, (1, 1))
 
     def test_constant_column_degenerate(self, rng):
         data, _ = make_multistudy(rng, n=20, p=3, k=1)
@@ -561,6 +571,12 @@ class TestSelectLambda:
             select_lambda(data, (0,), method="aic")
         with pytest.raises(InputError):
             select_lambda(data, (0,), grid_size=1)
+        for grid_size in (2.5, 50.0, True):
+            with pytest.raises(InputError,
+                               match="^grid_size must be an integer"):
+                select_lambda(data, (0,), grid_size=grid_size)
+        with pytest.raises(InputError, match="^active feature set must not"):
+            select_lambda(data, ())
 
 
 @pytest.fixture(scope="module")
@@ -632,6 +648,20 @@ class TestPipeline:
         assert model.selected == ()
         assert model.fit is None
         assert model.lambda_ is None
+
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(method="foo"), "unknown tuning method 'foo'"),
+        (dict(grid_size=1), "grid_size must be >= 2"),
+        (dict(grid_size=2.5), "grid_size must be an integer"),
+    ], ids=["method", "grid_size", "float_grid_size"])
+    def test_tuning_checked_before_screening(self, rng, kwargs, message):
+        # The screen of this data is empty, so the tuning arguments are
+        # never used; they are still rejected, as on a non-empty screen.
+        data, _ = make_multistudy(rng, n=40, p=8, k=3, signal=0.0)
+        config = ScreeningConfig(1e-6, 1e-6)
+        assert tsa_sis_group_lasso(data, config).empty_screen
+        with pytest.raises(InputError, match=message):
+            tsa_sis_group_lasso(data, config, **kwargs)
 
     def test_bic_reuses_path_fit(self, rng, monkeypatch):
         # The fit at the chosen penalty is the path's own: one fit per grid
@@ -742,6 +772,16 @@ class TestOlsRefit:
                           feature_names=("a", "b", "c"))
         with pytest.raises(SingularDesignError):
             ols_refit(data, (0, 1, 2))
+
+    @pytest.mark.parametrize("selected, message", [
+        ([1.5], "^selected feature index must be an integer"),
+        ((0, 0), "^selected feature set has repeated indices"),
+        ((-1,), r"^selected feature index out of range \[0, 4\)"),
+    ], ids=["float", "repeated", "negative"])
+    def test_bad_indices_rejected(self, rng, selected, message):
+        data, _ = make_multistudy(rng, n=25, p=4, k=2)
+        with pytest.raises(InputError, match=message):
+            ols_refit(data, selected)
 
     def test_too_many_features(self, rng):
         data, _ = make_multistudy(rng, n=5, p=6, k=1)

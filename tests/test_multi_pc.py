@@ -106,6 +106,15 @@ class TestResidualize:
             residualize(x, (0, 1, 2, 3), rng.normal(size=6))
         with pytest.raises(InputError):
             residualize(x, (0,), rng.normal(size=(6, 2, 2)))
+        with pytest.raises(InputError,
+                           match="^conditioning index must be an integer"):
+            residualize(x, [0.5], rng.normal(size=6))
+        with pytest.raises(InputError,
+                           match="^conditioning set has repeated indices"):
+            residualize(x, (1, 1), rng.normal(size=6))
+        with pytest.raises(InputError,
+                           match=r"^conditioning index out of range \[0, 5\)"):
+            residualize(x, (5,), rng.normal(size=6))
 
 
 class TestPartialT:
@@ -161,6 +170,22 @@ class TestPartialT:
         data, _ = make_multistudy(rng)
         with pytest.raises(InputError):
             partial_t(data.studies[0], 2, (2,))
+
+    @pytest.mark.parametrize("j, cond, message", [
+        (-1, (0,), r"^feature index out of range \[0, "),
+        (99, (), r"^feature index out of range \[0, "),
+        (1.0, (), "^feature index must be an integer"),
+        (1, (0, 0), "^conditioning set has repeated indices"),
+        (1, (0.5,), "^conditioning index must be an integer"),
+        (1, (-1,), r"^conditioning index out of range \[0, "),
+    ], ids=["negative", "past_p", "float", "repeated_cond", "float_cond",
+            "negative_cond"])
+    def test_bad_indices_rejected(self, rng, j, cond, message):
+        # Unchecked, -1 would score the last column, 99 would index past
+        # the end, and a repeated set would read as a singular design.
+        data, _ = make_multistudy(rng)
+        with pytest.raises(InputError, match=message):
+            partial_t(data.studies[0], j, cond)
 
 
 def reference_stage(data, active, order, alpha1, alpha2, reverse=False):
@@ -320,3 +345,7 @@ class TestMultiPcRun:
         data, _ = make_multistudy(rng)
         with pytest.raises(InputError):
             multi_pc_run(data, ScreeningConfig(), max_order=0)
+        with pytest.raises(InputError, match="^max_order must be an integer"):
+            multi_pc_run(data, ScreeningConfig(), max_order=True)
+        with pytest.raises(InputError, match="^budget must be an integer"):
+            multi_pc_run(data, ScreeningConfig(), max_order=2, budget=1.5)

@@ -20,8 +20,8 @@ from multiscreen import (DegenerateColumnError, InputError, LevelGrid,
                          MethodSpec, MultiscreenError, RocGrid,
                          ScreeningConfig, SimSetting, Study,
                          compute_correlation_matrix, compute_t_matrix,
-                         even_spaced_active, evaluate, gen_instance,
-                         min_sis_rank, one_step_sis, replicate,
+                         default_top_d, even_spaced_active, evaluate,
+                         gen_instance, min_sis_rank, one_step_sis, replicate,
                          top_d_selection, tsa_sis)
 from multiscreen.screening import _stat_columns, _stat_matrices
 from multiscreen.simulate import (_mean_se, _rep_rng, _standard_normal,
@@ -55,6 +55,16 @@ class TestSetting:
             SimSetting(noise_sd=0.0)
         with pytest.raises(InputError):
             SimSetting(seed=-1)
+        # Unchecked, each of these fails every replication inside Study
+        # with "entries must be finite".
+        for field, value in [("noise_sd", math.inf), ("hetero_sd", math.nan),
+                             ("beta_high", math.inf), ("beta_low", -math.inf),
+                             ("noise_sd", "0.5"), ("beta_low", None)]:
+            with pytest.raises(InputError,
+                               match=f"^{field} must be a finite real"):
+                SimSetting(**{field: value})
+        assert SimSetting(beta_low=0, beta_high=np.float32(1.0)) \
+            == SimSetting(beta_low=0.0, beta_high=1.0)
 
     COUNTS = dict(n=40, p=20, K=3, s0=3, B=4, seed=11)
 
@@ -381,6 +391,12 @@ class TestEvaluate:
             evaluate({11}, {1}, 10)
         with pytest.raises(InputError):
             evaluate({1}, set(), 10)
+        with pytest.raises(InputError, match="^kept index must be an integer"):
+            evaluate([1.5], {1}, 10)
+        with pytest.raises(InputError, match="^kept set has repeated indices"):
+            evaluate([2, 2], {1}, 10)
+        with pytest.raises(InputError, match=r"^truth index out of range"):
+            evaluate([], {-1}, 10)
 
 
 class TestRunReplications:
@@ -606,7 +622,15 @@ class TestReplicate:
         ("d", lambda d: RocGrid(d_grid=(1, d))),
         ("threads", lambda threads: replicate(small_setting(B=1),
                                               [MethodSpec()], threads)),
-    ], ids=["method_d", "roc_d_grid", "threads"])
+        ("rep", lambda rep: gen_instance(small_setting(), rep)),
+        ("d", lambda d: top_d_selection([(0, 1.0), (1, 0.5), (2, 0.1)], d,
+                                        3)),
+        ("n", default_top_d),
+        ("s0", lambda s0: even_spaced_active(10, s0)),
+        ("p", lambda p: evaluate([1], [1], p)),
+        ("setting", SimSetting.preset),
+    ], ids=["method_d", "roc_d_grid", "threads", "rep", "top_d", "default_d",
+            "active_s0", "evaluate_p", "preset"])
     def test_non_integer_count_rejected(self, name, make, value):
         with pytest.raises(InputError,
                            match=f"^{name} must be an integer, got {value!r}$"):

@@ -355,6 +355,8 @@ class TestSelfNormalizedT:
             TStat(value=0.0, sigma_hat=0.0, theta_hat=-1.0, n=5)
         with pytest.raises(InputError):
             TStat(value=0.0, sigma_hat=0.0, theta_hat=1.0, n=0)
+        with pytest.raises(InputError, match="^n must be an integer"):
+            TStat(value=0.0, sigma_hat=0.0, theta_hat=1.0, n=5.0)
 
 
 class TestTheoreticalAlpha1:
@@ -380,6 +382,11 @@ class TestTheoreticalAlpha1:
             theoretical_alpha1(10, 0.0, 0.0)
         with pytest.raises(InputError):
             theoretical_alpha1(10, 1.0, -0.5)
+        for p in (10.0, True):
+            with pytest.raises(InputError, match="^p must be an integer"):
+                theoretical_alpha1(p, 1.0, 0.0)
+        assert theoretical_alpha1(np.int64(10), 1.0) \
+            == theoretical_alpha1(10, 1.0)
 
 
 # ---------------------------------------------------------------------------
