@@ -45,8 +45,8 @@ import numpy as np
 
 from .errors import (DegenerateColumnError, InputError, SelectionError,
                      SingularDesignError)
-from .screening import (MultiStudy, ScreeningConfig, Study, _step1_threshold,
-                        compute_t_matrix, tsa_kept_mask)
+from .screening import (MultiStudy, ScreeningConfig, Study, _real,
+                        _step1_threshold, compute_t_matrix, tsa_kept_mask)
 from .stats_core import _indices, _integer
 
 __all__ = [
@@ -257,8 +257,8 @@ def group_lasso_fit(data: MultiStudy, active, lambda_: float, *,
     ``beta0`` is, so that no rounding noise of a warm start is selected.
     """
     active = _indices("active feature", active, data.p, empty=False)
-    if not (np.ndim(lambda_) == 0 and float(lambda_) >= 0.0
-            and math.isfinite(float(lambda_))):
+    lam = _real(lambda_)
+    if lam is None or not (lam >= 0.0 and math.isfinite(lam)):
         raise InputError(f"lambda must be a finite nonnegative real, got {lambda_!r}")
     std = _standardize(data, active)
     m, K = len(active), data.k
@@ -267,9 +267,9 @@ def group_lasso_fit(data: MultiStudy, active, lambda_: float, *,
         raise InputError(f"beta0 must have shape {(m, K)}")
     if not np.all(np.isfinite(beta)):
         raise InputError("beta0 must be finite")
-    if float(lambda_) >= _lambda_max(std[-1]):
+    if lam >= _lambda_max(std[-1]):
         beta[:] = 0.0
-    return _fit(data, active, std, float(lambda_), beta)
+    return _fit(data, active, std, lam, beta)
 
 
 def _settled(prev_obj: float, obj: float) -> bool:

@@ -21,8 +21,9 @@ import numpy as np
 
 from .errors import (BudgetExceededError, DegenerateColumnError, InputError,
                      SingularDesignError)
-from .screening import (MultiStudy, ScreeningConfig, Study, _chi2_thresholds,
-                        _step1_threshold, _two_step, compute_t_matrix)
+from .screening import (MultiStudy, ScreeningConfig, Study, _all_finite,
+                        _chi2_thresholds, _step1_threshold, _two_step,
+                        compute_t_matrix)
 from .stats_core import (TStat, _exact_colsum, _indices, _integer,
                          _t_from_products, center_column, self_normalized_t)
 
@@ -70,14 +71,18 @@ def residualize(x: np.ndarray, cond, target) -> np.ndarray:
     ``target`` is a length-n vector or an (n, m) matrix; each column is
     residualized on its own by :func:`_project`, the kernel of the stage
     loop, so the residuals do not move under a permutation of the rows.
-    Raises :class:`SingularDesignError` when a conditioning column keeps at
-    most 1e-10 of its variance after the projection on the earlier ones.
+    Raises :class:`InputError` when ``x`` or ``target`` holds a NaN or an
+    infinity, and :class:`SingularDesignError` when a conditioning column
+    keeps at most 1e-10 of its variance after the projection on the
+    earlier ones.
     """
     x = np.asarray(x, dtype=float)
     t = np.asarray(target, dtype=float)
     if x.ndim != 2 or t.ndim not in (1, 2) or x.shape[0] != t.shape[0]:
         raise InputError(
             "x must be (n, p) and target a length-n vector or (n, m) matrix")
+    if not (_all_finite(x) and np.isfinite(t).all()):
+        raise InputError("x and target entries must be finite")
     n = x.shape[0]
     cond = _indices("conditioning", cond, x.shape[1])
     if len(cond) >= n - 2:

@@ -2,6 +2,7 @@
 export/reload round trip."""
 
 import csv
+import enum
 import hashlib
 import inspect
 import json
@@ -442,6 +443,112 @@ class TestWriteJson:
             write_json_atomic(path, payload)
         assert path.read_bytes() == before
         assert not list(tmp_path.glob("*.tmp"))
+
+    def test_generated_values_match_dumps(self, tmp_path):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        path = tmp_path / "result.json"
+
+        @hypothesis.settings(max_examples=300, deadline=None, database=None)
+        @hypothesis.given(_json_payloads(st))
+        def check(payload):
+            try:
+                expected = json.dumps(payload, indent=2, sort_keys=True)
+            except Exception as exc:
+                with pytest.raises(type(exc)):
+                    write_json_atomic(path, payload)
+            else:
+                write_json_atomic(path, payload)
+                assert path.read_bytes() == (expected + "\n").encode()
+
+        check()
+
+    def test_large_payload_is_written_in_bounded_pieces(self, tmp_path,
+                                                        monkeypatch):
+        monkeypatch.setattr(data_io, "_JSON_PIECES", 64)
+        sizes = []
+        replace_with = data_io._replace_with
+
+        class Recorded:
+            def __init__(self, fh):
+                self._fh = fh
+
+            def write(self, text):
+                sizes.append(len(text))
+                return self._fh.write(text)
+
+        monkeypatch.setattr(
+            data_io, "_replace_with",
+            lambda path, write: replace_with(path,
+                                             lambda fh: write(Recorded(fh))))
+        records = [{"feature": j, "name": f"g{j}", "t": [0.5 * j] * 5,
+                    "kept": j % 3 == 0} for j in range(2_000)]
+        payload = {"result": {"features": records}}
+        write_json_atomic(tmp_path / "result.json", payload)
+        expected = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        assert (tmp_path / "result.json").read_bytes() == expected.encode()
+        # A write holds at most 65 pieces, each under 200 characters here:
+        # the longest is a record's list of five floats.
+        assert sum(sizes) == len(expected)
+        assert max(sizes) <= 65 * 200 < len(expected) // 20
+
+    @pytest.mark.parametrize("shape", ["list", "dict", "deep"])
+    def test_cycle_raises_and_leaves_the_old_file(self, tmp_path, shape):
+        path = tmp_path / "result.json"
+        write_json_atomic(path, {"old": 1})
+        before = path.read_bytes()
+        loop = [1.5]
+        if shape == "list":
+            loop.append(loop)
+        elif shape == "dict":
+            loop = {"a": 1, "self": None}
+            loop["self"] = loop
+        else:
+            loop.append({"b": [{"c": loop}]})
+        with pytest.raises(ValueError, match="Circular reference"):
+            json.dumps(loop, indent=2, sort_keys=True)
+        with pytest.raises(ValueError, match="Circular reference"):
+            write_json_atomic(path, {"a": [1, 2], "z": loop})
+        assert path.read_bytes() == before
+        assert not list(tmp_path.glob("*.tmp"))
+
+
+class Colour(enum.IntEnum):
+    RED = 1
+    HUGE = 2 ** 70
+
+
+def _json_payloads(st):
+    """Values json writes, and some it refuses: every float it spells
+    apart, subclasses it converts by isinstance, non-BMP and control
+    characters, tuples, empty containers and non-str keys."""
+    text = st.text() | st.sampled_from(["", "\x00\x1f\x7f", "\U0001f9ec",
+                                        "\u2028\ud7ff\ue000\uffff", '"\\/'])
+    floats = st.floats() | st.sampled_from(
+        [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e308, math.nan,
+         math.inf, -math.inf])
+    numbers = (st.integers() | st.sampled_from([2 ** 70, -2 ** 70])
+               | floats | floats.map(np.float64) | st.sampled_from(Colour))
+    scalars = st.none() | st.booleans() | numbers | text
+
+    def containers(children):
+        # Lists of one scalar type are joined at once. The keys of one
+        # dict sort against each other: all strings, all numbers and
+        # bools (NaN included), or a lone None.
+        return (st.lists(children, max_size=6)
+                | st.lists(children, max_size=4).map(tuple)
+                | st.lists(floats) | st.lists(st.integers()) | st.lists(text)
+                | st.dictionaries(text, children, max_size=6)
+                | st.dictionaries(numbers | st.booleans(), children,
+                                  max_size=3)
+                | st.dictionaries(st.none(), children, max_size=1))
+
+    values = st.recursive(scalars, containers, max_leaves=40)
+    refused = st.sampled_from([frozenset({1}), b"bytes", np.int64(3),
+                               np.bool_(True), 1 + 2j, Path("x")])
+    mixed_keys = st.sampled_from([{"a": 1, 2: 3}, {None: 1, 0: 2},
+                                  {(1,): 2}, {1.5: 1, "b": 2}])
+    return values | st.tuples(values, refused | mixed_keys).map(list)
 
 
 def test_alignment_compares_names_linearly(tmp_path, monkeypatch):

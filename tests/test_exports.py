@@ -3,9 +3,10 @@ module defines, and every name the package imports from a module exists
 there and is in that module's ``__all__`` when it has one. The fields of
 the exported dataclasses are pinned, so changing one is a deliberate edit
 here. Only ``_forked`` forks, opens pipes or counts CPUs, no module reads
-the environment, ``multi_pc`` calls no BLAS or LAPACK routine, and only
-``stats_core._integer`` decides what an integer is. README's Public API
-list names every exported name."""
+the environment, ``multi_pc`` calls no BLAS or LAPACK routine, only
+``stats_core._integer`` decides what an integer is, and every indented JSON
+document goes through ``data_io``'s one encoder. README's Public API list
+names every exported name."""
 
 import ast
 import dataclasses
@@ -180,3 +181,31 @@ def test_readme_lists_every_exported_name():
     section = readme.split("\n## Public API\n", 1)[1].split("\n## ", 1)[0]
     listed = re.findall(r"^- `(\w+)", section, flags=re.MULTILINE)
     assert sorted(listed) == sorted(name for _, name in _package_imports())
+
+
+def test_one_writer_indents_json():
+    # write_json_atomic writes every indented document through one encoder,
+    # data_io._write_json, so no module calls json.dump or passes indent=.
+    # The table cache's compact json.dumps calls are the only others.
+    found, dumps = set(), set()
+    for path in Path(multiscreen.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        owner = {}
+        for func in ast.walk(tree):   # breadth first: inner functions last
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update(dict.fromkeys(ast.walk(func), func.name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                found |= {(path.name, "indent=") for kw in node.keywords
+                          if kw.arg == "indent"}
+            if (isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "json"
+                    and node.attr in ("dump", "dumps")):
+                (found if node.attr == "dump" else dumps).add(
+                    (path.name, owner.get(node)))
+            elif isinstance(node, ast.ImportFrom) and node.module == "json":
+                found |= {(path.name, alias.name) for alias in node.names
+                          if alias.name in ("dump", "dumps")}
+    assert found == set()
+    assert dumps == {("data_io.py", "_cache_tag"), ("data_io.py", "_store")}

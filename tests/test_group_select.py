@@ -259,6 +259,16 @@ class TestGroupLassoFit:
             group_lasso_fit(data, (0, 99), 1.0)
         with pytest.raises(InputError):
             group_lasso_fit(data, (0,), -1.0)
+        # lambda is checked as a real number, not converted by float().
+        for bad in ("1.0", None, 1 + 0j, [1.0], np.array([1.0]), np.inf,
+                    np.nan):
+            with pytest.raises(InputError, match="^lambda must be a finite"):
+                group_lasso_fit(data, (0, 1), bad)
+        fit = group_lasso_fit(data, (0, 1), 1.0)
+        for same in (np.float64(1.0), np.array(1.0), np.float32(1.0), 1):
+            again = group_lasso_fit(data, (0, 1), same)
+            assert again.lambda_ == 1.0
+            assert again.beta.tobytes() == fit.beta.tobytes()
         # A float index is rejected, not truncated.
         with pytest.raises(InputError,
                            match="^active feature index must be an integer"):

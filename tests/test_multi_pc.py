@@ -116,6 +116,22 @@ class TestResidualize:
                            match=r"^conditioning index out of range \[0, 5\)"):
             residualize(x, (5,), rng.normal(size=6))
 
+    @pytest.mark.parametrize("where", ["nan_in_target", "inf_in_x",
+                                       "inf_in_matrix_target"])
+    def test_non_finite_entries_raise(self, rng, where):
+        # Projected, one NaN would make every residual NaN.
+        x = rng.normal(size=(20, 4))
+        t = rng.normal(size=20)
+        if where == "nan_in_target":
+            t[3] = np.nan
+        elif where == "inf_in_x":
+            x[7, 2] = -np.inf
+        else:
+            t = np.column_stack([t, t])
+            t[0, 1] = np.inf
+        with pytest.raises(InputError, match="entries must be finite"):
+            residualize(x, (1,), t)
+
 
 class TestPartialT:
     def test_empty_set_is_marginal_bitwise(self, rng):
