@@ -11,11 +11,10 @@ from .group_select import (GroupLassoFit, OlsStudyFit, SelectionModel,
                            select_lambda, tsa_sis_group_lasso)
 from .multi_pc import (MultiPcState, StopReason, multi_pc_run, partial_t,
                        residualize)
-from .screening import (FeatureScreenRecord, MultiStudy, ScreeningConfig,
-                        ScreeningResult, Study, compute_correlation_matrix,
-                        compute_t_matrix, default_top_d, min_sis_rank,
-                        one_step_sis, top_d_selection, tsa_sis,
-                        tsa_sis_from_stats)
+from .screening import (MultiStudy, ScreeningConfig, ScreeningResult, Study,
+                        compute_correlation_matrix, compute_t_matrix,
+                        default_top_d, min_sis_rank, one_step_sis,
+                        top_d_selection, tsa_sis, tsa_sis_from_stats)
 from .simulate import (LevelGrid, MethodSpec, RepMetrics, ReplicationSummary,
                        RocCurve, RocGrid, RocPoint, SensitivityGrid, SimSetting,
                        even_spaced_active, evaluate, gen_instance, replicate)

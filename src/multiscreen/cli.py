@@ -2,12 +2,13 @@
 
 Every subcommand returns its result and its human-readable CSV tables;
 ``main`` then writes the tables and a machine-readable ``result.json``
-(validating against the schema shipped in ``multiscreen/schemas``) into
-``--out``, so a command that fails writes nothing. ``result.json`` records
-every parsed flag but ``--out`` and ``--seed`` as its ``config``. Exit
-codes: 0 success, 2 input/usage error (a data file that cannot be read,
-or an ``OSError`` while writing into ``--out``, included), 3 numerical
-failure. All randomness is seeded from the command line.
+into ``--out``, so a command that fails writes nothing. Nothing validates
+``result.json`` at run time: the tests check it against the schema
+shipped in ``multiscreen/schemas``. ``result.json`` records every parsed
+flag but ``--out`` and ``--seed`` as its ``config``. Exit codes: 0
+success, 2 input/usage error (a data file that cannot be read, or an
+``OSError`` while writing into ``--out``, included), 3 numerical failure.
+All randomness is seeded from the command line.
 
 CSV cells are Python values written with ``str()``: a float as its
 shortest repr, a non-finite one as ``nan`` or ``inf``. A handler returns
@@ -73,30 +74,12 @@ def _write_outputs(args, result: dict, tables: dict) -> None:
     })
 
 
-def _records_payload(data, screening):
-    features = [{
-        "index": rec.feature,
-        "name": data.feature_names[rec.feature],
-        "t_stats": rec.t_stats.tolist(),
-        "l_hat": list(rec.l_hat),
-        "kappa_hat": rec.kappa_hat,
-        "l_stat": _json(rec.l_stat),
-        "chi2_threshold": _json(rec.chi2_threshold),
-        "kept": rec.kept,
-    } for rec in screening.records]
-    return {
-        "study_ids": [s.id for s in data.studies],
-        "method": screening.method,
-        "features": features,
-        "kept": [data.feature_names[j] for j in screening.kept],
-        "dropped": [data.feature_names[j] for j in screening.dropped],
-    }
-
-
 def _cmd_screen(args):
     if args.d is not None and args.method != "minsis":
         raise InputError("--d is only valid with --method minsis")
     data = load_multistudy(args.manifest)
+    names = data.feature_names
+    result = {"study_ids": [s.id for s in data.studies], "method": args.method}
     if args.method == "minsis":
         d = _top_d(min(s.n for s in data.studies), args.d)
         ranking = min_sis_rank(data)
@@ -104,31 +87,41 @@ def _cmd_screen(args):
         kept_set = set(kept)
         ranked = [(j, rank, score)
                   for rank, (j, score) in enumerate(ranking, start=1)]
-        result = {
-            "study_ids": [s.id for s in data.studies],
-            "method": "minsis",
-            "d": d,
-            "ranking": [{"index": j, "name": data.feature_names[j],
-                         "score": _json(score), "rank": rank,
-                         "kept": j in kept_set} for j, rank, score in ranked],
-            "kept": [data.feature_names[j] for j in kept],
-            "dropped": [data.feature_names[j] for j in dropped],
-        }
+        result["d"] = d
+        result["ranking"] = [{"index": j, "name": names[j],
+                              "score": _json(score), "rank": rank,
+                              "kept": j in kept_set} for j, rank, score in ranked]
         header = ["feature", "index", "rank", "score", "kept"]
-        rows = [[data.feature_names[j], j, rank, score, j in kept_set]
+        rows = [[names[j], j, rank, score, j in kept_set]
                 for j, rank, score in sorted(ranked)]
     else:
         screening = tsa_sis(data, ScreeningConfig(args.alpha1, args.alpha2)) \
             if args.method == "tsa" else one_step_sis(data, args.alpha1)
-        result = _records_payload(data, screening)
+        kept, dropped = screening.kept, screening.dropped
+        kept_set = set(kept)
         header = ["feature", "index", "t_stats", "l_hat", "kappa_hat",
                   "l_stat", "chi2_threshold", "kept"]
-        rows = [[data.feature_names[rec.feature], rec.feature,
-                 ";".join(map(str, rec.t_stats.tolist())),
-                 ";".join(map(str, rec.l_hat)), rec.kappa_hat,
-                 "" if rec.l_stat is None else rec.l_stat,
-                 "" if rec.chi2_threshold is None else rec.chi2_threshold,
-                 rec.kept] for rec in screening.records]
+        # One pass over the columns gives each feature's JSON object and
+        # CSV row; an aggregate that was not tested (NaN) is null in JSON
+        # and an empty cell in the CSV.
+        features, rows = [], []
+        result["features"] = features
+        for j, (t, in_l, kappa, l_stat, chi2) in enumerate(zip(
+                screening.t_stats.tolist(), screening.l_hat.tolist(),
+                screening.kappa_hat.tolist(), screening.l_stat.tolist(),
+                screening.chi2_threshold.tolist())):
+            l_hat = list(itertools.compress(range(data.k), in_l))
+            features.append({"index": j, "name": names[j], "t_stats": t,
+                             "l_hat": l_hat, "kappa_hat": kappa,
+                             "l_stat": _json(l_stat),
+                             "chi2_threshold": _json(chi2),
+                             "kept": j in kept_set})
+            rows.append([names[j], j, ";".join(map(str, t)),
+                         ";".join(map(str, l_hat)), kappa,
+                         *("" if math.isnan(v) else v for v in (l_stat, chi2)),
+                         j in kept_set])
+    result["kept"] = [names[j] for j in kept]
+    result["dropped"] = [names[j] for j in dropped]
     return result, {"records.csv": (header, rows)}
 
 

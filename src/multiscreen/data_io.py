@@ -307,13 +307,14 @@ def _stored(entry, tag: str):
 
 def _store(entry, header, values, digest: str, tag: str) -> None:
     """Store a parsed table under the digest of its bytes and delete the
-    file's other entries; a directory that cannot be written is skipped."""
+    file's other entries, whatever their tag (an older naming's included);
+    a directory that cannot be written is skipped."""
     path = _entry_path(entry.data_path, digest, tag)
     # The header goes in as JSON text: numpy's fixed-width strings would
     # drop a trailing NUL.
     text = np.frombuffer(json.dumps(header).encode(), dtype=np.uint8)
     ours = re.compile(re.escape(entry.data_path.name)
-                      + r"\.[0-9a-f]{64}\.[0-9a-f]{16}\.npz")
+                      + r"\.[0-9a-f]{64}\..+\.npz")
     try:
         _replace_with(path, lambda fh: np.savez(fh, header=text,
                                                 values=values), binary=True)

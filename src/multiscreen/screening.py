@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from itertools import compress, repeat
 
 import numpy as np
 
@@ -30,7 +29,6 @@ __all__ = [
     "Study",
     "MultiStudy",
     "ScreeningConfig",
-    "FeatureScreenRecord",
     "ScreeningResult",
     "compute_t_matrix",
     "compute_correlation_matrix",
@@ -158,30 +156,22 @@ def _level(name: str, v) -> float:
 
 
 @dataclass(frozen=True)
-class FeatureScreenRecord:
-    """Per-feature screening evidence.
-
-    ``l_hat`` holds 0-based study positions whose individual test did not
-    reject; ``l_stat`` and ``chi2_threshold`` are None when ``kappa_hat``
-    is zero (or for step-1-only screeners).
-    """
-
-    feature: int
-    t_stats: np.ndarray
-    l_hat: tuple[int, ...]
-    kappa_hat: int
-    l_stat: float | None
-    chi2_threshold: float | None
-    kept: bool
-
-
-@dataclass(frozen=True)
 class ScreeningResult:
-    """Partition of the features into kept and dropped sets."""
+    """Kept and dropped sets of a screen and its per-feature columns.
+
+    Row j of each column is feature j: ``t_stats`` (p, K), the step-1 mask
+    ``l_hat`` (p, K), True where a study's test did not reject, and
+    ``kappa_hat`` (p,). ``l_stat`` and ``chi2_threshold`` (p,) are NaN
+    where no aggregate test ran: kappa_hat == 0, or the one-step rule.
+    """
 
     kept: tuple[int, ...]
     dropped: tuple[int, ...]
-    records: tuple[FeatureScreenRecord, ...]
+    t_stats: np.ndarray
+    l_hat: np.ndarray
+    kappa_hat: np.ndarray
+    l_stat: np.ndarray
+    chi2_threshold: np.ndarray
     config: ScreeningConfig
     method: str = "tsa"
 
@@ -273,10 +263,7 @@ def _levels(alpha1, alpha2, threshold) -> tuple[ScreeningConfig, float]:
     if threshold is None:
         config = ScreeningConfig(alpha1, alpha2)
         return config, _step1_threshold(config.alpha1)
-    value = _real(threshold)
-    if value is None or not (value >= 0.0 and math.isfinite(value)):
-        raise InputError(f"threshold must be a finite nonnegative real, got {threshold!r}")
-    threshold = value
+    threshold = _threshold(threshold)
     # 2 * (1 - Phi(t)) without cancellation; clamp so the echoed config
     # stays inside (0, 1) even for absurdly large thresholds.
     implied = max(math.erfc(threshold / math.sqrt(2.0)), 1e-300)
@@ -284,6 +271,15 @@ def _levels(alpha1, alpha2, threshold) -> tuple[ScreeningConfig, float]:
         raise InputError(f"threshold {threshold!r} is too small: its step-1 "
                          "level 2 * (1 - Phi(threshold)) rounds to 1")
     return ScreeningConfig(implied, alpha2), threshold
+
+
+def _threshold(v) -> float:
+    """``v`` as a float when it is a finite nonnegative real: the check of
+    every explicit step-1 threshold."""
+    value = _real(v)
+    if value is None or not (value >= 0.0 and math.isfinite(value)):
+        raise InputError(f"threshold must be a finite nonnegative real, got {v!r}")
+    return value
 
 
 def _step1_threshold(alpha1: float) -> float:
@@ -319,28 +315,22 @@ def _two_step(t_mat: np.ndarray, threshold: float, chi2_table):
 
 def _screen(t_mat: np.ndarray, config: ScreeningConfig, threshold: float,
             method: str) -> ScreeningResult:
-    """Records and kept/dropped sets of the two-step rule ("tsa") or of the
-    one-step rule ("onestep": keep where kappa_hat == 0, no aggregate
-    fields) on a (p, K) statistic matrix."""
-    in_l = _step1_mask(t_mat, threshold)
-    if method == "tsa":
-        table = _chi2_thresholds(config.alpha2, t_mat.shape[1])
-        kappa, l_stat, keep = _two_step(t_mat, threshold, table)
-        aggregates = [(s, table[k]) if k else (None, None)
-                      for k, s in zip(kappa.tolist(), l_stat.tolist())]
-    else:
-        keep = ~in_l.any(axis=1)
-        aggregates = repeat((None, None))
-    l_hats = [tuple(compress(range(t_mat.shape[1]), mask))
-              for mask in in_l.tolist()]
-    records = tuple(FeatureScreenRecord(
-        feature=j, t_stats=row, l_hat=l_hat, kappa_hat=len(l_hat),
-        l_stat=agg[0], chi2_threshold=agg[1], kept=kept)
-        for j, (row, l_hat, agg, kept) in enumerate(
-            zip(t_mat, l_hats, aggregates, keep.tolist())))
+    """Columns and kept/dropped sets of the two-step rule ("tsa") or of the
+    one-step rule ("onestep": keep where kappa_hat == 0) on a (p, K)
+    statistic matrix. The one-step rule is the two-step one under an
+    all-infinite chi-square table, so no aggregate test runs."""
+    table = np.array(_chi2_thresholds(config.alpha2, t_mat.shape[1])
+                     if method == "tsa" else [math.inf] * (t_mat.shape[1] + 1))
+    kappa, l_stat, keep = _two_step(t_mat, threshold, table)
+    chi2 = table[kappa]
+    untested = np.isinf(chi2)
     return ScreeningResult(kept=tuple(np.flatnonzero(keep).tolist()),
                            dropped=tuple(np.flatnonzero(~keep).tolist()),
-                           records=records, config=config, method=method)
+                           t_stats=t_mat, l_hat=_step1_mask(t_mat, threshold),
+                           kappa_hat=kappa,
+                           l_stat=np.where(untested, math.nan, l_stat),
+                           chi2_threshold=np.where(untested, math.nan, chi2),
+                           config=config, method=method)
 
 
 def tsa_sis(data: MultiStudy, config: ScreeningConfig) -> ScreeningResult:
@@ -368,15 +358,15 @@ def tsa_sis_from_stats(t_mat: np.ndarray, alpha2: float,
 
 def tsa_kept_mask(t_mat: np.ndarray, threshold: float, alpha2: float) -> np.ndarray:
     """Keep mask of the two-step rule, for callers that need no per-feature
-    records (the screen of ``tsa_sis_group_lasso``)."""
+    columns (the screen of ``tsa_sis_group_lasso``)."""
     t_mat = np.asarray(t_mat, dtype=float)
-    return _two_step(t_mat, threshold,
-                     _chi2_thresholds(float(alpha2), t_mat.shape[1]))[2]
+    return _two_step(t_mat, _threshold(threshold), _chi2_thresholds(
+        _level("alpha2", alpha2), t_mat.shape[1]))[2]
 
 
 def one_step_sis(data: MultiStudy, alpha1: float) -> ScreeningResult:
     """Keep a feature only when every study individually rejects a zero
-    correlation. Records carry step-1 evidence only (no aggregate fields);
+    correlation. Its columns carry step-1 evidence only (NaN aggregates);
     the config's alpha2 is a placeholder this rule never consults."""
     config, thr = _levels(alpha1, 0.05, None)
     return _screen(compute_t_matrix(data), config, thr, "onestep")

@@ -1319,6 +1319,21 @@ class TestTableCache:
         assert [e for e in cache_entries(tmp_path) if e.startswith("s1.")] \
             == [f"s1.csv.{digest}.{data_io._cache_tag()}.npz"]
 
+    def test_entry_of_another_tag_is_replaced(self, tmp_path):
+        # An entry written under an older naming, with the format name as
+        # its tag, goes when the file's next entry is stored.
+        manifest = write_studies(tmp_path, ["good", "good"])
+        load_multistudy(manifest)
+        cache = tmp_path / ".multiscreen-cache"
+        (old,) = [e for e in cache_entries(tmp_path) if e.startswith("s1.")]
+        (cache / old).rename(cache / f"{old.rsplit('.', 2)[0]}.v1.npz")
+        edited = GOOD.replace("4,5,6", "4,5.5,6")
+        write(tmp_path / "s1.csv", edited)
+        load_multistudy(manifest)
+        digest = hashlib.sha256(edited.encode()).hexdigest()
+        assert [e for e in cache_entries(tmp_path) if e.startswith("s1.")] \
+            == [f"s1.csv.{digest}.{data_io._cache_tag()}.npz"]
+
     @pytest.mark.parametrize("damage", ["truncated", "empty", "not_npz",
                                         "float32"])
     def test_damaged_entry_is_parsed_and_rewritten(self, tmp_path,

@@ -51,8 +51,6 @@ def test_package_imports_resolve():
 
 # Field names, in order, of every dataclass the package exports.
 RESULT_FIELDS = {
-    "FeatureScreenRecord": ("feature", "t_stats", "l_hat", "kappa_hat",
-                            "l_stat", "chi2_threshold", "kept"),
     "GroupLassoFit": ("features", "beta", "intercepts", "lambda_",
                       "objective_trace", "converged", "iterations",
                       "kkt_residual", "beta_std", "selected", "warning"),
@@ -71,7 +69,8 @@ RESULT_FIELDS = {
     "RocGrid": ("d_grid",),
     "RocPoint": ("d", "sensitivity", "one_minus_specificity"),
     "ScreeningConfig": ("alpha1", "alpha2"),
-    "ScreeningResult": ("kept", "dropped", "records", "config", "method"),
+    "ScreeningResult": ("kept", "dropped", "t_stats", "l_hat", "kappa_hat",
+                        "l_stat", "chi2_threshold", "config", "method"),
     "SelectionModel": ("screened", "selected", "lambda_", "fit",
                        "diagnostics", "tune_method", "empty_screen"),
     "SensitivityGrid": ("alpha1_list", "alpha2_list", "mean_sensitivity",

@@ -2,6 +2,7 @@
 minimum-correlation ranking."""
 
 import math
+import tracemalloc
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -14,9 +15,8 @@ from multiscreen import (DegenerateColumnError, InputError, MultiStudy,
                          compute_t_matrix, default_top_d, min_sis_rank,
                          normal_quantile, one_step_sis, self_normalized_t,
                          top_d_selection, tsa_sis, tsa_sis_from_stats)
-from multiscreen.screening import (_CHUNK, FeatureScreenRecord,
-                                   ScreeningResult, _chi2_thresholds,
-                                   _stat_matrices, _step1_mask,
+from multiscreen.screening import (_CHUNK, _chi2_thresholds, _levels,
+                                   _screen, _stat_matrices, _step1_mask,
                                    _step1_threshold, _two_step,
                                    compute_correlation_matrix, tsa_kept_mask)
 from multiscreen.simulate import LevelGrid, MethodSpec, SimSetting, gen_instance
@@ -31,51 +31,57 @@ TOY_T = np.array([
 ])
 
 
+def _l_hats(res):
+    """Each feature's l_hat, read off the step-1 mask as a tuple of study
+    positions."""
+    return [tuple(np.flatnonzero(row).tolist()) for row in res.l_hat]
+
+
 class TestToyGolden:
     def test_step1_sets(self):
         res = tsa_sis_from_stats(TOY_T, alpha2=0.05, threshold=3.09)
-        l_hats = [rec.l_hat for rec in res.records]
-        kappas = [rec.kappa_hat for rec in res.records]
-        assert l_hats == [(), (1, 2, 3, 4), (0, 1, 2, 3, 4)]
-        assert kappas == [0, 4, 5]
+        assert _l_hats(res) == [(), (1, 2, 3, 4), (0, 1, 2, 3, 4)]
+        assert res.kappa_hat.tolist() == [0, 4, 5]
 
     def test_step2_decisions(self):
         res = tsa_sis_from_stats(TOY_T, alpha2=0.05, threshold=3.09)
-        strong, weak, noise = res.records
-        assert strong.kept and strong.l_stat is None
-        assert weak.l_stat == pytest.approx(25.31, abs=0.01)
-        assert weak.chi2_threshold == pytest.approx(9.4877, abs=1e-3)
-        assert weak.kept
-        assert noise.l_stat == pytest.approx(1.27, abs=0.01)
-        assert noise.chi2_threshold == pytest.approx(11.0705, abs=1e-3)
-        assert not noise.kept
+        l_stat, chi2 = res.l_stat, res.chi2_threshold
+        assert 0 in res.kept and math.isnan(l_stat[0])
+        assert l_stat[1] == pytest.approx(25.31, abs=0.01)
+        assert chi2[1] == pytest.approx(9.4877, abs=1e-3)
+        assert 1 in res.kept
+        assert l_stat[2] == pytest.approx(1.27, abs=0.01)
+        assert chi2[2] == pytest.approx(11.0705, abs=1e-3)
+        assert 2 not in res.kept
         assert res.kept == (0, 1)
         assert res.dropped == (2,)
 
     def test_one_step_on_toy_keeps_only_strong(self):
         res = tsa_sis_from_stats(TOY_T, alpha2=0.05, threshold=3.09)
-        kept = [rec.feature for rec in res.records if rec.kappa_hat == 0]
-        assert kept == [0]
+        assert np.flatnonzero(res.kappa_hat == 0).tolist() == [0]
 
 
 class TestStep1:
     def test_threshold_boundary_is_inclusive(self):
         t = np.array([[2.0, -2.0, 1.99, 2.01]])
         res = tsa_sis_from_stats(t, alpha2=0.05, threshold=2.0)
-        assert res.records[0].l_hat == (0, 1, 2)
+        assert _l_hats(res)[0] == (0, 1, 2)
 
     def test_near_one_alpha1_empties_l_hat(self):
         t = np.array([[0.5, -0.2, 1.4]])
-        rec = tsa_sis_from_stats(t, alpha2=0.05, alpha1=1.0 - 1e-12).records[0]
+        res = tsa_sis_from_stats(t, alpha2=0.05, alpha1=1.0 - 1e-12)
         # The threshold collapses toward zero, so every nonzero statistic
         # individually rejects.
-        assert rec.l_hat == ()
-        assert rec.kappa_hat == 0
+        assert _l_hats(res)[0] == ()
+        assert res.kappa_hat[0] == 0
 
     def test_no_feature_removed(self, rng):
         data, _ = make_multistudy(rng)
         res = one_step_sis(data, alpha1=0.01)
-        assert [rec.feature for rec in res.records] == list(range(data.p))
+        assert res.t_stats.shape == res.l_hat.shape == (data.p, data.k)
+        assert res.kappa_hat.shape == res.l_stat.shape \
+            == res.chi2_threshold.shape == (data.p,)
+        assert sorted(res.kept + res.dropped) == list(range(data.p))
 
     def test_t_stats_match_self_normalized(self, rng):
         data, _ = make_multistudy(rng, n=25, p=5, k=2)
@@ -102,7 +108,7 @@ class TestStep2:
         t = np.array([[9.0, 8.0]])
         for alpha2 in (1e-6, 0.5, 1.0 - 1e-6):
             res = tsa_sis_from_stats(t, alpha2=alpha2, threshold=3.0)
-            assert res.records[0].kept
+            assert res.kept == (0,)
 
     def test_exact_threshold_drops(self):
         # One study in l_hat; pick T so the aggregate equals the chi-square
@@ -110,42 +116,43 @@ class TestStep2:
         thr = chi2_quantile(0.95, 1)
         t = np.array([[math.sqrt(thr)]])
         res = tsa_sis_from_stats(t, alpha2=0.05, threshold=10.0)
-        rec = res.records[0]
-        assert rec.l_stat == pytest.approx(rec.chi2_threshold, abs=1e-12)
-        assert not rec.kept
+        assert res.l_stat[0] == pytest.approx(res.chi2_threshold[0], abs=1e-12)
+        assert res.kept == ()
 
     def test_stricter_alpha1_can_rescue_a_feature(self):
         # A feature that four studies reject individually hangs on the one
         # borderline study left in l_hat, which must clear chi-square(1)
         # alone; a stricter step 1 pools a second study and keeps it.
         t = np.array([[3.62, 2.91, 4.13, 4.48, 4.52]])
-        loose = tsa_sis_from_stats(t, alpha2=1e-3, alpha1=1e-3).records[0]
-        assert loose.l_hat == (1,)
-        assert loose.l_stat == pytest.approx(8.468, abs=1e-3)
-        assert loose.chi2_threshold == pytest.approx(10.828, abs=1e-3)
-        assert not loose.kept
-        strict = tsa_sis_from_stats(t, alpha2=1e-3, alpha1=1e-4).records[0]
-        assert strict.l_hat == (0, 1)
-        assert strict.l_stat == pytest.approx(21.573, abs=1e-3)
-        assert strict.chi2_threshold == pytest.approx(13.816, abs=1e-3)
-        assert strict.kept
+        loose = tsa_sis_from_stats(t, alpha2=1e-3, alpha1=1e-3)
+        assert _l_hats(loose) == [(1,)]
+        assert loose.l_stat[0] == pytest.approx(8.468, abs=1e-3)
+        assert loose.chi2_threshold[0] == pytest.approx(10.828, abs=1e-3)
+        assert loose.kept == ()
+        strict = tsa_sis_from_stats(t, alpha2=1e-3, alpha1=1e-4)
+        assert _l_hats(strict) == [(0, 1)]
+        assert strict.l_stat[0] == pytest.approx(21.573, abs=1e-3)
+        assert strict.chi2_threshold[0] == pytest.approx(13.816, abs=1e-3)
+        assert strict.kept == (0,)
 
     def test_records_fully_populated(self, rng):
         data, _ = make_multistudy(rng)
         res = tsa_sis(data, ScreeningConfig(alpha1=0.05, alpha2=0.1))
-        for rec in res.records:
+        for j, (t_stats, l_hat, kappa_hat, l_stat, chi2) in enumerate(zip(
+                res.t_stats, _l_hats(res), res.kappa_hat, res.l_stat,
+                res.chi2_threshold)):
             expected_l = tuple(
                 k for k in range(data.k)
-                if abs(rec.t_stats[k]) <= normal_quantile(1.0 - 0.05 / 2.0))
-            assert rec.l_hat == expected_l
-            assert rec.kappa_hat == len(rec.l_hat)
-            if rec.kappa_hat == 0:
-                assert rec.l_stat is None and rec.chi2_threshold is None
-                assert rec.kept
+                if abs(t_stats[k]) <= normal_quantile(1.0 - 0.05 / 2.0))
+            assert l_hat == expected_l
+            assert kappa_hat == len(l_hat)
+            if kappa_hat == 0:
+                assert math.isnan(l_stat) and math.isnan(chi2)
+                assert j in res.kept
             else:
-                assert rec.l_stat == pytest.approx(
-                    math.fsum(float(rec.t_stats[k]) ** 2 for k in rec.l_hat))
-                assert rec.kept == (rec.l_stat > rec.chi2_threshold)
+                assert l_stat == pytest.approx(
+                    math.fsum(float(t_stats[k]) ** 2 for k in l_hat))
+                assert (j in res.kept) == (l_stat > chi2)
 
 
 class TestTsaSis:
@@ -215,15 +222,28 @@ class TestTsaSis:
         a = tsa_sis(data, ScreeningConfig())
         b = tsa_sis(data, ScreeningConfig())
         assert a.kept == b.kept
-        for ra, rb in zip(a.records, b.records):
-            assert np.array_equal(ra.t_stats, rb.t_stats)
-            assert (ra.l_stat is None and rb.l_stat is None) \
-                or ra.l_stat == rb.l_stat
+        assert np.array_equal(a.t_stats, b.t_stats)
+        assert np.array_equal(a.l_stat, b.l_stat, equal_nan=True)
 
     def test_unequal_sample_sizes_supported(self, rng):
         data, _ = make_multistudy(rng, unequal_n=True)
         res = tsa_sis(data, ScreeningConfig())
-        assert len(res.records) == data.p
+        assert len(res.kappa_hat) == data.p
+
+    def test_result_memory_at_p_1e5(self, rng):
+        # The result holds (p,) and (p, K) arrays and the two index tuples,
+        # no object per feature: about 6.9 MB at p = 10^5, K = 5, where
+        # one frozen record per feature held 43 MB.
+        t = rng.normal(scale=2.0, size=(100_000, 5))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            res = tsa_sis_from_stats(t, alpha2=0.05, alpha1=1e-4)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert 0 < len(res.kept) < len(t)
+        assert held <= 12 * 10**6, f"result holds {held / 1e6:.1f} MB"
 
     def test_kept_mask_matches_records(self, rng):
         for _ in range(25):
@@ -240,7 +260,7 @@ class TestTsaSis:
         tie = np.array([[0.7104563186629204, 0.589707879099864,
                          2.6386027249001796]])
         res = tsa_sis_from_stats(tie, alpha2=0.05, threshold=3.0)
-        assert res.records[0].l_stat == res.records[0].chi2_threshold
+        assert res.l_stat[0] == res.chi2_threshold[0]
         assert res.kept == ()
         assert not tsa_kept_mask(tie, 3.0, 0.05)[0]
 
@@ -249,17 +269,16 @@ class TestOneStep:
     def test_all_above_threshold_all_kept(self):
         t = np.full((4, 3), 9.0)
         res = tsa_sis_from_stats(t, alpha2=0.05, threshold=3.0)
-        assert all(rec.kappa_hat == 0 for rec in res.records)
+        assert (res.kappa_hat == 0).all()
         assert res.kept == (0, 1, 2, 3)
 
     def test_records_step1_only(self, rng):
         data, _ = make_multistudy(rng)
         res = one_step_sis(data, 0.01)
         assert res.method == "onestep"
-        for rec in res.records:
-            assert rec.l_stat is None
-            assert rec.chi2_threshold is None
-            assert rec.kept == (rec.kappa_hat == 0)
+        assert np.isnan(res.l_stat).all()
+        assert np.isnan(res.chi2_threshold).all()
+        assert res.kept == tuple(np.flatnonzero(res.kappa_hat == 0).tolist())
 
 
 class TestMinSis:
@@ -402,11 +421,26 @@ class TestValidation:
          "threshold"),
         (lambda v: MethodSpec(alpha2=v), "alpha2"),
         (lambda v: LevelGrid([v], [0.05]), "alpha1"),
+        (lambda v: tsa_kept_mask([[1.0]], 3.0, v), "alpha2"),
+        (lambda v: tsa_kept_mask([[1.0]], v, 0.05), "threshold"),
     ], ids=["config_alpha1", "config_alpha2", "stats_alpha2", "stats_alpha1",
-            "stats_threshold", "spec_alpha2", "grid_alpha1"])
+            "stats_threshold", "spec_alpha2", "grid_alpha1", "mask_alpha2",
+            "mask_threshold"])
     def test_level_that_is_not_a_real_number_rejected(self, make, name, value):
         with pytest.raises(InputError, match=name):
             make(value)
+
+    @pytest.mark.parametrize("name, value", [
+        ("alpha2", 0.0), ("alpha2", 1.0), ("alpha2", -0.1), ("alpha2", 2.0),
+        ("alpha2", True), ("threshold", -1.0), ("threshold", math.inf),
+        ("threshold", math.nan)])
+    def test_kept_mask_level_out_of_range_rejected(self, name, value):
+        # The kept mask checks its levels as the screening result does.
+        levels = {"threshold": 3.0, "alpha2": 0.05, name: value}
+        with pytest.raises(InputError, match=f"^{name} must"):
+            tsa_kept_mask([[1.0]], **levels)
+        with pytest.raises(InputError, match=f"^{name} must"):
+            tsa_sis_from_stats([[1.0]], **levels)
 
     def test_real_levels_of_any_numeric_type_accepted(self):
         for v in (0.01, np.float64(0.01), np.float32(0.25), np.array(0.01),
@@ -623,26 +657,58 @@ def _reference_step2_aggregate(step1_output, alpha2):
                              thresholds)
 
 
+@dataclass(frozen=True)
+class _reference_Record:
+    """Per-feature screening evidence, one object per feature: ``l_hat``
+    holds 0-based study positions; ``l_stat`` and ``chi2_threshold`` are
+    None when no aggregate test ran."""
+
+    feature: int
+    t_stats: np.ndarray
+    l_hat: tuple[int, ...]
+    kappa_hat: int
+    l_stat: float | None
+    chi2_threshold: float | None
+    kept: bool
+
+
+@dataclass(frozen=True)
+class _reference_Result:
+    kept: tuple[int, ...]
+    dropped: tuple[int, ...]
+    records: tuple[_reference_Record, ...]
+    config: ScreeningConfig
+    method: str
+
+
 def _reference_result(step1, keep, config, method, l_stat=None,
                       chi2_table=None):
     """Records and kept/dropped sets from step-1 evidence and a keep mask;
     the aggregate fields are set where kappa_hat > 0 and l_stat is given."""
-    records = tuple(FeatureScreenRecord(
+    records = tuple(_reference_Record(
         feature=j, t_stats=t_row, l_hat=l_hat, kappa_hat=kappa,
         l_stat=float(l_stat[j]) if kappa and l_stat is not None else None,
         chi2_threshold=chi2_table[kappa] if kappa and l_stat is not None
         else None, kept=bool(keep[j]))
         for j, (l_hat, kappa, t_row) in enumerate(step1))
-    return ScreeningResult(kept=tuple(int(j) for j in np.nonzero(keep)[0]),
-                           dropped=tuple(int(j) for j in np.nonzero(~keep)[0]),
-                           records=records, config=config, method=method)
+    return _reference_Result(kept=tuple(int(j) for j in np.nonzero(keep)[0]),
+                             dropped=tuple(int(j) for j in np.nonzero(~keep)[0]),
+                             records=records, config=config, method=method)
 
 
-def _reference_one_step(t_mat, alpha1):
-    step1 = _reference_step1_from_stats(t_mat, alpha1=alpha1)
+def _reference_one_step(t_mat, alpha1=None, threshold=None):
+    step1 = _reference_step1_from_stats(t_mat, alpha1=alpha1,
+                                        threshold=threshold)
     keep = np.array([kappa == 0 for _, kappa, _ in step1], dtype=bool)
     config = ScreeningConfig(alpha1=step1.alpha1, alpha2=0.05)
     return _reference_result(step1, keep, config, "onestep")
+
+
+def _one_step(t_mat, alpha1=None, threshold=None):
+    """The builder's one-step result on a given matrix, with the levels
+    ``one_step_sis`` gives it."""
+    return _screen(np.asarray(t_mat, dtype=float),
+                   *_levels(alpha1, 0.05, threshold), "onestep")
 
 
 def _typed(v):
@@ -656,12 +722,32 @@ def _typed(v):
 
 
 def _fields(res):
-    """Every field of a result and of each of its records, typed."""
+    """Every field of a result, each per-feature column included, typed."""
     return (_typed(res.kept), _typed(res.dropped), res.method,
             _typed(res.config.alpha1), _typed(res.config.alpha2),
-            [tuple(_typed(getattr(rec, f)) for f in (
-                "feature", "t_stats", "l_hat", "kappa_hat", "l_stat",
-                "chi2_threshold", "kept")) for rec in res.records])
+            [_typed(getattr(res, f)) for f in (
+                "t_stats", "l_hat", "kappa_hat", "l_stat", "chi2_threshold")])
+
+
+def _reference_fields(ref, k):
+    """The reference's fields typed as :func:`_fields` types a result's,
+    its K-study records stacked into columns: l_hat as a mask, an absent
+    aggregate as NaN."""
+    recs, p = ref.records, len(ref.records)
+
+    def value(v):
+        return math.nan if v is None else v
+
+    return (_typed(ref.kept), _typed(ref.dropped), ref.method,
+            _typed(ref.config.alpha1), _typed(ref.config.alpha2), [
+                _typed(np.array([r.t_stats for r in recs],
+                                dtype=float).reshape(p, k)),
+                _typed(np.array([[i in r.l_hat for i in range(k)]
+                                 for r in recs], dtype=bool).reshape(p, k)),
+                _typed(np.array([r.kappa_hat for r in recs], dtype=int)),
+                _typed(np.array([value(r.l_stat) for r in recs], dtype=float)),
+                _typed(np.array([value(r.chi2_threshold) for r in recs],
+                                dtype=float))])
 
 
 def _random_stats(rng, thr):
@@ -679,28 +765,39 @@ def _random_stats(rng, thr):
 
 class TestBuilderMatchesReference:
     def test_random_threshold_entry(self, rng):
+        ks = set()
         for _ in range(200):
             thr = float(rng.uniform(0.5, 4.0))
             alpha2 = float(rng.uniform(1e-3, 0.5))
             t = _random_stats(rng, thr)
+            k = t.shape[1]
             want = _reference_step2_aggregate(
                 _reference_step1_from_stats(t, threshold=thr), alpha2)
             got = tsa_sis_from_stats(t, alpha2=alpha2, threshold=thr)
-            assert _fields(got) == _fields(want)
+            assert _fields(got) == _reference_fields(want, k)
+            assert _fields(_one_step(t, threshold=thr)) \
+                == _reference_fields(_reference_one_step(t, threshold=thr), k)
+            ks.add(k)
+        assert ks == set(range(1, 7))
 
     def test_random_alpha1_entry(self, rng):
-        kappas = set()
+        kappas, ks = set(), set()
         for _ in range(200):
             alpha1 = float(rng.uniform(1e-4, 0.2))
             alpha2 = float(rng.uniform(1e-3, 0.5))
             t = _random_stats(rng, _step1_threshold(alpha1))
+            k = t.shape[1]
             want = _reference_step2_aggregate(
                 _reference_step1_from_stats(t, alpha1=alpha1), alpha2)
             got = tsa_sis_from_stats(t, alpha2=alpha2, alpha1=alpha1)
-            assert _fields(got) == _fields(want)
-            kappas |= {(rec.kappa_hat == 0, rec.kappa_hat == t.shape[1])
-                       for rec in got.records}
+            assert _fields(got) == _reference_fields(want, k)
+            assert _fields(_one_step(t, alpha1=alpha1)) \
+                == _reference_fields(_reference_one_step(t, alpha1=alpha1), k)
+            kappas |= set(zip((got.kappa_hat == 0).tolist(),
+                              (got.kappa_hat == k).tolist()))
+            ks.add(k)
         assert kappas >= {(True, False), (False, True)}
+        assert ks == set(range(1, 7))
 
     def test_no_features(self):
         for k in (1, 5):
@@ -708,8 +805,10 @@ class TestBuilderMatchesReference:
             want = _reference_step2_aggregate(
                 _reference_step1_from_stats(t, alpha1=0.01), 0.05)
             got = tsa_sis_from_stats(t, alpha2=0.05, alpha1=0.01)
-            assert _fields(got) == _fields(want)
-            assert got.records == ()
+            assert _fields(got) == _reference_fields(want, k)
+            assert got.t_stats.shape == (0, k)
+            assert _fields(_one_step(t, alpha1=0.01)) \
+                == _reference_fields(_reference_one_step(t, alpha1=0.01), k)
 
     def test_chi2_tie_row(self):
         tie = np.array([[0.7104563186629204, 0.589707879099864,
@@ -717,9 +816,11 @@ class TestBuilderMatchesReference:
         want = _reference_step2_aggregate(
             _reference_step1_from_stats(tie, threshold=3.0), 0.05)
         got = tsa_sis_from_stats(tie, alpha2=0.05, threshold=3.0)
-        assert _fields(got) == _fields(want)
-        assert got.records[0].l_stat == 7.814727903251181
+        assert _fields(got) == _reference_fields(want, 3)
+        assert got.l_stat[0] == 7.814727903251181
         assert got.kept == ()
+        assert _fields(_one_step(tie, threshold=3.0)) \
+            == _reference_fields(_reference_one_step(tie, threshold=3.0), 3)
 
     def test_data_entry_points(self, rng):
         for _ in range(20):
@@ -732,6 +833,6 @@ class TestBuilderMatchesReference:
             want = _reference_step2_aggregate(
                 _reference_step1_from_stats(t, alpha1=alpha1), alpha2)
             got = tsa_sis(data, ScreeningConfig(alpha1, alpha2))
-            assert _fields(got) == _fields(want)
+            assert _fields(got) == _reference_fields(want, data.k)
             assert _fields(one_step_sis(data, alpha1)) \
-                == _fields(_reference_one_step(t, alpha1))
+                == _reference_fields(_reference_one_step(t, alpha1), data.k)
