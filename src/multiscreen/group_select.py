@@ -45,9 +45,9 @@ import numpy as np
 
 from .errors import (DegenerateColumnError, InputError, SelectionError,
                      SingularDesignError)
-from .screening import (MultiStudy, ScreeningConfig, Study, _real,
-                        _step1_threshold, compute_t_matrix, tsa_kept_mask)
-from .stats_core import _indices, _integer
+from .screening import (MultiStudy, ScreeningConfig, Study, _step1_threshold,
+                        compute_t_matrix, tsa_kept_mask)
+from .stats_core import _indices, _integer, _real, _real_array
 
 __all__ = [
     "GroupLassoFit",
@@ -257,16 +257,14 @@ def group_lasso_fit(data: MultiStudy, active, lambda_: float, *,
     ``beta0`` is, so that no rounding noise of a warm start is selected.
     """
     active = _indices("active feature", active, data.p, empty=False)
-    lam = _real(lambda_)
-    if lam is None or not (lam >= 0.0 and math.isfinite(lam)):
-        raise InputError(f"lambda must be a finite nonnegative real, got {lambda_!r}")
+    lam = _real("lambda", lambda_, "be a finite nonnegative real",
+                lambda v: v >= 0.0)
     std = _standardize(data, active)
     m, K = len(active), data.k
-    beta = np.zeros((m, K)) if beta0 is None else np.array(beta0, dtype=float)
-    if beta.shape != (m, K):
-        raise InputError(f"beta0 must have shape {(m, K)}")
-    if not np.all(np.isfinite(beta)):
-        raise InputError("beta0 must be finite")
+    beta = np.zeros((m, K)) if beta0 is None \
+        else _real_array("beta0", beta0).copy()
+    if beta.shape != (m, K) or not np.all(np.isfinite(beta)):
+        raise InputError(f"beta0 must be a finite array of shape {(m, K)}")
     if lam >= _lambda_max(std[-1]):
         beta[:] = 0.0
     return _fit(data, active, std, lam, beta)

@@ -25,7 +25,8 @@ from .screening import (MultiStudy, ScreeningConfig, Study, _all_finite,
                         _chi2_thresholds, _step1_threshold, _two_step,
                         compute_t_matrix)
 from .stats_core import (TStat, _exact_colsum, _indices, _integer,
-                         _t_from_products, center_column, self_normalized_t)
+                         _real_array, _t_from_products, center_column,
+                         self_normalized_t)
 
 __all__ = [
     "StopReason",
@@ -76,8 +77,8 @@ def residualize(x: np.ndarray, cond, target) -> np.ndarray:
     keeps at most 1e-10 of its variance after the projection on the
     earlier ones.
     """
-    x = np.asarray(x, dtype=float)
-    t = np.asarray(target, dtype=float)
+    x = _real_array("x", x)
+    t = _real_array("target", target)
     if x.ndim != 2 or t.ndim not in (1, 2) or x.shape[0] != t.shape[0]:
         raise InputError(
             "x must be (n, p) and target a length-n vector or (n, m) matrix")

@@ -15,15 +15,14 @@ Three screeners operate on a :class:`MultiStudy`:
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateColumnError, InputError
-from .stats_core import (_cross_products, _exact_colsum, _integer,
-                         _t_from_products, center_column, chi2_quantile,
-                         normal_quantile)
+from .stats_core import (_cross_products, _exact_colsum, _integer, _level,
+                         _real, _real_array, _t_from_products, center_column,
+                         chi2_quantile, normal_quantile)
 
 __all__ = [
     "Study",
@@ -44,15 +43,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Study:
-    """One study's design matrix (n rows, p feature columns) and response."""
+    """One study's design matrix (n rows, p feature columns) and response.
+
+    InputError unless x and y are finite bool, integer or float arrays."""
 
     id: str
     x: np.ndarray
     y: np.ndarray
 
     def __post_init__(self):
-        x = np.asarray(self.x, dtype=float)
-        y = np.asarray(self.y, dtype=float)
+        x = _real_array(f"study {self.id!r}: x", self.x)
+        y = _real_array(f"study {self.id!r}: y", self.y)
         if x.ndim != 2:
             raise InputError(f"study {self.id!r}: x must be a 2-d matrix")
         if y.ndim != 1:
@@ -135,24 +136,6 @@ class ScreeningConfig:
     def __post_init__(self):
         for name in ("alpha1", "alpha2"):
             object.__setattr__(self, name, _level(name, getattr(self, name)))
-
-
-def _real(v) -> float | None:
-    """``v`` as a float when it is one real number (a 0-d real array
-    included), else None: strings, None and complex numbers are not."""
-    if isinstance(v, numbers.Real) or (
-            np.ndim(v) == 0 and np.asarray(v).dtype.kind in "iuf"):
-        return float(v)
-    return None
-
-
-def _level(name: str, v) -> float:
-    """``v`` as a float strictly inside (0, 1): the check of every
-    significance level, in configs and simulation specs alike."""
-    level = _real(v)
-    if level is None or not 0.0 < level < 1.0:
-        raise InputError(f"{name} must lie strictly inside (0, 1), got {v!r}")
-    return level
 
 
 @dataclass(frozen=True)
@@ -276,10 +259,8 @@ def _levels(alpha1, alpha2, threshold) -> tuple[ScreeningConfig, float]:
 def _threshold(v) -> float:
     """``v`` as a float when it is a finite nonnegative real: the check of
     every explicit step-1 threshold."""
-    value = _real(v)
-    if value is None or not (value >= 0.0 and math.isfinite(value)):
-        raise InputError(f"threshold must be a finite nonnegative real, got {v!r}")
-    return value
+    return _real("threshold", v, "be a finite nonnegative real",
+                 lambda t: t >= 0.0)
 
 
 def _step1_threshold(alpha1: float) -> float:
@@ -335,8 +316,8 @@ def _screen(t_mat: np.ndarray, config: ScreeningConfig, threshold: float,
 
 def tsa_sis(data: MultiStudy, config: ScreeningConfig) -> ScreeningResult:
     """Two-step aggregation screening: step 1 then step 2."""
-    return tsa_sis_from_stats(compute_t_matrix(data), config.alpha2,
-                              alpha1=config.alpha1)
+    return _screen(compute_t_matrix(data), config,
+                   _step1_threshold(config.alpha1), "tsa")
 
 
 def tsa_sis_from_stats(t_mat: np.ndarray, alpha2: float,
@@ -347,8 +328,9 @@ def tsa_sis_from_stats(t_mat: np.ndarray, alpha2: float,
     Exactly one of ``alpha1`` and an explicit ``threshold`` sets step 1; a
     threshold's config echoes the implied level 2 * (1 - Phi(threshold)).
     A study lands in a feature's l_hat when |T| <= threshold (ties go in).
+    The result holds its own copy of ``t_mat``.
     """
-    t_mat = np.asarray(t_mat, dtype=float)
+    t_mat = _real_array("statistic matrix", t_mat).copy()
     if t_mat.ndim != 2 or t_mat.shape[1] < 1 or np.isnan(t_mat).any():
         raise InputError("statistic matrix must be 2-d (features x studies) "
                          "with at least one study column and no NaN")
@@ -359,7 +341,7 @@ def tsa_sis_from_stats(t_mat: np.ndarray, alpha2: float,
 def tsa_kept_mask(t_mat: np.ndarray, threshold: float, alpha2: float) -> np.ndarray:
     """Keep mask of the two-step rule, for callers that need no per-feature
     columns (the screen of ``tsa_sis_group_lasso``)."""
-    t_mat = np.asarray(t_mat, dtype=float)
+    t_mat = _real_array("statistic matrix", t_mat)
     return _two_step(t_mat, _threshold(threshold), _chi2_thresholds(
         _level("alpha2", alpha2), t_mat.shape[1]))[2]
 

@@ -23,11 +23,10 @@ import numpy as np
 
 from ._forked import forked_map
 from .errors import InputError, MultiscreenError
-from .screening import (MultiStudy, Study, _chi2_thresholds, _level,
-                        _min_rank, _real, _stat_columns, _step1_threshold,
-                        _top_d, _two_step)
-from .stats_core import (_NQ_BLOCK, _exact_colsum, _indices, _integer,
-                         normal_quantile)
+from .screening import (MultiStudy, Study, _chi2_thresholds, _min_rank,
+                        _stat_columns, _step1_threshold, _top_d, _two_step)
+from .stats_core import (_NQ_BLOCK, _exact_colsum, _indices, _integer, _level,
+                         _real, normal_quantile)
 
 __all__ = [
     "SimSetting",
@@ -81,17 +80,16 @@ class SimSetting:
         for name in ("n", "p", "K", "s0", "B", "seed"):
             object.__setattr__(self, name, _integer(name, getattr(self, name)))
         for name in ("beta_low", "beta_high", "hetero_sd", "noise_sd"):
-            value = _real(getattr(self, name))
-            if value is None or not math.isfinite(value):
-                raise InputError(f"{name} must be a finite real, "
-                                 f"got {getattr(self, name)!r}")
-            object.__setattr__(self, name, value)
-        if self.n < 3:
-            raise InputError(f"n must be >= 3, got {self.n}")
-        if self.p < 1:
-            raise InputError(f"p must be >= 1, got {self.p}")
-        if self.K < 1:
-            raise InputError(f"K must be >= 1, got {self.K}")
+            object.__setattr__(self, name, _real(name, getattr(self, name)))
+        for name in ("heterogeneous", "fix_r"):
+            flag = getattr(self, name)
+            if not isinstance(flag, (bool, np.bool_)):
+                raise InputError(f"{name} must be a bool, got {flag!r}")
+            object.__setattr__(self, name, bool(flag))
+        for name, low in (("n", 3), ("p", 1), ("K", 1), ("B", 1)):
+            if getattr(self, name) < low:
+                raise InputError(
+                    f"{name} must be >= {low}, got {getattr(self, name)}")
         if not 1 <= self.s0 <= self.p:
             raise InputError(f"s0 must lie in [1, p], got {self.s0}")
         if not self.beta_low <= self.beta_high:
@@ -100,11 +98,10 @@ class SimSetting:
             raise InputError(f"hetero_sd must be >= 0, got {self.hetero_sd}")
         if not self.noise_sd > 0:
             raise InputError(f"noise_sd must be > 0, got {self.noise_sd}")
-        pool = tuple(float(r) for r in self.r_pool)
-        if not pool or any(not 0.0 <= r < 1.0 for r in pool):
-            raise InputError("every r in r_pool must satisfy 0 <= r < 1")
-        if self.B < 1:
-            raise InputError(f"B must be >= 1, got {self.B}")
+        pool = tuple(_real("every r in r_pool", r, "satisfy 0 <= r < 1",
+                           lambda v: 0.0 <= v < 1.0) for r in self.r_pool)
+        if not pool:
+            raise InputError("r_pool must not be empty")
         if not 0 <= self.seed < 2 ** 64:
             raise InputError("seed must fit in an unsigned 64-bit integer")
         object.__setattr__(self, "r_pool", pool)

@@ -16,6 +16,7 @@ sums and no LAPACK call, so they too are invariant under a row permutation.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 
@@ -55,8 +56,8 @@ class TStat:
     def __post_init__(self):
         if _integer("n", self.n) < 1:
             raise InputError(f"sample count must be positive, got {self.n}")
-        if not self.theta_hat >= 0.0:
-            raise InputError(f"theta_hat must be nonnegative, got {self.theta_hat}")
+        _real("theta_hat", self.theta_hat, "be a finite nonnegative real",
+              lambda v: v >= 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -184,11 +185,10 @@ def _erfc_scalar(x: float) -> float:
 
 
 def _as_float_array(value, name: str) -> tuple[np.ndarray, bool]:
-    scalar = np.ndim(value) == 0
-    arr = np.atleast_1d(np.asarray(value, dtype=float))
+    arr = _real_array(name, value)
     if not np.all(np.isfinite(arr)):
         raise InputError(f"{name} must be finite")
-    return arr, scalar
+    return np.atleast_1d(arr), arr.ndim == 0
 
 
 def normal_cdf(z):
@@ -295,10 +295,7 @@ def _normal_quantile_scalar(p: float) -> float:
     bit-identical to the array path (np.log and np.exp on purpose: the math
     module rounds differently; math.sqrt is correctly rounded like
     np.sqrt)."""
-    if not math.isfinite(p):
-        raise InputError("p must be finite")
-    if not 0.0 < p < 1.0:
-        raise InputError("p must lie strictly inside (0, 1)")
+    p = _level("p", p)
     if p < _NQ_SPLIT:
         z = _nq_tail(math.sqrt(-2.0 * float(np.log(p))), -1.0)
     elif p > 1.0 - _NQ_SPLIT:
@@ -371,6 +368,39 @@ def _integer(name: str, value) -> int:
     return int(value)
 
 
+def _real(name: str, value, must: str = "be a finite real", ok=None) -> float:
+    """``value`` as a float; an ``InputError`` "``name`` must ``must``"
+    unless it is a finite real (a ``numbers.Real`` but not a bool, or a 0-d
+    integer or floating array) that passes the predicate ``ok``, if any."""
+    if (isinstance(value, numbers.Real) and not isinstance(value, bool)) or (
+            np.ndim(value) == 0 and np.asarray(value).dtype.kind in "iuf"):
+        try:
+            out = float(value)
+        except OverflowError:   # an int beyond any float
+            out = math.inf
+        if math.isfinite(out) and (ok is None or ok(out)):
+            return out
+    raise InputError(f"{name} must {must}, got {value!r}")
+
+
+def _level(name: str, v) -> float:
+    """``v`` as a float strictly inside (0, 1): the check of every
+    significance level and probability argument."""
+    return _real(name, v, "lie strictly inside (0, 1)", lambda a: 0.0 < a < 1.0)
+
+
+def _real_array(name: str, value) -> np.ndarray:
+    """``np.asarray(value, dtype=float)`` of bool, integer or floating data
+    only, else an ``InputError``; the dtype tells, so a float64 array is not
+    copied. A 0-d value follows :func:`_real`; the caller checks finiteness."""
+    arr = np.asarray(value)
+    if arr.ndim == 0:
+        return np.asarray(_real(name, value))
+    if arr.dtype.kind not in "biuf":
+        raise InputError(f"{name} must hold real numbers, got {arr.dtype} data")
+    return arr.astype(float, copy=False)
+
+
 def _indices(name: str, values, p: int, *, empty=True) -> tuple[int, ...]:
     """Feature indices as a sorted tuple; an ``InputError`` unless each is
     an integer in [0, p), none repeats and, without ``empty``, one exists."""
@@ -394,14 +424,11 @@ def _check_df(df) -> int:
 def chi2_cdf(x: float, df: int) -> float:
     """Chi-square CDF with integer degrees of freedom.
 
-    Equals the regularized lower incomplete gamma P(df/2, x/2).
+    Equals the regularized lower incomplete gamma P(df/2, x/2). Raises
+    InputError unless df is an integer >= 1 and x a finite real >= 0.
     """
     df = _check_df(df)
-    if not (np.ndim(x) == 0 and math.isfinite(float(x))):
-        raise InputError("x must be a finite scalar")
-    x = float(x)
-    if x < 0.0:
-        raise InputError(f"x must be nonnegative, got {x}")
+    x = _real("x", x, "be a finite nonnegative real", lambda v: v >= 0.0)
     return _gammainc_lower(0.5 * df, 0.5 * x)
 
 
@@ -418,13 +445,10 @@ def chi2_quantile(p: float, df: int) -> float:
     Newton iteration; round-trips through :func:`chi2_cdf` within 1e-8
     (relative below p = 0.5). Raises NumericalError when the quantile
     falls below the smallest normal double or the iteration does not
-    converge."""
+    converge, and InputError unless df is an integer >= 1 and p a real
+    strictly inside (0, 1)."""
     df = _check_df(df)
-    if not (np.ndim(p) == 0 and math.isfinite(float(p))):
-        raise InputError("p must be a finite scalar")
-    p = float(p)
-    if not 0.0 < p < 1.0:
-        raise InputError(f"p must lie strictly inside (0, 1), got {p}")
+    p = _level("p", p)
 
     z = normal_quantile(p)
     t = 2.0 / (9.0 * df)
@@ -623,13 +647,15 @@ def self_normalized_t(x_col, y, label=None) -> TStat:
     normalization. Raises :class:`DegenerateColumnError` when the
     cross-products carry essentially no variation (e.g. a constant column).
 
+    Raises InputError unless x_col and y are finite bool/int/float arrays.
+
     Parameters
     ----------
     x_col, y : 1-d arrays of equal length n >= 3.
     label : optional feature name used in error messages.
     """
-    x = np.asarray(x_col, dtype=float)
-    yv = np.asarray(y, dtype=float)
+    x = _real_array("x_col", x_col)
+    yv = _real_array("y", y)
     if x.ndim != 1 or yv.ndim != 1:
         raise InputError("x_col and y must be one-dimensional")
     n = x.shape[0]
@@ -652,13 +678,13 @@ def theoretical_alpha1(p: int, L: float, b: float = 0.0) -> float:
 
     Returns 2 * (1 - Phi(gamma * sqrt(log p))) with gamma = 2 * (L + 1 + b).
     Decreasing in p, L, and b; underflows gracefully to 0 for large inputs.
+    Raises InputError unless p is an integer >= 2, L a finite real > 0 and
+    b a finite real >= 0.
     """
     if _integer("p", p) < 2:
         raise InputError(f"p must be at least 2, got {p}")
-    if not (math.isfinite(L) and L > 0.0):
-        raise InputError(f"L must be a positive real, got {L}")
-    if not (math.isfinite(b) and b >= 0.0):
-        raise InputError(f"b must be a nonnegative real, got {b}")
+    L = _real("L", L, "be a finite positive real", lambda v: v > 0.0)
+    b = _real("b", b, "be a finite nonnegative real", lambda v: v >= 0.0)
     gamma = 2.0 * (L + 1.0 + b)
     t = gamma * math.sqrt(math.log(p))
     # 2 * (1 - Phi(t)) = erfc(t / sqrt(2)), computed without cancellation.

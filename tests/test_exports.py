@@ -4,7 +4,8 @@ there and is in that module's ``__all__`` when it has one. The fields of
 the exported dataclasses are pinned, so changing one is a deliberate edit
 here. Only ``_forked`` forks, opens pipes or counts CPUs, no module reads
 the environment, ``multi_pc`` calls no BLAS or LAPACK routine, only
-``stats_core._integer`` decides what an integer is, and every indented JSON
+``stats_core._integer`` decides what an integer is and only
+``stats_core._real`` what a real number is, and every indented JSON
 document goes through ``data_io``'s one encoder. README's Public API list
 names every exported name."""
 
@@ -173,6 +174,35 @@ def test_only_integer_decides_what_an_integer_is():
             if name in ("integer", "Integral"):
                 found.add((path.name, owner.get(node)))
     assert found == {("stats_core.py", "_integer")}
+
+
+def _spelled(node):
+    # The names a node spells: a bare name, name.attr on a name, or each
+    # name a from-import binds, as module.name.
+    if isinstance(node, ast.ImportFrom):
+        return {f"{node.module}.{alias.name}" for alias in node.names}
+    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+        return {f"{node.value.id}.{node.attr}"}
+    return {node.id} if isinstance(node, ast.Name) else set()
+
+
+def test_only_real_decides_what_a_real_number_is():
+    # Every real scalar goes through stats_core._real and every real array
+    # through stats_core._real_array, which leaves its 0-d values to _real,
+    # so a numbers.Real or np.ndim test elsewhere would be a second rule.
+    # A plain import does not count; every use of what it binds does.
+    real_names = {"numbers", "Real", "numbers.Real", "ndim", "np.ndim",
+                  "numpy.ndim"}
+    found = set()
+    for path in Path(multiscreen.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        owner = {}
+        for func in ast.walk(tree):   # breadth first: inner functions last
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update(dict.fromkeys(ast.walk(func), func.name))
+        found |= {(path.name, owner.get(node)) for node in ast.walk(tree)
+                  if _spelled(node) & real_names}
+    assert found == {("stats_core.py", "_real")}
 
 
 def test_readme_lists_every_exported_name():

@@ -2,6 +2,7 @@
 minimum-correlation ranking."""
 
 import math
+import re
 import tracemalloc
 from dataclasses import dataclass
 from fractions import Fraction
@@ -11,9 +12,11 @@ import pytest
 
 from conftest import make_multistudy
 from multiscreen import (DegenerateColumnError, InputError, MultiStudy,
-                         ScreeningConfig, Study, chi2_quantile,
-                         compute_t_matrix, default_top_d, min_sis_rank,
-                         normal_quantile, one_step_sis, self_normalized_t,
+                         ScreeningConfig, Study, TStat, chi2_cdf,
+                         chi2_quantile, compute_t_matrix, default_top_d,
+                         group_lasso_fit, min_sis_rank, normal_cdf,
+                         normal_quantile, one_step_sis, residualize,
+                         self_normalized_t, theoretical_alpha1,
                          top_d_selection, tsa_sis, tsa_sis_from_stats)
 from multiscreen.screening import (_CHUNK, _chi2_thresholds, _levels,
                                    _screen, _stat_matrices, _step1_mask,
@@ -230,10 +233,23 @@ class TestTsaSis:
         res = tsa_sis(data, ScreeningConfig())
         assert len(res.kappa_hat) == data.p
 
+    def test_result_holds_its_own_statistic_matrix(self):
+        # A write to the caller's matrix after the screen moves no column
+        # of the result, t_stats included.
+        t = np.array([[0.5, 2.0], [3.0, 4.0], [0.1, 5.0]])
+        res = tsa_sis_from_stats(t, alpha2=0.05, alpha1=0.01)
+        columns = ("t_stats", "l_hat", "kappa_hat", "l_stat",
+                   "chi2_threshold")
+        before = {name: getattr(res, name).tobytes() for name in columns}
+        t[:] = 0.0
+        assert {name: getattr(res, name).tobytes()
+                for name in columns} == before
+
     def test_result_memory_at_p_1e5(self, rng):
         # The result holds (p,) and (p, K) arrays and the two index tuples,
-        # no object per feature: about 6.9 MB at p = 10^5, K = 5, where
-        # one frozen record per feature held 43 MB.
+        # no object per feature: about 10.9 MB at p = 10^5, K = 5, its own
+        # copy of the statistic matrix included, where one frozen record
+        # per feature held 43 MB.
         t = rng.normal(scale=2.0, size=(100_000, 5))
         tracemalloc.start()
         try:
@@ -328,6 +344,15 @@ class TestMinSis:
             min_sis_rank(bad)
 
 
+# A small fitting instance and design for the argument checks below.
+_SMALL_DATA = make_multistudy(np.random.default_rng(5), n=12, p=3, k=2)[0]
+_X4 = np.array([[1.0, 2.0], [3.0, 1.0], [0.0, 5.0], [2.0, 2.0]])
+
+
+def _level_of_threshold(v):
+    return tsa_sis_from_stats([[1.0]], alpha2=0.05, threshold=v).config.alpha1
+
+
 class TestValidation:
     def test_config_bounds(self):
         for bad in (0.0, 1.0, -0.1, 2.0):
@@ -409,9 +434,10 @@ class TestValidation:
             one_step_sis(data, alpha1=[0.01])
 
     @pytest.mark.parametrize("value", [
-        None, "0.01", "abc", b"0.01", 0.01j, object(), np.array("0.01")],
+        None, "0.01", "abc", b"0.01", 0.01j, object(), np.array("0.01"),
+        True, np.True_, 10 ** 400],
         ids=["none", "numeric_str", "str", "bytes", "complex", "object",
-             "str_array"])
+             "str_array", "bool", "numpy_bool", "int_beyond_float"])
     @pytest.mark.parametrize("make, name", [
         (lambda v: ScreeningConfig(alpha1=v), "alpha1"),
         (lambda v: ScreeningConfig(alpha2=v), "alpha2"),
@@ -423,12 +449,91 @@ class TestValidation:
         (lambda v: LevelGrid([v], [0.05]), "alpha1"),
         (lambda v: tsa_kept_mask([[1.0]], 3.0, v), "alpha2"),
         (lambda v: tsa_kept_mask([[1.0]], v, 0.05), "threshold"),
+        (lambda v: chi2_cdf(v, 3), "x"),
+        (lambda v: chi2_quantile(v, 3), "p"),
+        (normal_cdf, "z"),
+        (normal_quantile, "p"),
+        (lambda v: theoretical_alpha1(1000, v), "L"),
+        (lambda v: theoretical_alpha1(1000, 1.0, v), "b"),
+        (lambda v: SimSetting(beta_low=v, beta_high=1.0), "beta_low"),
+        (lambda v: SimSetting(noise_sd=v), "noise_sd"),
+        (lambda v: SimSetting(r_pool=(0.2, v)), "every r in r_pool"),
+        (lambda v: group_lasso_fit(_SMALL_DATA, (0, 1), v), "lambda"),
+        (lambda v: TStat(value=0.0, sigma_hat=0.0, theta_hat=v, n=5),
+         "theta_hat"),
     ], ids=["config_alpha1", "config_alpha2", "stats_alpha2", "stats_alpha1",
             "stats_threshold", "spec_alpha2", "grid_alpha1", "mask_alpha2",
-            "mask_threshold"])
+            "mask_threshold", "chi2_cdf_x", "chi2_quantile_p", "normal_cdf_z",
+            "normal_quantile_p", "alpha1_L", "alpha1_b", "sim_beta_low",
+            "sim_noise_sd", "sim_r_pool", "lasso_lambda", "tstat_theta"])
     def test_level_that_is_not_a_real_number_rejected(self, make, name, value):
-        with pytest.raises(InputError, match=name):
+        # The message names the argument as a word ("x", not the x of a
+        # longer name).
+        with pytest.raises(InputError, match=rf"\b{re.escape(name)}\b"):
             make(value)
+
+    @pytest.mark.parametrize("convert", [
+        lambda a: np.asarray(a).astype(str),
+        lambda a: np.asarray(a).astype(bytes),
+        lambda a: np.asarray(a) + 0j,
+        lambda a: np.asarray(a).astype(object),
+    ], ids=["str", "bytes", "complex", "object"])
+    @pytest.mark.parametrize("make, good, name", [
+        (lambda a: Study("s", a, np.arange(4.0)), _X4, "study 's': x"),
+        (lambda a: Study("s", _X4, a), np.arange(4.0), "study 's': y"),
+        (lambda a: tsa_sis_from_stats(a, alpha2=0.05, alpha1=0.01),
+         [[0.5, 2.0]], "statistic matrix"),
+        (lambda a: tsa_kept_mask(a, 3.0, 0.05), [[0.5, 2.0]],
+         "statistic matrix"),
+        (lambda a: self_normalized_t(a, [1.0, 2.0, 4.0]), [1.0, 3.0, 2.0],
+         "x_col"),
+        (lambda a: self_normalized_t([1.0, 3.0, 2.0], a), [1.0, 2.0, 4.0],
+         "y"),
+        (lambda a: residualize(a, (0,), np.arange(4.0)), _X4, "x"),
+        (lambda a: residualize(_X4, (0,), a), np.arange(4.0), "target"),
+        (lambda a: group_lasso_fit(_SMALL_DATA, (0, 1), 1.0, beta0=a),
+         np.zeros((2, 2)), "beta0"),
+        (normal_cdf, [0.25, 0.5], "z"),
+        (normal_quantile, [0.25, 0.5], "p"),
+    ], ids=["study_x", "study_y", "stats_matrix", "mask_matrix", "t_x_col",
+            "t_y", "resid_x", "resid_target", "lasso_beta0", "normal_cdf_z",
+            "normal_quantile_p"])
+    def test_array_that_is_not_real_rejected(self, make, good, name, convert):
+        make(good)
+        with pytest.raises(InputError,
+                           match=f"^{re.escape(name)} must hold real numbers"):
+            make(convert(good))
+
+    @pytest.mark.parametrize("f, v", [
+        (lambda v: chi2_cdf(v, 3), 2.0),
+        (lambda v: chi2_quantile(v, 3), 0.25),
+        (normal_cdf, 0.5),
+        (normal_quantile, 0.25),
+        (lambda v: theoretical_alpha1(1000, v), 1.5),
+        (lambda v: theoretical_alpha1(1000, 1.0, v), 2.0),
+        (lambda v: SimSetting(beta_low=v, beta_high=1.0).beta_low, 0.25),
+        (_level_of_threshold, 3.0),
+    ], ids=["chi2_cdf_x", "chi2_quantile_p", "normal_cdf_z",
+            "normal_quantile_p", "alpha1_L", "alpha1_b", "sim_beta_low",
+            "threshold"])
+    def test_numpy_reals_give_the_bits_of_the_float(self, f, v):
+        expect = f(v)
+        kinds = [np.float32, np.float64, np.array]
+        if v == int(v):
+            kinds.append(lambda v: np.int64(int(v)))
+        for kind in kinds:
+            got = f(kind(v))
+            assert type(got) is float
+            assert np.float64(got).tobytes() == np.float64(expect).tobytes()
+
+    def test_bool_and_integer_data_build_a_study(self):
+        x = np.array([[True, False], [False, False], [True, True]])
+        study = Study("s", x, np.array([1, 2, 4]))
+        assert study.x.tobytes() == x.astype(float).tobytes()
+        assert study.y.tobytes() == np.array([1.0, 2.0, 4.0]).tobytes()
+        # A float64 array is taken as it is, without a copy.
+        xf = x.astype(float)
+        assert Study("s", xf, study.y).x is xf
 
     @pytest.mark.parametrize("name, value", [
         ("alpha2", 0.0), ("alpha2", 1.0), ("alpha2", -0.1), ("alpha2", 2.0),

@@ -59,12 +59,23 @@ class TestSetting:
         # with "entries must be finite".
         for field, value in [("noise_sd", math.inf), ("hetero_sd", math.nan),
                              ("beta_high", math.inf), ("beta_low", -math.inf),
-                             ("noise_sd", "0.5"), ("beta_low", None)]:
+                             ("noise_sd", "0.5"), ("beta_low", None),
+                             ("beta_low", True), ("hetero_sd", 0.5j)]:
             with pytest.raises(InputError,
                                match=f"^{field} must be a finite real"):
                 SimSetting(**{field: value})
         assert SimSetting(beta_low=0, beta_high=np.float32(1.0)) \
             == SimSetting(beta_low=0.0, beta_high=1.0)
+        # A flag is a bool: unchecked, "no" would draw heterogeneous
+        # coefficients, since the draw tests truthiness.
+        for field, value in [("heterogeneous", "no"), ("heterogeneous", 0),
+                             ("fix_r", 1), ("fix_r", None)]:
+            with pytest.raises(InputError,
+                               match=f"^{field} must be a bool, got {value!r}$"):
+                SimSetting(**{field: value})
+        flags = SimSetting(heterogeneous=np.True_, fix_r=np.False_)
+        assert flags == SimSetting(heterogeneous=True, fix_r=False)
+        assert type(flags.heterogeneous) is type(flags.fix_r) is bool
 
     COUNTS = dict(n=40, p=20, K=3, s0=3, B=4, seed=11)
 
